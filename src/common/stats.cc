@@ -1,59 +1,7 @@
 #include "common/stats.hh"
 
-#include <iomanip>
-
 namespace ccm
 {
-
-Counter &
-StatGroup::add(const std::string &stat_name)
-{
-    auto *e = new Entry{stat_name, Counter{}, nullptr};
-    entries.push_back(e);
-    return e->counter;
-}
-
-void
-StatGroup::addExternal(const std::string &stat_name,
-                       const std::uint64_t *value)
-{
-    auto *e = new Entry{stat_name, Counter{}, value};
-    entries.push_back(e);
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto *e : entries) {
-        if (!e->external)
-            e->counter.reset();
-    }
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto *e : entries) {
-        os << name_ << "." << e->name << " " << e->currentValue()
-           << "\n";
-    }
-}
-
-StatSnapshot
-StatGroup::snapshot() const
-{
-    StatSnapshot snap;
-    snap.reserve(entries.size());
-    for (const auto *e : entries)
-        snap.push_back({e->name, e->currentValue()});
-    return snap;
-}
-
-StatGroup::~StatGroup()
-{
-    for (auto *e : entries)
-        delete e;
-}
 
 double
 safeRatio(std::uint64_t a, std::uint64_t b)

@@ -1,116 +1,16 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters and derived
- * ratios, grouped per component, with text dumping.
- *
- * Modelled loosely on gem5's stats but kept minimal: each simulated
- * component owns a StatGroup; counters register themselves by name so a
- * whole-system dump is one call.
+ * Ratio helpers shared by every statistics consumer: division that
+ * reports 0 instead of NaN when nothing was counted.
  */
 
 #ifndef CCM_COMMON_STATS_HH
 #define CCM_COMMON_STATS_HH
 
 #include <cstdint>
-#include <ostream>
-#include <string>
-#include <vector>
-
-#include "common/types.hh"
 
 namespace ccm
 {
-
-/** A single named 64-bit event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** One named counter value in a programmatic stats snapshot. */
-struct StatEntry
-{
-    std::string name;
-    std::uint64_t value = 0;
-};
-
-/** Ordered name/value dump of a whole group. */
-using StatSnapshot = std::vector<StatEntry>;
-
-/**
- * A group of related counters belonging to one component; supports
- * registration and formatted dumping.
- *
- * Counters come in two flavours: owned (add(), the group allocates
- * the Counter) and external (addExternal(), the group records a
- * pointer to a std::uint64_t that lives elsewhere — e.g. a MemStats
- * field).  Both appear in dump()/snapshot() under the registered
- * name, so one mechanism owns naming regardless of where the storage
- * lives.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Register a counter under @p stat_name; returns the counter. */
-    Counter &add(const std::string &stat_name);
-
-    /**
-     * Register an externally-owned counter under @p stat_name.  The
-     * pointee must outlive the group; resetAll() leaves it untouched
-     * (its owner is responsible for resetting).
-     */
-    void addExternal(const std::string &stat_name,
-                     const std::uint64_t *value);
-
-    /** Zero every owned counter (external counters are untouched). */
-    void resetAll();
-
-    /** Write "group.stat value" lines to @p os. */
-    void dump(std::ostream &os) const;
-
-    /** Current name/value pairs, registration-ordered. */
-    StatSnapshot snapshot() const;
-
-    const std::string &name() const { return name_; }
-
-    std::size_t numStats() const { return entries.size(); }
-
-  private:
-    struct Entry
-    {
-        std::string name;
-        Counter counter;                        ///< owned storage
-        const std::uint64_t *external = nullptr; ///< external storage
-
-        std::uint64_t
-        currentValue() const
-        {
-            return external ? *external : counter.value();
-        }
-    };
-
-    std::string name_;
-    // Deque-like stability: entries are never removed, and we hand out
-    // references, so store pointers.
-    std::vector<Entry *> entries;
-
-  public:
-    ~StatGroup();
-    StatGroup(const StatGroup &) = delete;
-    StatGroup &operator=(const StatGroup &) = delete;
-};
 
 /** @return a / b as a double, or 0.0 when b == 0. */
 double safeRatio(std::uint64_t a, std::uint64_t b);

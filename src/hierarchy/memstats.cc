@@ -24,22 +24,4 @@ MemStats::minus(const MemStats &prev) const
     return d;
 }
 
-void
-MemStats::registerCounters(StatGroup &group) const
-{
-    forEachField([&](const char *name, Count MemStats::*field) {
-        group.addExternal(name, &(this->*field));
-    });
-}
-
-StatSnapshot
-MemStats::snapshot() const
-{
-    StatSnapshot snap;
-    forEachField([&](const char *name, Count MemStats::*field) {
-        snap.push_back({name, this->*field});
-    });
-    return snap;
-}
-
 } // namespace ccm

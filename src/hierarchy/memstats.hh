@@ -4,10 +4,10 @@
  * behind Table 1 and Figures 3-7.
  *
  * MemStats::forEachField is the single authoritative (name, field)
- * enumeration: the text dump, the JSON sink, StatGroup registration
- * and interval-delta arithmetic all derive from it, so a counter
- * added there automatically appears in every output path under one
- * canonical name.
+ * enumeration: the text dump, the JSON sink and interval-delta
+ * arithmetic all derive from it, so a counter added there
+ * automatically appears in every output path under one canonical
+ * name.
  */
 
 #ifndef CCM_HIERARCHY_MEMSTATS_HH
@@ -171,16 +171,6 @@ struct MemStats
 
     /** Counter-wise this - prev (interval deltas). */
     MemStats minus(const MemStats &prev) const;
-
-    /**
-     * Register every counter with @p group as an external stat, under
-     * its canonical forEachField name.  This object must outlive the
-     * group.
-     */
-    void registerCounters(StatGroup &group) const;
-
-    /** Name/value pairs in dump order (counters only). */
-    StatSnapshot snapshot() const;
 };
 
 /**

@@ -2,9 +2,7 @@
 
 #include <array>
 
-#include "cache/cache.hh"
 #include "mct/oracle.hh"
-#include "mct/shadow.hh"
 #include "trace/batch_reader.hh"
 
 namespace ccm
@@ -13,12 +11,10 @@ namespace ccm
 ClassifyResult
 classifyRun(TraceSource &trace, const ClassifyConfig &cfg)
 {
-    CacheGeometry geom(cfg.cacheBytes, cfg.assoc, cfg.lineBytes);
-    Cache cache(geom);
-    // Depth 1 is exactly the MCT; deeper is the shadow directory.
-    ShadowDirectory mct(geom.numSets(), cfg.mctDepth, cfg.mctTagBits);
+    ClassifyKernel kernel(cfg);
     if (cfg.lookupHook)
-        mct.setLookupHook(cfg.lookupHook);
+        kernel.setLookupHook(cfg.lookupHook);
+    const CacheGeometry &geom = kernel.geometry();
     OracleClassifier oracle(geom.numLines());
 
     ClassifyResult res;
@@ -36,30 +32,21 @@ classifyRun(TraceSource &trace, const ClassifyConfig &cfg)
             ++res.references;
 
             const ByteAddr addr = r.dataAddr();
-            LineAddr line = geom.lineOf(addr);
-            bool hit = cache.access(addr, r.isStore());
-            MissClass oracle_cls = oracle.observe(line, !hit);
+            const bool hit = kernel.access(addr, r.isStore());
+            MissClass oracle_cls = oracle.observe(geom.lineOf(addr), !hit);
+            // Before the miss step, so the lookup hook sees this
+            // reference's index.
             if (cfg.observer)
                 cfg.observer->onReference(!hit);
             if (hit)
                 continue;
 
             ++res.misses;
-            SetIndex set = geom.setOf(addr);
-            Tag tag = geom.tagOf(addr);
-
-            MissClass mct_cls = mct.classify(set, tag);
+            const MissClass mct_cls = kernel.miss(addr, r.isStore());
             res.scorer.record(mct_cls, oracle_cls);
             if (cfg.observer)
-                cfg.observer->onMiss(set, tag, mct_cls, oracle_cls);
-
-            // Fill and remember the evicted tag, exactly as the
-            // hardware would: MCT is written only with evicted-line
-            // tags.
-            FillResult ev = cache.fill(addr, isConflict(mct_cls),
-                                       r.isStore());
-            if (ev.valid)
-                mct.recordEviction(set, geom.tagOf(ev.lineAddr));
+                cfg.observer->onMiss(geom.setOf(addr), geom.tagOf(addr),
+                                     mct_cls, oracle_cls);
         }
     }
 

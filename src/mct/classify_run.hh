@@ -10,6 +10,7 @@
 
 #include "cache/geometry.hh"
 #include "mct/accuracy.hh"
+#include "mct/classify_kernel.hh"
 #include "mct/mct.hh"
 #include "trace/source.hh"
 
@@ -43,20 +44,8 @@ class ClassifyObserver
 };
 
 /** Parameters of one classification run. */
-struct ClassifyConfig
+struct ClassifyConfig : ClassifyGeometry
 {
-    std::size_t cacheBytes = 16 * 1024;
-    unsigned assoc = 1;
-    unsigned lineBytes = 64;
-    /** Stored-tag width; 0 = full tag. */
-    unsigned mctTagBits = 0;
-    /**
-     * Evicted tags remembered per set.  1 = the paper's MCT; more
-     * implements the Stone/Pomerene shadow directory (§2/§3), which
-     * also identifies higher-order conflict misses.
-     */
-    unsigned mctDepth = 1;
-
     /** Optional observer (not owned); nullptr = no observation. */
     ClassifyObserver *observer = nullptr;
 
@@ -78,7 +67,8 @@ struct ClassifyResult
 
 /**
  * Replay @p trace (reset first) against the configured cache,
- * classifying every miss with both the MCT and the oracle.
+ * classifying every miss with both the MCT and the oracle.  Fatal on
+ * a config that fails ClassifyGeometry::validate().
  */
 ClassifyResult classifyRun(TraceSource &trace, const ClassifyConfig &cfg);
 

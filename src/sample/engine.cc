@@ -24,6 +24,10 @@ Expected<SampleReport>
 runSampleAnalysis(const MemRecord *records, std::size_t count,
                   const SampleRunConfig &cfg)
 {
+    Status geom_ok = cfg.classify.validate();
+    if (!geom_ok.isOk())
+        return geom_ok.withContext("classify geometry");
+
     SampleReport rep;
     MrcConfig mrc_cfg = cfg.mrc;
 

@@ -4,10 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "cache/cache.hh"
-#include "cache/geometry.hh"
 #include "common/random.hh"
-#include "mct/shadow.hh"
 
 namespace ccm::sample
 {
@@ -216,56 +213,19 @@ windowScalar(const WindowSignature &sig)
 }
 
 /**
- * Replay records [warm_begin, end) exactly; counters accrue only
- * from @p count_begin on (the prefix is cache/MCT warmup).
- * @return memory references simulated, warmup included.
+ * Run records [begin, end) through @p kernel, counting into @p out.
+ * @return memory references simulated.
  */
 Count
-replayWindow(const MemRecord *records, std::size_t warm_begin,
-             std::size_t count_begin, std::size_t end,
-             const ShardedClassifyConfig &cache_cfg, MemStats &out)
+replaySpan(ClassifyKernel &kernel, const MemRecord *records,
+           std::size_t begin, std::size_t end, MemStats &out)
 {
-    CacheGeometry geom(cache_cfg.cacheBytes, cache_cfg.assoc,
-                       cache_cfg.lineBytes);
-    Cache cache(geom);
-    ShadowDirectory mct(geom.numSets(), cache_cfg.mctDepth,
-                        cache_cfg.mctTagBits);
-
     Count simulated = 0;
-    for (std::size_t i = warm_begin; i < end; ++i) {
-        const MemRecord &r = records[i];
-        if (!r.isMem())
+    for (std::size_t i = begin; i < end; ++i) {
+        if (!records[i].isMem())
             continue;
         ++simulated;
-        const bool counted = i >= count_begin;
-
-        const ByteAddr addr = r.dataAddr();
-        const SetIndex set = geom.setOf(addr);
-        if (counted) {
-            ++out.accesses;
-            if (r.isStore())
-                ++out.stores;
-            else
-                ++out.loads;
-        }
-        if (cache.access(addr, r.isStore())) {
-            if (counted)
-                ++out.l1Hits;
-        } else {
-            const Tag tag = geom.tagOf(addr);
-            const MissClass cls = mct.classify(set, tag);
-            if (counted) {
-                ++out.l1Misses;
-                if (isConflict(cls))
-                    ++out.conflictMisses;
-                else
-                    ++out.capacityMisses;
-            }
-            FillResult ev =
-                cache.fill(addr, isConflict(cls), r.isStore());
-            if (ev.valid)
-                mct.recordEviction(set, geom.tagOf(ev.lineAddr));
-        }
+        classifyCounted(kernel, records[i], out);
     }
     return simulated;
 }
@@ -308,9 +268,7 @@ reconstructFromIntervals(const MemRecord *records, std::size_t count,
             "0 (no window signatures present)");
     if (cfg.k == 0)
         return Status::badConfig("interval count k must be >= 1");
-    Status geom_ok =
-        CacheGeometry::validate(cache_cfg.cacheBytes, cache_cfg.assoc,
-                                cache_cfg.lineBytes);
+    Status geom_ok = cache_cfg.validate();
     if (!geom_ok.isOk())
         return geom_ok.withContext("interval replay geometry");
     for (const WindowSignature &sig : mrc.windows) {
@@ -445,11 +403,16 @@ reconstructFromIntervals(const MemRecord *records, std::size_t count,
         rep.lastRef = sig.lastRef;
         rep.refs = sig.lastRef - sig.firstRef + 1;
 
+        // The warmup prefix populates the cold cache/MCT; its
+        // counters are discarded.
         const std::size_t warm = warmupStart(
             records, sig.recordBegin, cfg.warmupRefs);
+        ClassifyKernel kernel(cache_cfg);
+        MemStats warmup;
         res.replayedRefs +=
-            replayWindow(records, warm, sig.recordBegin,
-                         sig.recordEnd, cache_cfg, rep.delta);
+            replaySpan(kernel, records, warm, sig.recordBegin, warmup);
+        res.replayedRefs += replaySpan(kernel, records, sig.recordBegin,
+                                       sig.recordEnd, rep.delta);
         res.reps.push_back(std::move(rep));
     }
 

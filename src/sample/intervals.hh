@@ -16,9 +16,10 @@
  * windows.
  *
  * Only the K representative windows are then replayed *exactly*
- * (Cache + ShadowDirectory, the same loop as sim/sharded.cc, with an
- * uncounted warmup prefix to populate the cold cache), and every
- * whole-trace classification counter is reconstructed as
+ * (the ClassifyKernel step, counted by classifyCounted as in the
+ * sharded engine, after an uncounted warmup pass over the preceding
+ * references to populate the cold cache), and every whole-trace
+ * classification counter is reconstructed as
  *
  *     predicted = sum_c weight_c * rate_c * totalRefs
  *

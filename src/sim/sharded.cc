@@ -3,12 +3,9 @@
 #include <chrono>
 #include <utility>
 
-#include "cache/cache.hh"
-#include "cache/geometry.hh"
 #include "common/logging.hh"
 #include "common/sync.hh"
 #include "common/thread_pool.hh"
-#include "mct/shadow.hh"
 #include "obs/metrics.hh"
 #include "trace/vector_trace.hh"
 
@@ -48,9 +45,8 @@ runShard(const MemRecord *records, std::size_t count,
          const ShardedClassifyConfig &cfg, unsigned shard,
          unsigned num_shards)
 {
-    CacheGeometry geom(cfg.cacheBytes, cfg.assoc, cfg.lineBytes);
-    Cache cache(geom);
-    ShadowDirectory mct(geom.numSets(), cfg.mctDepth, cfg.mctTagBits);
+    ClassifyKernel kernel(cfg);
+    const CacheGeometry &geom = kernel.geometry();
 
     ShardState out;
     MemStats cur;      // running shard-local counters
@@ -73,32 +69,8 @@ runShard(const MemRecord *records, std::size_t count,
         if (!r.isMem())
             continue;
         ++globalRef;
-
-        const ByteAddr addr = r.dataAddr();
-        const SetIndex set = geom.setOf(addr);
-        if (set.value() % num_shards == shard) {
-            ++cur.accesses;
-            if (r.isStore())
-                ++cur.stores;
-            else
-                ++cur.loads;
-
-            if (cache.access(addr, r.isStore())) {
-                ++cur.l1Hits;
-            } else {
-                ++cur.l1Misses;
-                const Tag tag = geom.tagOf(addr);
-                const MissClass cls = mct.classify(set, tag);
-                if (isConflict(cls))
-                    ++cur.conflictMisses;
-                else
-                    ++cur.capacityMisses;
-                FillResult ev =
-                    cache.fill(addr, isConflict(cls), r.isStore());
-                if (ev.valid)
-                    mct.recordEviction(set, geom.tagOf(ev.lineAddr));
-            }
-        }
+        if (geom.setOf(r.dataAddr()).value() % num_shards == shard)
+            classifyCounted(kernel, r, cur);
         // Window boundaries are global-reference indices, so every
         // shard emits the same window sequence (zero deltas included)
         // and the merge is a plain window-index-wise sum.
@@ -110,10 +82,10 @@ runShard(const MemRecord *records, std::size_t count,
 
     out.mem = cur;
     out.heat.sets = geom.numSets();
-    out.heat.l1Misses = cache.setMissHistogram();
-    out.heat.l1Evictions = cache.setEvictionHistogram();
-    out.heat.mctLookups = mct.setLookupHistogram();
-    out.heat.mctConflicts = mct.setConflictHistogram();
+    out.heat.l1Misses = kernel.cache().setMissHistogram();
+    out.heat.l1Evictions = kernel.cache().setEvictionHistogram();
+    out.heat.mctLookups = kernel.directory().setLookupHistogram();
+    out.heat.mctConflicts = kernel.directory().setConflictHistogram();
     return out;
 }
 
@@ -175,6 +147,9 @@ ShardedClassifyResult
 runShardedClassify(const MemRecord *records, std::size_t count,
                    const ShardedClassifyConfig &cfg)
 {
+    // On the calling thread, so a bad config dies once rather than
+    // in every shard's kernel constructor at the same time.
+    fatalIfError(cfg.validate().withContext("sharded classify"));
     const unsigned shards = cfg.shards == 0 ? 1 : cfg.shards;
 
     ShardedClassifyResult res;

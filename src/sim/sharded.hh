@@ -41,6 +41,7 @@
 #include "common/status.hh"
 #include "common/types.hh"
 #include "hierarchy/memstats.hh"
+#include "mct/classify_kernel.hh"
 #include "obs/interval.hh"
 #include "trace/record.hh"
 #include "trace/source.hh"
@@ -49,16 +50,8 @@ namespace ccm
 {
 
 /** Parameters of one sharded classification run. */
-struct ShardedClassifyConfig
+struct ShardedClassifyConfig : ClassifyGeometry
 {
-    std::size_t cacheBytes = 16 * 1024;
-    unsigned assoc = 1;
-    unsigned lineBytes = 64;
-    /** Stored-tag width; 0 = full tag. */
-    unsigned mctTagBits = 0;
-    /** Evicted tags remembered per set (1 = the paper's MCT). */
-    unsigned mctDepth = 1;
-
     /**
      * Shard count K.  0 and 1 both mean "run the worker inline on the
      * calling thread"; K > number of sets is allowed (the surplus
@@ -104,8 +97,32 @@ struct ShardedClassifyResult
 };
 
 /**
+ * One counted classify step: run memory reference @p r through
+ * @p kernel and tally it on the classify-path MemStats counters.  The
+ * sharded engine and interval replay both count through this.
+ */
+inline void
+classifyCounted(ClassifyKernel &kernel, const MemRecord &r, MemStats &mem)
+{
+    const ByteAddr addr = r.dataAddr();
+    const bool store = r.isStore();
+    ++mem.accesses;
+    ++(store ? mem.stores : mem.loads);
+    if (kernel.access(addr, store)) {
+        ++mem.l1Hits;
+        return;
+    }
+    ++mem.l1Misses;
+    ++(isConflict(kernel.miss(addr, store)) ? mem.conflictMisses
+                                            : mem.capacityMisses);
+}
+
+/**
  * Classify @p count records (all shards read the same span) on
  * cfg.shards workers.  The span must stay valid for the duration.
+ * The config is validated on the calling thread before any shard
+ * starts; an invalid one is fatal, so entry points that take user
+ * input check ClassifyGeometry::validate() first.
  */
 ShardedClassifyResult runShardedClassify(
     const MemRecord *records, std::size_t count,
@@ -113,9 +130,10 @@ ShardedClassifyResult runShardedClassify(
 
 /**
  * Convenience: capture @p trace (reset first) into memory, then run
- * the span overload.  Callers that already hold decoded records
- * (TraceFileReader::records(), VectorTrace::records()) should use
- * the span overload directly and skip the capture copy.
+ * the span overload.  MappedTraceReader exposes no record span, so
+ * a mapped trace pays this copy; callers that already hold decoded
+ * records (VectorTrace::records()) should use the span overload
+ * directly.
  */
 ShardedClassifyResult runShardedClassify(
     TraceSource &trace, const ShardedClassifyConfig &cfg);

@@ -217,17 +217,6 @@ TEST(Pcg32, ChanceMatchesProbability)
 
 // ---- stats --------------------------------------------------------
 
-TEST(Stats, CounterIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 5;
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Stats, SafeRatioHandlesZeroDenominator)
 {
     EXPECT_DOUBLE_EQ(safeRatio(5, 0), 0.0);
@@ -238,22 +227,6 @@ TEST(Stats, PctScales)
 {
     EXPECT_DOUBLE_EQ(pct(1, 4), 25.0);
     EXPECT_DOUBLE_EQ(pct(0, 0), 0.0);
-}
-
-TEST(Stats, GroupRegistersAndDumps)
-{
-    StatGroup g("l1");
-    Counter &hits = g.add("hits");
-    Counter &misses = g.add("misses");
-    ++hits;
-    ++hits;
-    ++misses;
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_EQ(os.str(), "l1.hits 2\nl1.misses 1\n");
-    g.resetAll();
-    EXPECT_EQ(hits.value(), 0u);
-    EXPECT_EQ(misses.value(), 0u);
 }
 
 // ---- TextTable ----------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Observability layer: JSON model, the stats document schema, interval
- * delta-correctness, per-set heatmaps, event tracing, and the
- * StatGroup/MemStats naming unification.
+ * delta-correctness, per-set heatmaps, event tracing, the writers,
+ * the metrics registry and span tracing.
  */
 
 #include <gtest/gtest.h>
@@ -361,44 +361,6 @@ TEST(ObsEvents, RateLimitAndCap)
     EXPECT_EQ(events.recorded(), 5u);
     EXPECT_EQ(events.dropped(), 55u);
     EXPECT_EQ(events.events().size(), 5u);
-}
-
-// ---- StatGroup unification -----------------------------------------
-
-TEST(ObsStats, ExternalCountersShareOneNamingMechanism)
-{
-    MemStats stats;
-    stats.accesses = 10;
-    stats.l1Misses = 3;
-
-    StatGroup group("mem");
-    group.addExternal("probe", &stats.l1Misses);
-    Counter &owned = group.add("owned");
-    ++owned;
-    stats.registerCounters(group);
-
-    std::size_t n_fields = 0;
-    MemStats::forEachField(
-        [&](const char *, Count MemStats::*) { ++n_fields; });
-    EXPECT_EQ(group.numStats(), n_fields + 2);
-
-    // External counters track live mutations of the owner...
-    stats.l1Misses = 7;
-    StatSnapshot snap = group.snapshot();
-    ASSERT_EQ(snap.size(), n_fields + 2);
-    EXPECT_EQ(snap[0].name, "probe");
-    EXPECT_EQ(snap[0].value, 7u);
-    EXPECT_EQ(snap[1].name, "owned");
-    EXPECT_EQ(snap[1].value, 1u);
-    EXPECT_EQ(snap[2].name, "accesses");
-    EXPECT_EQ(snap[2].value, 10u);
-
-    // ... and resetAll touches only owned storage.
-    group.resetAll();
-    StatSnapshot after = group.snapshot();
-    EXPECT_EQ(after[0].value, 7u);
-    EXPECT_EQ(after[1].value, 0u);
-    EXPECT_EQ(after[2].value, 10u);
 }
 
 // ---- Writers -------------------------------------------------------

@@ -229,38 +229,59 @@ TEST(SampleMrc, WindowsTileTheWholeTrace)
 
 TEST(SampleIntervals, AllWindowsReplayedIsExact)
 {
-    const auto recs = captureRecords("mgrid", 60'000);
-    MrcConfig mcfg;
-    mcfg.rate = 0.05;
-    mcfg.windowRefs = 10'000;
-    auto mrc = buildMrc(recs.data(), recs.size(), mcfg);
-    ASSERT_TRUE(mrc.ok());
+    // mgrid streams, so cold windows (no warmup) already match the
+    // exact run.  gcc reuses lines across windows: its warmup reaches
+    // back to record 0, so each window's replay is a prefix of the
+    // exact run and every counter must match, not just the two
+    // checked for both inputs.
+    struct Input
+    {
+        const char *workload;
+        Count warmupRefs;
+    };
+    for (const Input in : {Input{"mgrid", 0}, Input{"gcc", 60'000}}) {
+        SCOPED_TRACE(in.workload);
+        const auto recs = captureRecords(in.workload, 60'000);
+        MrcConfig mcfg;
+        mcfg.rate = 0.05;
+        mcfg.windowRefs = 10'000;
+        auto mrc = buildMrc(recs.data(), recs.size(), mcfg);
+        ASSERT_TRUE(mrc.ok());
 
-    ShardedClassifyConfig ccfg;
-    IntervalConfig icfg;
-    icfg.k = mrc.value().windows.size(); // replay everything
-    icfg.warmupRefs = 0;
-    auto res = reconstructFromIntervals(recs.data(), recs.size(),
-                                        mrc.value(), ccfg, icfg);
-    ASSERT_TRUE(res.ok()) << res.status().toString();
+        ShardedClassifyConfig ccfg;
+        IntervalConfig icfg;
+        icfg.k = mrc.value().windows.size(); // replay everything
+        icfg.warmupRefs = in.warmupRefs;
+        auto res = reconstructFromIntervals(recs.data(), recs.size(),
+                                            mrc.value(), ccfg, icfg);
+        ASSERT_TRUE(res.ok()) << res.status().toString();
 
-    const ShardedClassifyResult exact =
-        runShardedClassify(recs.data(), recs.size(), ccfg);
+        const ShardedClassifyResult exact =
+            runShardedClassify(recs.data(), recs.size(), ccfg);
 
-    // Every window is its own cluster with weight refs/total, so the
-    // reconstruction is the exact whole-trace count, stat by stat.
-    double wsum = 0.0;
-    for (const auto &rep : res.value().reps)
-        wsum += rep.weight;
-    EXPECT_NEAR(wsum, 1.0, 1e-9);
-    const auto *misses = res.value().find("l1_misses");
-    ASSERT_NE(misses, nullptr);
-    EXPECT_NEAR(misses->predicted, double(exact.mem.l1Misses),
-                double(exact.mem.l1Misses) * 1e-9 + 1e-6);
-    const auto *accesses = res.value().find("accesses");
-    ASSERT_NE(accesses, nullptr);
-    EXPECT_NEAR(accesses->predicted, double(exact.mem.accesses),
-                1e-6);
+        // Every window is its own cluster with weight refs/total, so
+        // the reconstruction is the exact whole-trace count, stat by
+        // stat.
+        double wsum = 0.0;
+        for (const auto &rep : res.value().reps)
+            wsum += rep.weight;
+        EXPECT_NEAR(wsum, 1.0, 1e-9);
+        const auto *misses = res.value().find("l1_misses");
+        ASSERT_NE(misses, nullptr);
+        EXPECT_NEAR(misses->predicted, double(exact.mem.l1Misses),
+                    double(exact.mem.l1Misses) * 1e-9 + 1e-6);
+        const auto *accesses = res.value().find("accesses");
+        ASSERT_NE(accesses, nullptr);
+        EXPECT_NEAR(accesses->predicted, double(exact.mem.accesses),
+                    1e-6);
+        if (in.warmupRefs < exact.references)
+            continue;
+        MemStats::forEachField([&](const char *name,
+                                   Count MemStats::*f) {
+            EXPECT_EQ(res.value().predicted.*f, exact.mem.*f)
+                << "counter " << name;
+        });
+    }
 }
 
 TEST(SampleIntervals, DeterministicSelection)
@@ -405,6 +426,17 @@ TEST(SampleEngine, RejectsBadConfigs)
     EXPECT_FALSE(runSampleAnalysis(recs.data(), recs.size(), cfg).ok());
     cfg.mrc.rate = 0.5;
     cfg.mrc.capacitiesBytes = {32 * 1024, 16 * 1024}; // not ascending
+    EXPECT_FALSE(runSampleAnalysis(recs.data(), recs.size(), cfg).ok());
+    cfg.mrc.capacitiesBytes.clear();
+    ASSERT_TRUE(runSampleAnalysis(recs.data(), recs.size(), cfg).ok());
+    // Classifier shapes reach the exact run and the interval replay.
+    cfg.classify.mctDepth = 0;
+    cfg.compareExact = true;
+    EXPECT_FALSE(runSampleAnalysis(recs.data(), recs.size(), cfg).ok());
+    cfg.classify.mctDepth = 1;
+    cfg.classify.mctTagBits = 99;
+    cfg.compareExact = false;
+    cfg.intervals = 4;
     EXPECT_FALSE(runSampleAnalysis(recs.data(), recs.size(), cfg).ok());
 }
 

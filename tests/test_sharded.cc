@@ -143,25 +143,38 @@ TEST(ShardedClassify, AgreesWithOracleBearingClassifyRun)
     auto wl = makeWorkload("go", 80'000, 11);
     VectorTrace trace = VectorTrace::capture(*wl);
 
-    ClassifyConfig seq;
-    seq.cacheBytes = 4 * 1024;
-    seq.assoc = 4;
-    seq.lineBytes = 64;
-    ClassifyResult expect = classifyRun(trace, seq);
+    for (unsigned depth : {1u, 2u, 4u}) {
+        for (unsigned tag_bits : {0u, 4u}) {
+            for (unsigned assoc : {1u, 4u}) {
+                SCOPED_TRACE("depth=" + std::to_string(depth) +
+                             " tag_bits=" + std::to_string(tag_bits) +
+                             " assoc=" + std::to_string(assoc));
+                ShardedClassifyConfig cfg = smallConfig(3);
+                cfg.assoc = assoc;
+                cfg.mctDepth = depth;
+                cfg.mctTagBits = tag_bits;
 
-    const ShardedClassifyResult got = runShardedClassify(
-        trace.records().data(), trace.records().size(),
-        smallConfig(3));
+                ClassifyConfig seq;
+                static_cast<ClassifyGeometry &>(seq) = cfg;
+                ClassifyResult expect = classifyRun(trace, seq);
 
-    EXPECT_EQ(got.references, expect.references);
-    EXPECT_EQ(got.misses, expect.misses);
-    // The MCT-side verdict tallies must agree too: the scorer's
-    // "called conflict" column is exactly our conflictMisses counter.
-    EXPECT_EQ(got.mem.conflictMisses,
-              expect.scorer.conflictAsConflict() +
-                  expect.scorer.capacityAsConflict());
-    EXPECT_EQ(got.mem.capacityMisses,
-              got.misses - got.mem.conflictMisses);
+                const ShardedClassifyResult got = runShardedClassify(
+                    trace.records().data(), trace.records().size(),
+                    cfg);
+
+                EXPECT_EQ(got.references, expect.references);
+                EXPECT_EQ(got.misses, expect.misses);
+                // The MCT-side verdict tallies must agree too: the
+                // scorer's "called conflict" column is exactly our
+                // conflictMisses counter.
+                EXPECT_EQ(got.mem.conflictMisses,
+                          expect.scorer.conflictAsConflict() +
+                              expect.scorer.capacityAsConflict());
+                EXPECT_EQ(got.mem.capacityMisses,
+                          got.misses - got.mem.conflictMisses);
+            }
+        }
+    }
 }
 
 TEST(ShardedClassify, ZeroShardsMeansOne)

@@ -103,6 +103,17 @@ usage()
 int
 run(const Options &o)
 {
+    sample::SampleRunConfig scfg;
+    scfg.classify.cacheBytes = o.l1Kb * 1024;
+    scfg.classify.assoc = o.l1Assoc;
+    scfg.classify.mctDepth = o.mctDepth;
+    scfg.classify.mctTagBits = o.mctTagBits;
+    Status geom_ok = scfg.classify.validate();
+    if (!geom_ok.isOk()) {
+        CCM_LOG_ERROR(geom_ok.toString());
+        return 1;
+    }
+
     Expected<std::unique_ptr<TraceSource>> trace =
         o.tracePath.empty()
             ? makeWorkloadChecked(o.workload, o.refs, o.seed)
@@ -113,7 +124,6 @@ run(const Options &o)
     }
     VectorTrace captured = VectorTrace::capture(*trace.value());
 
-    sample::SampleRunConfig scfg;
     scfg.mrc.rate = o.rate;
     scfg.mrc.seed = o.seed;
     scfg.mrc.variant = o.variant == "fixed-size"
@@ -125,10 +135,6 @@ run(const Options &o)
     scfg.intervals = o.intervals;
     scfg.interval.warmupRefs = o.warmupRefs;
     scfg.interval.seed = o.seed;
-    scfg.classify.cacheBytes = o.l1Kb * 1024;
-    scfg.classify.assoc = o.l1Assoc;
-    scfg.classify.mctDepth = o.mctDepth;
-    scfg.classify.mctTagBits = o.mctTagBits;
     scfg.compareExact = o.exact;
 
     auto rep = sample::runSampleAnalysis(captured.records().data(),

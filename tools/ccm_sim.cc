@@ -475,7 +475,8 @@ runSuiteMode(const Options &o)
     return report.allOk() ? 0 : 2;
 }
 
-ShardedClassifyConfig
+/** The classify config from @p o, or why it is invalid. */
+Expected<ShardedClassifyConfig>
 buildClassifyConfig(const Options &o)
 {
     ShardedClassifyConfig cfg;
@@ -485,6 +486,9 @@ buildClassifyConfig(const Options &o)
     cfg.mctDepth = o.mctDepth;
     cfg.shards = o.shards;
     cfg.interval = o.interval;
+    Status s = cfg.validate();
+    if (!s.isOk())
+        return s;
     return cfg;
 }
 
@@ -504,10 +508,9 @@ openClassifyTrace(const Options &o, const std::string &name)
 }
 
 int
-runClassifySuiteMode(const Options &o)
+runClassifySuiteMode(const Options &o, const ShardedClassifyConfig &ccfg)
 {
     obs::ScopedSpan span("classify-suite", "sim");
-    const ShardedClassifyConfig ccfg = buildClassifyConfig(o);
 
     // Rows run sequentially: --shards already parallelizes within
     // each run, and stacking --jobs on top would just oversubscribe.
@@ -573,7 +576,7 @@ runClassifySuiteMode(const Options &o)
 
 /** --classify --sample-rate/--sample-intervals: sampled analysis. */
 int
-runSampleMode(const Options &o)
+runSampleMode(const Options &o, const ShardedClassifyConfig &ccfg)
 {
     obs::ScopedSpan span("sample:" + o.workload, "sim");
     auto trace = openClassifyTrace(o, o.workload);
@@ -587,7 +590,7 @@ runSampleMode(const Options &o)
     scfg.mrc.rate = o.sampleRate > 0.0 ? o.sampleRate : 0.01;
     scfg.mrc.seed = o.seed;
     scfg.intervals = o.sampleIntervals;
-    scfg.classify = buildClassifyConfig(o);
+    scfg.classify = ccfg;
     scfg.compareExact = o.sampleExact;
 
     auto rep = sample::runSampleAnalysis(captured.records().data(),
@@ -649,10 +652,15 @@ runClassifyMode(const Options &o)
                       "' (try --list)");
         return 1;
     }
+    auto ccfg = buildClassifyConfig(o);
+    if (!ccfg.ok()) {
+        CCM_LOG_ERROR(ccfg.status().toString());
+        return 1;
+    }
     if (o.suite)
-        return runClassifySuiteMode(o);
+        return runClassifySuiteMode(o, ccfg.value());
     if (o.sampleRate > 0.0 || o.sampleIntervals > 0)
-        return runSampleMode(o);
+        return runSampleMode(o, ccfg.value());
 
     obs::ScopedSpan span("classify:" + o.workload, "sim");
     auto trace = openClassifyTrace(o, o.workload);
@@ -662,7 +670,7 @@ runClassifyMode(const Options &o)
     }
     const auto start = std::chrono::steady_clock::now();
     ShardedClassifyResult res =
-        runShardedClassify(*trace.value(), buildClassifyConfig(o));
+        runShardedClassify(*trace.value(), ccfg.value());
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();

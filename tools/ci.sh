@@ -18,7 +18,10 @@
 #      validated and rendered by ccm-report; --jobs 2 must produce a
 #      stats document identical to --jobs 1 modulo wall-time fields;
 #      the sharded classify engine (--classify --suite --shards 4)
-#      must produce a stats document byte-identical to --shards 1
+#      must produce a stats document byte-identical to --shards 1;
+#      an invalid classify geometry or MCT shape must come back from
+#      ccm-sim (any --shards) and ccm-sample as exactly one bad-config
+#      line and exit 1, never as a fatal: exit
 #   9. perf smoke: the micro_throughput hotpath table (writes
 #      BENCH_hotpath.json for comparison against bench/baselines/,
 #      which must carry the classify_sharded_e2e and mmap_ingest
@@ -153,6 +156,22 @@ if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/classify_s1.jso
 fi
 build/tools/ccm-report --check "$obs_tmp/classify_s1.json"
 build/tools/ccm-report "$obs_tmp/classify_s1.json" > /dev/null
+
+step "invalid classify config (one bad-config line, exit 1)"
+expect_bad_config() {
+    local rc=0
+    "$@" > "$obs_tmp/bad.out" 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ] ||
+       [ "$(grep -c 'bad-config' "$obs_tmp/bad.out")" -ne 1 ] ||
+       grep -q 'fatal:' "$obs_tmp/bad.out"; then
+        echo "FAIL: $* (exit $rc):" >&2
+        cat "$obs_tmp/bad.out" >&2
+        exit 1
+    fi
+}
+expect_bad_config build/tools/ccm-sim --classify --suite --shards 4 \
+    --l1-kb 3
+expect_bad_config build/tools/ccm-sample --exact --mct-depth 0
 
 step "sampling smoke + determinism (kind:\"sample\" document)"
 # The sampled classify path must emit a valid kind:"sample" document,
