@@ -381,13 +381,14 @@ classifySuiteDocument(const std::vector<ClassifyRow> &rows)
         }
         // As in suite documents: wall_seconds is nondeterministic
         // (ci strips it before byte-diffs), and so is the throughput
-        // derived from it — the same records_per_sec metric the BENCH
-        // documents report, so suite and bench outputs agree.
+        // derived from it — trace records (non-memory included) per
+        // second of the row's open-to-result time, the unit of the
+        // CLI's records/sec and perfbench's Mrec/s.
         row.set("wall_seconds", JsonValue::real(r.wallSeconds));
         if (r.ok()) {
             const double rps =
                 r.wallSeconds > 0.0
-                    ? static_cast<double>(r.out.references) /
+                    ? static_cast<double>(r.out.records) /
                           r.wallSeconds
                     : 0.0;
             row.set("records_per_sec", JsonValue::real(rps));

@@ -225,7 +225,8 @@ replaySpan(ClassifyKernel &kernel, const MemRecord *records,
         if (!records[i].isMem())
             continue;
         ++simulated;
-        classifyCounted(kernel, records[i], out);
+        classifyCounted(kernel, records[i].dataAddr(),
+                        records[i].isStore(), out);
     }
     return simulated;
 }

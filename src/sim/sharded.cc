@@ -1,13 +1,14 @@
 #include "sim/sharded.hh"
 
 #include <chrono>
+#include <cstdint>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/sync.hh"
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
-#include "trace/vector_trace.hh"
+#include "trace/batch_reader.hh"
 
 namespace ccm
 {
@@ -26,6 +27,112 @@ shardMergeHistogram()
     return h;
 }
 
+/**
+ * The memory references of the sets one shard owns, in stream order:
+ * each data address as is, plus a store bitmap (bit i set = reference
+ * i is a store).  Keeping the whole address, not a shifted line number
+ * with the store flag folded in, stays lossless at every valid line
+ * size, 1 byte included.
+ */
+struct Bucket
+{
+    std::vector<Addr> addrs;
+    std::vector<std::uint64_t> stores;
+
+    void
+    push(Addr addr, bool store)
+    {
+        const std::size_t i = addrs.size();
+        if (i % 64 == 0)
+            stores.push_back(0);
+        stores.back() |= std::uint64_t{store} << (i % 64);
+        addrs.push_back(addr);
+    }
+
+    bool
+    isStore(std::size_t i) const
+    {
+        return (stores[i / 64] >> (i % 64)) & 1U;
+    }
+};
+
+/**
+ * A trace split by set: bucket k holds the references whose set
+ * satisfies set % K == k, and each interval-window boundary records
+ * where every bucket stood when the global reference count reached it.
+ */
+struct Partition
+{
+    std::vector<Bucket> buckets;
+    /** Global reference index that closes window w. */
+    std::vector<Count> windowEnds;
+    /** cuts[w * K + k]: size of bucket k when window w closed. */
+    std::vector<std::size_t> cuts;
+    Count records = 0;    ///< trace records read, non-memory included
+    Count references = 0; ///< memory references among them
+};
+
+/**
+ * Builds a Partition in one streaming pass: non-memory records are
+ * dropped, each memory reference goes to its set's bucket, and window
+ * boundaries are stamped as the global reference count crosses them.
+ */
+class Partitioner
+{
+  public:
+    /** Fatal on an invalid @p cfg; callers validate() first. */
+    explicit Partitioner(const ShardedClassifyConfig &cfg)
+        : geom_(cfg.cacheBytes, cfg.assoc, cfg.lineBytes),
+          interval_(cfg.interval),
+          nextBoundary_(cfg.interval != 0 ? cfg.interval
+                                          : ~Count{0})
+    {
+        part_.buckets.resize(cfg.shards == 0 ? 1 : cfg.shards);
+    }
+
+    void
+    add(const MemRecord *records, std::size_t count)
+    {
+        const std::size_t shards = part_.buckets.size();
+        for (std::size_t i = 0; i < count; ++i) {
+            const MemRecord &r = records[i];
+            if (!r.isMem())
+                continue;
+            const std::size_t set = geom_.setOf(r.dataAddr()).value();
+            part_.buckets[set % shards].push(r.addr, r.isStore());
+            if (++part_.references == nextBoundary_)
+                closeWindow();
+        }
+        part_.records += count;
+    }
+
+    /** Close the trailing partial window, if any, and hand over. */
+    Partition
+    finish()
+    {
+        const Count last =
+            part_.windowEnds.empty() ? 0 : part_.windowEnds.back();
+        if (interval_ != 0 && part_.references > last)
+            closeWindow();
+        return std::move(part_);
+    }
+
+  private:
+    void
+    closeWindow()
+    {
+        part_.windowEnds.push_back(part_.references);
+        for (const Bucket &b : part_.buckets)
+            part_.cuts.push_back(b.addrs.size());
+        nextBoundary_ += interval_;
+    }
+
+    CacheGeometry geom_;
+    Count interval_;
+    Count nextBoundary_;
+    Partition part_;
+};
+
 /** One shard's private output, prior to the merge. */
 struct ShardState
 {
@@ -35,50 +142,42 @@ struct ShardState
 };
 
 /**
- * Simulate shard @p shard of @p num_shards over the whole span.
- * Every memory reference advances the global reference counter (and
- * the interval-window clock); only references whose set the shard
- * owns touch the private cache/MCT.
+ * Simulate shard @p shard over its own bucket.  Every shard emits the
+ * full window sequence (zero deltas included) at the partition's
+ * global boundaries, so the merge is a plain window-index-wise sum.
  */
 ShardState
-runShard(const MemRecord *records, std::size_t count,
-         const ShardedClassifyConfig &cfg, unsigned shard,
-         unsigned num_shards)
+runShard(const Partition &part, const ShardedClassifyConfig &cfg,
+         unsigned shard)
 {
     ClassifyKernel kernel(cfg);
     const CacheGeometry &geom = kernel.geometry();
+    const Bucket &bucket = part.buckets[shard];
+    const std::size_t shards = part.buckets.size();
 
     ShardState out;
     MemStats cur;      // running shard-local counters
     MemStats lastSnap; // counters at the last window boundary
-    Count globalRef = 0;
     Count lastBoundary = 0;
+    std::size_t i = 0;
 
-    auto emitWindow = [&](Count upto) {
+    auto runTo = [&](std::size_t end) {
+        for (; i < end; ++i)
+            classifyCounted(kernel, ByteAddr{bucket.addrs[i]},
+                            bucket.isStore(i), cur);
+    };
+
+    for (std::size_t w = 0; w < part.windowEnds.size(); ++w) {
+        runTo(part.cuts[w * shards + shard]);
         obs::IntervalSample s;
         s.firstRef = lastBoundary + 1;
-        s.lastRef = upto;
+        s.lastRef = part.windowEnds[w];
         s.delta = cur.minus(lastSnap);
         out.intervals.push_back(s);
         lastSnap = cur;
-        lastBoundary = upto;
-    };
-
-    for (std::size_t i = 0; i < count; ++i) {
-        const MemRecord &r = records[i];
-        if (!r.isMem())
-            continue;
-        ++globalRef;
-        if (geom.setOf(r.dataAddr()).value() % num_shards == shard)
-            classifyCounted(kernel, r, cur);
-        // Window boundaries are global-reference indices, so every
-        // shard emits the same window sequence (zero deltas included)
-        // and the merge is a plain window-index-wise sum.
-        if (cfg.interval != 0 && globalRef % cfg.interval == 0)
-            emitWindow(globalRef);
+        lastBoundary = s.lastRef;
     }
-    if (cfg.interval != 0 && globalRef > lastBoundary)
-        emitWindow(globalRef);
+    runTo(bucket.addrs.size());
 
     out.mem = cur;
     out.heat.sets = geom.numSets();
@@ -141,25 +240,21 @@ mergeShard(ShardedClassifyResult &res, ShardState &&s)
     }
 }
 
-} // namespace
-
+/** Run every shard over its bucket and merge the results. */
 ShardedClassifyResult
-runShardedClassify(const MemRecord *records, std::size_t count,
-                   const ShardedClassifyConfig &cfg)
+classifyPartition(const Partition &part,
+                  const ShardedClassifyConfig &cfg)
 {
-    // On the calling thread, so a bad config dies once rather than
-    // in every shard's kernel constructor at the same time.
-    fatalIfError(cfg.validate().withContext("sharded classify"));
-    const unsigned shards = cfg.shards == 0 ? 1 : cfg.shards;
-
+    const auto shards = static_cast<unsigned>(part.buckets.size());
     ShardedClassifyResult res;
     res.shards = shards;
     res.interval = cfg.interval;
+    res.records = part.records;
 
     if (shards == 1) {
         // The inline path runs the identical worker body, so K > 1
         // has a bit-exact sequential reference by construction.
-        mergeShard(res, runShard(records, count, cfg, 0, 1));
+        mergeShard(res, runShard(part, cfg, 0));
     } else {
         Mutex mergeMu(LockRank::ShardMerge, "shard-merge");
         obs::Histogram &mergeUs = shardMergeHistogram();
@@ -167,8 +262,7 @@ runShardedClassify(const MemRecord *records, std::size_t count,
         ThreadPool pool(shards);
         for (unsigned k = 0; k < shards; ++k) {
             pool.submit([&, k] {
-                ShardState s =
-                    runShard(records, count, cfg, k, shards);
+                ShardState s = runShard(part, cfg, k);
                 const auto t0 = std::chrono::steady_clock::now();
                 {
                     MutexLock lock(mergeMu);
@@ -190,13 +284,40 @@ runShardedClassify(const MemRecord *records, std::size_t count,
     return res;
 }
 
+/**
+ * A partitioner for a validated @p cfg.  Validation runs here, on the
+ * calling thread, so a bad config dies once rather than in every
+ * shard's kernel constructor at the same time.
+ */
+Partitioner
+makePartitioner(const ShardedClassifyConfig &cfg)
+{
+    fatalIfError(cfg.validate().withContext("sharded classify"));
+    return Partitioner(cfg);
+}
+
+} // namespace
+
+ShardedClassifyResult
+runShardedClassify(const MemRecord *records, std::size_t count,
+                   const ShardedClassifyConfig &cfg)
+{
+    Partitioner parts = makePartitioner(cfg);
+    parts.add(records, count);
+    return classifyPartition(parts.finish(), cfg);
+}
+
 ShardedClassifyResult
 runShardedClassify(TraceSource &trace,
                    const ShardedClassifyConfig &cfg)
 {
-    VectorTrace captured = VectorTrace::capture(trace);
-    return runShardedClassify(captured.records().data(),
-                              captured.records().size(), cfg);
+    Partitioner parts = makePartitioner(cfg);
+    trace.reset();
+    MemRecord chunk[maxTraceBatch];
+    std::size_t got;
+    while ((got = trace.nextBatch(chunk, maxTraceBatch)) > 0)
+        parts.add(chunk, got);
+    return classifyPartition(parts.finish(), cfg);
 }
 
 } // namespace ccm

@@ -7,10 +7,15 @@
  * likewise per-set state, so the classify pipeline factors exactly
  * along the set index: shard k simulates only the references whose
  * set satisfies set % K == k, against a private Cache + shadow
- * directory, and no other shard can observe or perturb it.  Every
- * shard scans the full record stream (the scan is cheap; simulation
- * is not) so that all shards agree on the global reference count that
- * drives interval-window boundaries.
+ * directory, and no other shard can observe or perturb it.
+ *
+ * The input is read once, on the calling thread: one streaming pass
+ * drops non-memory records, appends each memory reference (address
+ * plus store bit) to its shard's bucket, and at every global
+ * interval-window boundary records each bucket's size.  The K shards
+ * then run over their own buckets only, and emit their windows at
+ * those recorded offsets, so all shards agree on the global window
+ * sequence without ever seeing each other's references.
  *
  * Merge contract (mirrors the suite runner's delivery contract,
  * docs/PERFORMANCE.md "Sharded classification"):
@@ -70,6 +75,7 @@ struct ShardedClassifyConfig : ClassifyGeometry
 /** Everything one sharded classification run produces. */
 struct ShardedClassifyResult
 {
+    Count records = 0;    ///< trace records read, non-memory included
     Count references = 0; ///< memory references simulated
     Count misses = 0;     ///< L1 misses (== mem.l1Misses)
     double missRate = 0.0;
@@ -97,15 +103,15 @@ struct ShardedClassifyResult
 };
 
 /**
- * One counted classify step: run memory reference @p r through
- * @p kernel and tally it on the classify-path MemStats counters.  The
- * sharded engine and interval replay both count through this.
+ * One counted classify step: run the memory reference to @p addr
+ * through @p kernel and tally it on the classify-path MemStats
+ * counters.  The sharded engine and interval replay both count
+ * through this.
  */
 inline void
-classifyCounted(ClassifyKernel &kernel, const MemRecord &r, MemStats &mem)
+classifyCounted(ClassifyKernel &kernel, ByteAddr addr, bool store,
+                MemStats &mem)
 {
-    const ByteAddr addr = r.dataAddr();
-    const bool store = r.isStore();
     ++mem.accesses;
     ++(store ? mem.stores : mem.loads);
     if (kernel.access(addr, store)) {
@@ -118,22 +124,21 @@ classifyCounted(ClassifyKernel &kernel, const MemRecord &r, MemStats &mem)
 }
 
 /**
- * Classify @p count records (all shards read the same span) on
- * cfg.shards workers.  The span must stay valid for the duration.
- * The config is validated on the calling thread before any shard
- * starts; an invalid one is fatal, so entry points that take user
- * input check ClassifyGeometry::validate() first.
+ * Classify @p count records on cfg.shards workers.  The span is read
+ * once, by the partition pass, before any shard starts.  The config
+ * is validated on the calling thread first; an invalid one is fatal,
+ * so entry points that take user input check
+ * ClassifyGeometry::validate() first.
  */
 ShardedClassifyResult runShardedClassify(
     const MemRecord *records, std::size_t count,
     const ShardedClassifyConfig &cfg);
 
 /**
- * Convenience: capture @p trace (reset first) into memory, then run
- * the span overload.  MappedTraceReader exposes no record span, so
- * a mapped trace pays this copy; callers that already hold decoded
- * records (VectorTrace::records()) should use the span overload
- * directly.
+ * The same run fed from @p trace, which is reset first and then
+ * streamed batch by batch into the partition pass: no copy of the
+ * trace is made, so a mapped trace is decoded once, straight into the
+ * shards' buckets.
  */
 ShardedClassifyResult runShardedClassify(
     TraceSource &trace, const ShardedClassifyConfig &cfg);

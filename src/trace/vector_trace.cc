@@ -71,22 +71,4 @@ VectorTrace::pushNonMem(std::size_t n)
     }
 }
 
-bool
-RecordSpanTrace::next(MemRecord &out)
-{
-    if (pos >= count_)
-        return false;
-    out = data_[pos++];
-    return true;
-}
-
-std::size_t
-RecordSpanTrace::nextBatch(MemRecord *out, std::size_t n)
-{
-    const std::size_t got = std::min(n, count_ - pos);
-    std::copy_n(data_ + pos, got, out);
-    pos += got;
-    return got;
-}
-
 } // namespace ccm

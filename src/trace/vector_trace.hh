@@ -1,10 +1,7 @@
 /**
  * @file
  * In-memory traces: VectorTrace owns a vector of records replayed in
- * order (hand-written test patterns, captured generator output), and
- * RecordSpanTrace replays a borrowed span of records without copying
- * — the shape the sharded classify engine uses to hand one captured
- * trace to K workers at once.
+ * order (hand-written test patterns, captured generator output).
  */
 
 #ifndef CCM_TRACE_VECTOR_TRACE_HH
@@ -60,41 +57,6 @@ class VectorTrace : public TraceSource
     std::vector<MemRecord> records_;
     std::size_t pos = 0;
     std::string label = "vector";
-};
-
-/**
- * TraceSource view over records owned by someone else.  Copy-free:
- * the caller guarantees the span outlives the view.  Several views
- * over the same records are independent cursors, which is exactly
- * what the sharded classify engine needs — one captured trace, K
- * concurrent readers.
- */
-class RecordSpanTrace : public TraceSource
-{
-  public:
-    RecordSpanTrace(std::string trace_name, const MemRecord *data,
-                    std::size_t count)
-        : data_(data), count_(count), label(std::move(trace_name))
-    {}
-
-    RecordSpanTrace(std::string trace_name,
-                    const std::vector<MemRecord> &recs)
-        : RecordSpanTrace(std::move(trace_name), recs.data(),
-                          recs.size())
-    {}
-
-    bool next(MemRecord &out) override;
-    std::size_t nextBatch(MemRecord *out, std::size_t n) override;
-    void reset() override { pos = 0; }
-    std::string name() const override { return label; }
-
-    std::size_t size() const { return count_; }
-
-  private:
-    const MemRecord *data_ = nullptr;
-    std::size_t count_ = 0;
-    std::size_t pos = 0;
-    std::string label = "span";
 };
 
 } // namespace ccm

@@ -13,6 +13,7 @@
 #ifndef CCM_TRACE_WIRE_HH
 #define CCM_TRACE_WIRE_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -35,13 +36,18 @@ storeLe64(std::uint64_t v, std::uint8_t *buf)
         buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-/** Read 8 little-endian bytes at @p buf. */
+/**
+ * Read 8 little-endian bytes at @p buf (any alignment).  The memcpy
+ * compiles to one load; the bytes are swapped only on a big-endian
+ * host.
+ */
 inline std::uint64_t
 loadLe64(const std::uint8_t *buf)
 {
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{buf[i]} << (8 * i);
+    std::memcpy(&v, buf, sizeof v);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
     return v;
 }
 
@@ -53,13 +59,14 @@ storeLe32(std::uint32_t v, std::uint8_t *buf)
         buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-/** Read 4 little-endian bytes at @p buf. */
+/** Read 4 little-endian bytes at @p buf (any alignment), as loadLe64. */
 inline std::uint32_t
 loadLe32(const std::uint8_t *buf)
 {
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{buf[i]} << (8 * i);
+    std::memcpy(&v, buf, sizeof v);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap32(v);
     return v;
 }
 

@@ -8,7 +8,10 @@
  *    counts that stripe sets unevenly;
  *  - the sharded engine must agree with the oracle-bearing
  *    classifyRun on everything both compute (references, misses, MCT
- *    conflict verdicts);
+ *    conflict verdicts), at every valid line size, 1 byte included;
+ *  - the partition pass must place window boundaries by references
+ *    only, and the TraceSource overload must reset its reader and
+ *    agree with the span overload on every reader and encoding;
  *  - MappedTraceReader must deliver exactly the records
  *    TraceFileReader does, for both encodings, and must reject
  *    damaged files with a Status at open() (its next() has no failure
@@ -186,6 +189,91 @@ TEST(ShardedClassify, ZeroShardsMeansOne)
         smallConfig(0));
     EXPECT_EQ(res.shards, 1u);
     EXPECT_EQ(res.references, Count{10'000});
+}
+
+TEST(ShardedClassify, OneByteLinesKeepEveryAddressBit)
+{
+    // lineBytes = 1 leaves no offset bit free, so an encoding that
+    // folded the store flag into the low bit of a shifted line number
+    // would drop address bit 63.  Addresses here differ only in bit 63
+    // and a few low bits, so losing it aliases distinct lines.
+    VectorTrace trace;
+    Count loads = 0, stores = 0;
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 20'000; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const Addr addr = ((x >> 20) & 1 ? Addr{1} << 63 : Addr{0}) |
+                          ((x >> 40) & 0x3f);
+        if ((x >> 60) % 4 != 0) {
+            trace.pushStore(addr);
+            ++stores;
+        } else {
+            trace.pushLoad(addr);
+            ++loads;
+        }
+        if (i % 5 == 0)
+            trace.pushNonMem();
+    }
+
+    ShardedClassifyConfig cfg = smallConfig(1);
+    cfg.cacheBytes = 32;
+    cfg.assoc = 2;
+    cfg.lineBytes = 1;
+    ClassifyConfig seq;
+    static_cast<ClassifyGeometry &>(seq) = cfg;
+    const ClassifyResult expect = classifyRun(trace, seq);
+    ASSERT_GT(expect.misses, Count{0});
+
+    for (unsigned shards : {1u, 3u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        cfg.shards = shards;
+        const ShardedClassifyResult got = runShardedClassify(
+            trace.records().data(), trace.records().size(), cfg);
+        EXPECT_EQ(got.references, expect.references);
+        EXPECT_EQ(got.misses, expect.misses);
+        EXPECT_EQ(got.mem.conflictMisses,
+                  expect.scorer.conflictAsConflict() +
+                      expect.scorer.capacityAsConflict());
+        EXPECT_EQ(got.mem.loads, loads);
+        EXPECT_EQ(got.mem.stores, stores);
+        EXPECT_EQ(got.records, Count{trace.size()});
+    }
+}
+
+TEST(ShardedClassify, AllNonMemTraceEmitsNoWindows)
+{
+    VectorTrace trace;
+    trace.pushNonMem(5'000);
+    for (unsigned shards : {1u, 3u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        const ShardedClassifyResult res = runShardedClassify(
+            trace.records().data(), trace.records().size(),
+            smallConfig(shards, 100));
+        EXPECT_EQ(res.records, Count{5'000});
+        EXPECT_EQ(res.references, Count{0});
+        EXPECT_TRUE(res.intervals.empty());
+    }
+}
+
+TEST(ShardedClassify, ExactMultipleOfIntervalLeavesNoPartialWindow)
+{
+    auto wl = makeWorkload("li", 30'000, 5);
+    VectorTrace trace = VectorTrace::capture(*wl);
+    // Non-memory records after the last boundary must not open a
+    // trailing window: windows count references, not records.
+    trace.pushNonMem(17);
+
+    for (unsigned shards : {1u, 3u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        const ShardedClassifyResult res = runShardedClassify(
+            trace.records().data(), trace.records().size(),
+            smallConfig(shards, 10'000));
+        EXPECT_EQ(res.references, Count{30'000});
+        ASSERT_EQ(res.intervals.size(), 3u);
+        EXPECT_EQ(res.intervals[2].firstRef, Count{20'001});
+        EXPECT_EQ(res.intervals[2].lastRef, Count{30'000});
+        EXPECT_EQ(res.intervals[2].delta.accesses, Count{10'000});
+    }
 }
 
 // ---- mapped reader vs copying reader -----------------------------
@@ -418,6 +506,52 @@ TEST_F(MappedTraceTest, OpenMappedOrFileHandlesDeltaTraces)
     ASSERT_TRUE(fallback.ok()) << fallback.status().toString();
     EXPECT_FALSE(usedMmap);
     expectSameRecords(ref.value()->records(), *fallback.value());
+}
+
+TEST_F(MappedTraceTest, TraceSourceOverloadMatchesSpanOverload)
+{
+    const ShardedClassifyConfig cfg = smallConfig(3, 7'000);
+    for (TraceEncoding enc : {TraceEncoding::Packed,
+                              TraceEncoding::Delta}) {
+        SCOPED_TRACE(enc == TraceEncoding::Packed ? "packed" : "delta");
+        writeWorkload("gcc", 25'000, enc);
+        auto file = TraceFileReader::open(path);
+        ASSERT_TRUE(file.ok()) << file.status().toString();
+        const std::vector<MemRecord> &recs = file.value()->records();
+        const ShardedClassifyResult ref =
+            runShardedClassify(recs.data(), recs.size(), cfg);
+        EXPECT_EQ(ref.records, Count{recs.size()});
+
+        auto mapped = MappedTraceReader::open(path);
+        ASSERT_TRUE(mapped.ok()) << mapped.status().toString();
+        const ShardedClassifyResult viaMapped =
+            runShardedClassify(*mapped.value(), cfg);
+        expectSameResult(ref, viaMapped);
+        EXPECT_EQ(viaMapped.records, ref.records);
+
+        const ShardedClassifyResult viaFile =
+            runShardedClassify(*file.value(), cfg);
+        expectSameResult(ref, viaFile);
+        EXPECT_EQ(viaFile.records, ref.records);
+    }
+}
+
+TEST_F(MappedTraceTest, TraceSourceOverloadResetsTheReader)
+{
+    writeWorkload("tomcatv", 12'000);
+    auto mapped = MappedTraceReader::open(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().toString();
+    const ShardedClassifyConfig cfg = smallConfig(3, 5'000);
+
+    const ShardedClassifyResult first =
+        runShardedClassify(*mapped.value(), cfg);
+    EXPECT_EQ(first.references, Count{12'000});
+    // The first call left the reader exhausted; the second must start
+    // over rather than classify an empty tail.
+    const ShardedClassifyResult second =
+        runShardedClassify(*mapped.value(), cfg);
+    expectSameResult(first, second);
+    EXPECT_EQ(second.records, first.records);
 }
 
 // ---- delta codec --------------------------------------------------

@@ -50,6 +50,14 @@ TEST(WireCodec, PackedRecordIsLittleEndianOnAnyHost)
     EXPECT_EQ(back.type, r.type);
     EXPECT_TRUE(back.dependsOnPrevLoad);
     EXPECT_TRUE(wire::plausibleRecord(buf));
+
+    // Serve frames hand the decoder unaligned pointers: the loads
+    // must read a known pattern at an odd offset, low byte first.
+    std::uint8_t odd[1 + 8 + 4];
+    for (std::size_t i = 0; i < sizeof odd; ++i)
+        odd[i] = static_cast<std::uint8_t>(0xa0 + i);
+    EXPECT_EQ(wire::loadLe64(odd + 1), 0xa8a7a6a5a4a3a2a1ULL);
+    EXPECT_EQ(wire::loadLe32(odd + 9), 0xacabaaa9U);
 }
 
 TEST(MemRecord, TypePredicates)

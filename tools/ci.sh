@@ -18,7 +18,9 @@
 #      validated and rendered by ccm-report; --jobs 2 must produce a
 #      stats document identical to --jobs 1 modulo wall-time fields;
 #      the sharded classify engine (--classify --suite --shards 4)
-#      must produce a stats document byte-identical to --shards 1;
+#      must produce a stats document byte-identical to --shards 1,
+#      and so must a gcc trace file, packed and delta-encoded, read
+#      through the mapped reader at --shards 1 and 4;
 #      an invalid classify geometry or MCT shape must come back from
 #      ccm-sim (any --shards) and ccm-sample as exactly one bad-config
 #      line and exit 1, never as a fatal: exit
@@ -156,6 +158,27 @@ if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/classify_s1.jso
 fi
 build/tools/ccm-report --check "$obs_tmp/classify_s1.json"
 build/tools/ccm-report "$obs_tmp/classify_s1.json" > /dev/null
+# The file lanes: one gcc trace, packed and delta-encoded, through the
+# mapped reader at --shards 1 and 4.  All four documents must agree
+# once wall time and the trace path (the workload field) are stripped.
+build/tools/ccm-trace gen gcc "$obs_tmp/gcc.bin" --refs 20000 --seed 7 \
+    > /dev/null
+build/tools/ccm-trace pack "$obs_tmp/gcc.bin" "$obs_tmp/gcc.d.bin" \
+    > /dev/null
+for enc in bin d.bin; do
+    for k in 1 4; do
+        build/tools/ccm-sim --classify --trace "$obs_tmp/gcc.$enc" \
+            --interval 1000 --shards "$k" \
+            --stats-json "$obs_tmp/file_$enc.s$k.json" > /dev/null
+        if ! diff <(grep -v -e wall_seconds -e records_per_sec \
+                        -e '"workload"' "$obs_tmp/file_bin.s1.json") \
+                  <(grep -v -e wall_seconds -e records_per_sec \
+                        -e '"workload"' "$obs_tmp/file_$enc.s$k.json"); then
+            echo "FAIL: classify of gcc.$enc at --shards $k differs" >&2
+            exit 1
+        fi
+    done
+done
 
 step "invalid classify config (one bad-config line, exit 1)"
 expect_bad_config() {
