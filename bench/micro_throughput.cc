@@ -40,7 +40,6 @@
 #include "sim/sharded.hh"
 #include "trace/batch_reader.hh"
 #include "trace/file_trace.hh"
-#include "trace/mmap_trace.hh"
 #include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
 
@@ -171,7 +170,7 @@ measureMmapIngest(VectorTrace &trace)
     }
     double rate = 0.0;
     {
-        auto rd = MappedTraceReader::open(path);
+        auto rd = TraceFileReader::open(path);
         if (!rd.ok()) {
             std::cerr << "mmap_ingest: " << rd.status().toString()
                       << "\n";
@@ -228,7 +227,7 @@ runHotpathTable(unsigned shards)
         measureClassifySharded(classify, shards),
         "records/s through runShardedClassify (oracle-free)");
     row("mmap_ingest", measureMmapIngest(delivery),
-        "records/s via zero-copy MappedTraceReader batches");
+        "records/s via zero-copy TraceFileReader batches");
     row("timing_e2e", measureTimingE2e(timing),
         "records/s through the full timing pipeline");
 

@@ -34,7 +34,12 @@ main(int argc, char **argv)
     std::size_t written;
     {
         TraceFileWriter writer(path);
-        written = writer.writeAll(*wl);
+        auto n = writer.writeAll(*wl);
+        if (!n.ok()) {
+            std::cerr << n.status().toString() << "\n";
+            return 1;
+        }
+        written = n.value();
     }
     std::cout << "wrote " << written << " records to " << path
               << "\n";
@@ -44,8 +49,12 @@ main(int argc, char **argv)
     ClassifyResult live = classifyRun(*wl, cfg);
 
     // 3. ...and the file replay.
-    TraceFileReader reader(path);
-    ClassifyResult replay = classifyRun(reader, cfg);
+    auto reader = TraceFileReader::open(path);
+    if (!reader.ok()) {
+        std::cerr << reader.status().toString() << "\n";
+        return 1;
+    }
+    ClassifyResult replay = classifyRun(*reader.value(), cfg);
 
     std::cout << "live:   misses=" << live.misses << " overall acc="
               << live.scorer.overallAccuracy() << "%\n"

@@ -1,6 +1,6 @@
 #include "assist/buffer.hh"
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

@@ -1,6 +1,6 @@
 #include "assoc/biased_cache.hh"
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

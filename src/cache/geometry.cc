@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

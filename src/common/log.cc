@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/status.hh"
+
 namespace ccm
 {
 
@@ -30,6 +32,8 @@ thread_local int cachedThreadId = -1;
 
 thread_local std::uint64_t currentStream = 0;
 thread_local bool currentStreamActive = false;
+
+thread_local int fatalThrowDepth = 0;
 
 LogLevel
 thresholdFromEnv()
@@ -139,6 +143,16 @@ LogStreamScope::~LogStreamScope()
     currentStreamActive = savedActive_;
 }
 
+ScopedFatalThrow::ScopedFatalThrow()
+{
+    ++fatalThrowDepth;
+}
+
+ScopedFatalThrow::~ScopedFatalThrow()
+{
+    --fatalThrowDepth;
+}
+
 namespace detail
 {
 
@@ -170,6 +184,39 @@ logWrite(LogLevel level, const std::string &msg)
     line.push_back('\n');
     std::fwrite(line.data(), 1, line.size(), stderr);
     std::fflush(stderr);
+}
+
+// panic/fatal terminate the process, so they bypass the threshold:
+// the one line explaining the exit must never be filtered out.
+
+void
+panicImpl(const char *file, int line, const std::string &msg)
+{
+    logWrite(LogLevel::Error, concat("panic: ", msg, " @ ", file, ":",
+                                     line));
+    std::abort();
+}
+
+void
+fatalImpl(const char *file, int line, const std::string &msg)
+{
+    if (fatalThrowDepth > 0)
+        throw FatalError(msg);
+    logWrite(LogLevel::Error, concat("fatal: ", msg, " @ ", file, ":",
+                                     line));
+    std::exit(1);
+}
+
+void
+warnImpl(const std::string &msg)
+{
+    CCM_LOG_WARN("warn: ", msg);
+}
+
+void
+informImpl(const std::string &msg)
+{
+    CCM_LOG_INFO(msg);
 }
 
 } // namespace detail

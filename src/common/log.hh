@@ -22,22 +22,59 @@
  * Raw `std::cerr` / `fprintf(stderr, ...)` anywhere else in src/ or
  * tools/ is a lint error (tools/ccm-lint), mirroring the raw-sync ban:
  * ad-hoc writes would bypass the prefix, the threshold, and the
- * atomicity guarantee.  gem5-flavoured ccm_panic/ccm_fatal/ccm_warn/
- * ccm_inform (common/logging.hh) route through this layer too.
+ * atomicity guarantee.
+ *
+ * The gem5-flavoured status/error macros live here too and route
+ * through the same layer: ccm_panic for simulator bugs, ccm_fatal for
+ * user configuration errors, ccm_warn / ccm_inform for status.
  */
 
 #ifndef CCM_COMMON_LOG_HH
 #define CCM_COMMON_LOG_HH
 
 #include <cstdint>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
-#include "common/logging.hh"
-#include "common/status.hh"
-
 namespace ccm
 {
+
+// common/status.hh includes this header (Expected panics through
+// ccm_panic), so the one Expected-returning declaration below uses a
+// forward declaration instead of including it back.
+template <typename T>
+class Expected;
+
+/**
+ * Thrown instead of exiting when a ScopedFatalThrow is active, so a
+ * harness sweeping many runs can record one run's fatal error and
+ * carry on with the rest.
+ */
+class FatalError : public std::runtime_error
+{
+  public:
+    explicit FatalError(const std::string &msg)
+        : std::runtime_error(msg)
+    {}
+};
+
+/**
+ * While an instance is alive, ccm_fatal throws FatalError rather than
+ * calling std::exit, making user-input errors recoverable for the
+ * duration of a guarded region (e.g. one row of a suite sweep).
+ * Nests; ccm_panic (simulator bugs) still aborts.
+ */
+class ScopedFatalThrow
+{
+  public:
+    ScopedFatalThrow();
+    ~ScopedFatalThrow();
+
+    ScopedFatalThrow(const ScopedFatalThrow &) = delete;
+    ScopedFatalThrow &operator=(const ScopedFatalThrow &) = delete;
+};
 
 /** Severity levels, ascending; Off disables everything. */
 enum class LogLevel : int
@@ -104,9 +141,50 @@ namespace detail
 /** Format the prefix and write one complete line (no level check). */
 void logWrite(LogLevel level, const std::string &msg);
 
+[[noreturn]] void panicImpl(const char *file, int line,
+                            const std::string &msg);
+[[noreturn]] void fatalImpl(const char *file, int line,
+                            const std::string &msg);
+void warnImpl(const std::string &msg);
+void informImpl(const std::string &msg);
+
+/** Concatenate arbitrary streamable arguments into one string. */
+template <typename... Args>
+std::string
+concat(Args &&...args)
+{
+    std::ostringstream os;
+    (os << ... << args);
+    return os.str();
+}
+
 } // namespace detail
 
 } // namespace ccm
+
+/**
+ * Abort the simulation: something happened that should never happen
+ * regardless of user input (a simulator bug).
+ */
+#define ccm_panic(...) \
+    ::ccm::detail::panicImpl(__FILE__, __LINE__, \
+                             ::ccm::detail::concat(__VA_ARGS__))
+
+/**
+ * Terminate the simulation due to a user error (bad configuration,
+ * invalid arguments).
+ */
+#define ccm_fatal(...) \
+    ::ccm::detail::fatalImpl(__FILE__, __LINE__, \
+                             ::ccm::detail::concat(__VA_ARGS__))
+
+/** Report a suspicious-but-survivable condition. */
+#define ccm_warn(...) \
+    ::ccm::detail::warnImpl(::ccm::detail::concat(__VA_ARGS__))
+
+/** Report normal operating status. */
+#define ccm_inform(...) \
+    ::ccm::detail::informImpl(::ccm::detail::concat(__VA_ARGS__))
 
 /** Log at an explicit level; arguments are streamed like ccm_warn. */
 #define CCM_LOG(level, ...) \

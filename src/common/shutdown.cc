@@ -6,7 +6,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

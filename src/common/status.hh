@@ -19,7 +19,7 @@
 #include <string>
 #include <utility>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

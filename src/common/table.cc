@@ -4,7 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

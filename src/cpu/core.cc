@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "common/random.hh"
 #include "trace/batch_reader.hh"
 

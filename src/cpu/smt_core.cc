@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "trace/batch_reader.hh"
 
 namespace ccm

@@ -1,7 +1,7 @@
 #include "exclude/mat.hh"
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

@@ -1,7 +1,7 @@
 #include "exclude/tyson.hh"
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

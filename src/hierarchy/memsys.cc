@@ -1,6 +1,6 @@
 #include "hierarchy/memsys.hh"
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

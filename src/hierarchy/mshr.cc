@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

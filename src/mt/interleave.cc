@@ -1,6 +1,6 @@
 #include "mt/interleave.hh"
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

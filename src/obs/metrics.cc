@@ -5,7 +5,7 @@
 #include <limits>
 #include <sstream>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm::obs
 {

@@ -1,7 +1,7 @@
 #include "prefetch/nextline.hh"
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

@@ -1,6 +1,6 @@
 #include "pseudo/pseudo_cache.hh"
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

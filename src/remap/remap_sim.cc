@@ -4,7 +4,7 @@
 #include <array>
 
 #include "common/bitutil.hh"
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "trace/batch_reader.hh"
 
 namespace ccm

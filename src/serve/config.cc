@@ -5,7 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "hierarchy/memsys.hh"
 
 namespace ccm::serve

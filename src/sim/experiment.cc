@@ -3,7 +3,7 @@
 #include <chrono>
 #include <exception>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "hierarchy/memsys.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "common/logging.hh"
+#include "common/log.hh"
 #include "common/sync.hh"
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"

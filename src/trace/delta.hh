@@ -25,9 +25,9 @@
  * it regardless of the corruption budget.  Full layout and defect
  * taxonomy: docs/TRACE_FORMAT.md ("Delta encoding").
  *
- * This header is shared by the file loader (trace/file_trace), the
- * zero-copy mapped reader (trace/mmap_trace) and the conversion tools
- * (ccm-trace pack/unpack), so all of them agree byte-for-byte.
+ * This header is shared by the trace writer and reader
+ * (trace/file_trace) and so by the conversion tools (ccm-trace
+ * pack/unpack), so all of them agree byte-for-byte.
  */
 
 #ifndef CCM_TRACE_DELTA_HH

@@ -1,6 +1,6 @@
 #include "trace/fault_trace.hh"
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

@@ -4,10 +4,19 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/logging.hh"
+#include "common/log.hh"
+#include "obs/metrics.hh"
 #include "trace/batch_reader.hh"
 #include "trace/delta.hh"
 #include "trace/wire.hh"
+
+#if defined(__unix__) || defined(__APPLE__)
+#define CCM_HAVE_MMAP 1
+#include <sys/mman.h>
+#include <sys/stat.h>
+#else
+#define CCM_HAVE_MMAP 0
+#endif
 
 namespace ccm
 {
@@ -131,7 +140,7 @@ TraceFileWriter::writeChecked(const MemRecord &r)
     return Status::ok();
 }
 
-std::size_t
+Expected<std::size_t>
 TraceFileWriter::writeAll(TraceSource &src)
 {
     src.reset();
@@ -139,8 +148,11 @@ TraceFileWriter::writeAll(TraceSource &src)
     std::size_t got;
     std::size_t n = 0;
     while ((got = src.nextBatch(chunk, maxTraceBatch)) > 0) {
-        for (std::size_t i = 0; i < got; ++i)
-            write(chunk[i]);
+        for (std::size_t i = 0; i < got; ++i) {
+            Status s = writeChecked(chunk[i]);
+            if (!s.isOk())
+                return s;
+        }
         n += got;
     }
     return n;
@@ -211,7 +223,7 @@ TraceReadStats::dump(std::ostream &os, const char *prefix) const
 namespace
 {
 
-/** Record the first (most significant) defect seen during a load. */
+/** Record the first (most significant) defect seen during a scan. */
 void
 noteDefect(TraceReadStats &stats, TraceDefect d)
 {
@@ -219,149 +231,129 @@ noteDefect(TraceReadStats &stats, TraceDefect d)
         stats.firstDefect = d;
 }
 
-/**
- * Decode a delta-encoded body.  No resync exists here (every record
- * depends on the ones before it), so the corruption budget does not
- * apply: a bad control byte or varint is an error even when a budget
- * is set, and only a clean truncation at end-of-body can be tolerated.
- */
-Status
-decodeDeltaBody(const std::string &path,
-                const std::vector<std::uint8_t> &body,
-                const TraceReadOptions &opts,
-                std::vector<MemRecord> &out, TraceReadStats &stats)
+/** Trace file bytes served from a read-only mapping, process-wide. */
+obs::Counter &
+ingestBytesCounter()
 {
-    delta::Codec codec;
-    const std::uint8_t *p = body.data();
-    const std::uint8_t *end = body.data() + body.size();
-    while (p < end) {
-        MemRecord r;
-        std::size_t used = 0;
-        switch (delta::decodeRecord(codec, p, end, r, used)) {
-          case delta::DecodeStatus::Ok:
-            out.push_back(r);
-            ++stats.recordsRead;
-            p += used;
-            continue;
-          case delta::DecodeStatus::NeedMore:
-            noteDefect(stats, TraceDefect::PartialTail);
-            if (!opts.tolerateTruncatedTail) {
-                out.clear();
-                return Status::corruptTrace(
-                    "trailing partial record in delta trace ", path);
-            }
-            stats.truncatedTail = true;
-            stats.bytesSkipped += static_cast<Count>(end - p);
-            if (!opts.quiet) {
-                ccm_warn("trace ", path, ": truncated delta tail (",
-                         end - p, " bytes); treating as end of trace");
-            }
-            return Status::ok();
-          case delta::DecodeStatus::BadControlByte:
-            noteDefect(stats, TraceDefect::BadControlByte);
-            out.clear();
-            return Status::corruptTrace(
-                "bad control byte in delta trace ", path, " at byte ",
-                headerBytes + static_cast<std::size_t>(p - body.data()),
-                " (delta streams cannot be resynced)");
-          case delta::DecodeStatus::BadVarint:
-            noteDefect(stats, TraceDefect::BadVarint);
-            out.clear();
-            return Status::corruptTrace(
-                "overlong varint in delta trace ", path, " at byte ",
-                headerBytes + static_cast<std::size_t>(p - body.data()),
-                " (delta streams cannot be resynced)");
-        }
-    }
-    return Status::ok();
+    static obs::Counter &c = obs::MetricsRegistry::global().counter(
+        "ccm_ingest_bytes_total",
+        "Trace file bytes served zero-copy from a read-only mapping "
+        "(inputs read() into a buffer are not counted)");
+    return c;
 }
 
 } // namespace
 
-Status
-loadTraceFile(const std::string &path, const TraceReadOptions &opts,
-              std::vector<MemRecord> &out, TraceReadStats &stats)
+TraceFileReader::~TraceFileReader()
 {
-    out.clear();
-    stats = TraceReadStats{};
+#if CCM_HAVE_MMAP
+    if (map_)
+        ::munmap(map_, fileBytes_);
+#endif
+}
 
-    std::FILE *fp = std::fopen(path.c_str(), "rb");
+Status
+TraceFileReader::load()
+{
+    std::FILE *fp = std::fopen(label_.c_str(), "rb");
     if (!fp) {
-        noteDefect(stats, TraceDefect::IoError);
-        return Status::ioError("cannot open trace file: ", path,
+        noteDefect(stats_, TraceDefect::IoError);
+        return Status::ioError("cannot open trace file: ", label_,
                                errnoSuffix());
     }
-
-    std::uint8_t header[headerBytes];
-    std::size_t got = std::fread(header, 1, headerBytes, fp);
-    if (got < headerBytes) {
-        // A read error (e.g. the path is a directory, EISDIR) also
-        // surfaces as a short read; don't mistake it for truncation.
-        bool bad = std::ferror(fp) != 0;
-        std::fclose(fp);
-        if (bad) {
-            noteDefect(stats, TraceDefect::IoError);
-            return Status::ioError("cannot read trace file: ", path,
-                                   errnoSuffix());
+#if CCM_HAVE_MMAP
+    struct stat st = {};
+    if (::fstat(::fileno(fp), &st) == 0 && S_ISREG(st.st_mode) &&
+        st.st_size > 0) {
+        const auto bytes = static_cast<std::size_t>(st.st_size);
+        void *map = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE,
+                           ::fileno(fp), 0);
+        if (map != MAP_FAILED) {
+            // The mapping holds its own reference to the file.
+            std::fclose(fp);
+            map_ = map;
+            file_ = static_cast<const std::uint8_t *>(map);
+            fileBytes_ = bytes;
+            return Status::ok();
         }
-        if (got == 0) {
+    }
+#endif
+    // Pipes, devices, a failed map: read() the bytes into one buffer
+    // and scan and decode them exactly as a mapping.
+    std::uint8_t chunk[65536];
+    std::size_t n;
+    while ((n = std::fread(chunk, 1, sizeof chunk, fp)) > 0)
+        owned_.insert(owned_.end(), chunk, chunk + n);
+    const bool bad = std::ferror(fp) != 0;
+    const std::string why = bad ? errnoSuffix() : "";
+    std::fclose(fp);
+    if (bad) {
+        // A directory opens fine and fails its first read (EISDIR).
+        noteDefect(stats_, TraceDefect::IoError);
+        return Status::ioError("cannot read trace file: ", label_, why);
+    }
+    file_ = owned_.data();
+    fileBytes_ = owned_.size();
+    return Status::ok();
+}
+
+Status
+TraceFileReader::scan(const TraceReadOptions &opts)
+{
+    const std::string &path = label_;
+    if (fileBytes_ < headerBytes) {
+        if (fileBytes_ == 0) {
             // Distinguish the completely empty file: it usually means
             // a producer crashed before writing anything.
-            noteDefect(stats, TraceDefect::ZeroLength);
+            noteDefect(stats_, TraceDefect::ZeroLength);
             return Status::corruptTrace("empty trace file: ", path);
         }
-        noteDefect(stats, TraceDefect::TruncatedHeader);
+        noteDefect(stats_, TraceDefect::TruncatedHeader);
         return Status::corruptTrace("truncated trace header: ", path);
     }
-    bool is_delta = false;
-    if (std::memcmp(header, delta::magic, 8) == 0) {
-        is_delta = true;
-        stats.encoding = TraceEncoding::Delta;
-    } else if (std::memcmp(header, magic, 8) != 0) {
-        std::fclose(fp);
-        noteDefect(stats, TraceDefect::BadMagic);
+    if (std::memcmp(file_, delta::magic, 8) == 0) {
+        stats_.encoding = TraceEncoding::Delta;
+    } else if (std::memcmp(file_, magic, 8) != 0) {
+        noteDefect(stats_, TraceDefect::BadMagic);
         return Status::corruptTrace("bad trace magic in ", path);
     }
-    const std::uint32_t ver = wire::loadLe32(header + 8);
+    const std::uint32_t ver = wire::loadLe32(file_ + 8);
     if (ver != traceVersion) {
-        std::fclose(fp);
-        noteDefect(stats, TraceDefect::BadVersion);
+        noteDefect(stats_, TraceDefect::BadVersion);
         return Status::unsupported("unsupported trace version ", ver,
                                    " in ", path);
     }
+    body_ = file_ + headerBytes;
+    validBytes_ = fileBytes_ - headerBytes;
+    return stats_.encoding == TraceEncoding::Delta ? scanDelta(opts)
+                                                   : scanPacked(opts);
+}
 
-    // Slurp the record area so resync can scan byte-by-byte.
-    std::vector<std::uint8_t> body;
-    {
-        std::uint8_t chunk[4096];
-        std::size_t n;
-        while ((n = std::fread(chunk, 1, sizeof chunk, fp)) > 0)
-            body.insert(body.end(), chunk, chunk + n);
-        bool bad = std::ferror(fp) != 0;
-        std::fclose(fp);
-        if (bad) {
-            noteDefect(stats, TraceDefect::IoError);
-            return Status::ioError("read failed for trace file ",
-                                   path, errnoSuffix());
-        }
-    }
-
-    if (is_delta)
-        return decodeDeltaBody(path, body, opts, out, stats);
-
+Status
+TraceFileReader::scanPacked(const TraceReadOptions &opts)
+{
+    const std::string &path = label_;
+    const std::size_t size = validBytes_;
     std::size_t off = 0;
-    while (off + recordBytes <= body.size()) {
-        if (plausibleRecord(body.data() + off)) {
-            out.push_back(unpackRecord(body.data() + off));
-            ++stats.recordsRead;
+    std::size_t runStart = 0;
+    Count records = 0;
+    auto closeRun = [&] {
+        if (off > runStart) {
+            runs_.push_back({runStart, (off - runStart) / recordBytes});
+            records += runs_.back().records;
+        }
+    };
+    while (off + recordBytes <= size) {
+        if (plausibleRecord(body_ + off)) {
             off += recordBytes;
             continue;
         }
 
         // Garbage: resync to the next plausible record boundary.
-        noteDefect(stats, TraceDefect::MidFileGarbage);
-        if (stats.resyncEvents >= opts.corruptionBudget) {
-            out.clear();
+        closeRun();
+        noteDefect(stats_, TraceDefect::MidFileGarbage);
+        if (stats_.resyncEvents >= opts.corruptionBudget) {
+            stats_.recordsRead = records;
             return Status::corruptTrace(
                 "mid-file garbage in trace ", path, " at byte ",
                 headerBytes + off,
@@ -369,38 +361,108 @@ loadTraceFile(const std::string &path, const TraceReadOptions &opts,
                     ? ""
                     : " (corruption budget exhausted)");
         }
-        ++stats.resyncEvents;
-        std::size_t start = off;
+        ++stats_.resyncEvents;
+        const std::size_t start = off;
         ++off;
-        while (off + recordBytes <= body.size() &&
-               !plausibleRecord(body.data() + off)) {
+        while (off + recordBytes <= size &&
+               !plausibleRecord(body_ + off)) {
             ++off;
         }
-        stats.bytesSkipped += off - start;
+        stats_.bytesSkipped += off - start;
         if (!opts.quiet) {
             ccm_warn("trace ", path, ": skipped ", off - start,
                      " garbage bytes at byte ", headerBytes + start);
         }
+        runStart = off;
     }
+    closeRun();
+    stats_.recordsRead = records;
 
-    if (off < body.size()) {
+    if (off < size) {
         // Trailing bytes too short to form a record.
-        noteDefect(stats, TraceDefect::PartialTail);
+        noteDefect(stats_, TraceDefect::PartialTail);
         if (!opts.tolerateTruncatedTail) {
-            out.clear();
             return Status::corruptTrace(
                 "trailing partial record in trace ", path);
         }
-        stats.truncatedTail = true;
-        stats.bytesSkipped += body.size() - off;
+        stats_.truncatedTail = true;
+        stats_.bytesSkipped += size - off;
         if (!opts.quiet) {
-            ccm_warn("trace ", path, ": truncated tail (",
-                     body.size() - off,
+            ccm_warn("trace ", path, ": truncated tail (", size - off,
                      " bytes); treating as end of trace");
         }
     }
-
+    validBytes_ = off;
     return Status::ok();
+}
+
+Status
+TraceFileReader::scanDelta(const TraceReadOptions &opts)
+{
+    // No resync exists here (every record depends on the ones before
+    // it), so the corruption budget does not apply: a bad control
+    // byte or varint is an error even when a budget is set, and only
+    // a clean truncation at end-of-body can be tolerated.
+    const std::string &path = label_;
+    delta::Codec codec;
+    std::size_t off = 0;
+    while (off < validBytes_) {
+        MemRecord r;
+        std::size_t used = 0;
+        const std::size_t at = headerBytes + off;
+        switch (delta::decodeRecord(codec, body_ + off,
+                                    body_ + validBytes_, r, used)) {
+          case delta::DecodeStatus::Ok:
+            ++stats_.recordsRead;
+            off += used;
+            continue;
+          case delta::DecodeStatus::NeedMore:
+            noteDefect(stats_, TraceDefect::PartialTail);
+            if (!opts.tolerateTruncatedTail) {
+                return Status::corruptTrace(
+                    "trailing partial record in delta trace ", path);
+            }
+            stats_.truncatedTail = true;
+            stats_.bytesSkipped += validBytes_ - off;
+            if (!opts.quiet) {
+                ccm_warn("trace ", path, ": truncated delta tail (",
+                         validBytes_ - off,
+                         " bytes); treating as end of trace");
+            }
+            validBytes_ = off;
+            return Status::ok();
+          case delta::DecodeStatus::BadControlByte:
+            noteDefect(stats_, TraceDefect::BadControlByte);
+            return Status::corruptTrace(
+                "bad control byte in delta trace ", path, " at byte ",
+                at, " (delta streams cannot be resynced)");
+          case delta::DecodeStatus::BadVarint:
+            noteDefect(stats_, TraceDefect::BadVarint);
+            return Status::corruptTrace(
+                "overlong varint in delta trace ", path, " at byte ",
+                at, " (delta streams cannot be resynced)");
+        }
+    }
+    return Status::ok();
+}
+
+Expected<std::unique_ptr<TraceFileReader>>
+TraceFileReader::open(const std::string &path,
+                      const TraceReadOptions &opts,
+                      TraceReadStats *stats)
+{
+    std::unique_ptr<TraceFileReader> rd(new TraceFileReader());
+    rd->label_ = path;
+    Status s = rd->load();
+    if (s.isOk())
+        s = rd->scan(opts);
+    if (stats)
+        *stats = rd->stats_;
+    if (!s.isOk())
+        return s;
+    if (rd->map_)
+        ingestBytesCounter().inc(rd->fileBytes_);
+    return rd;
 }
 
 TraceDefect
@@ -411,53 +473,67 @@ probeTraceFile(const std::string &path, TraceReadStats *stats)
     opts.tolerateTruncatedTail = true;
     opts.quiet = true;
 
-    std::vector<MemRecord> records;
     TraceReadStats local;
-    loadTraceFile(path, opts, records, local);
+    TraceFileReader::open(path, opts, &local);
     if (stats)
         *stats = local;
     return local.firstDefect;
 }
 
-TraceFileReader::TraceFileReader(const std::string &path) : label(path)
+void
+TraceFileReader::reset()
 {
-    fatalIfError(loadTraceFile(path, TraceReadOptions{}, records_,
-                               stats_));
-}
-
-Expected<std::unique_ptr<TraceFileReader>>
-TraceFileReader::open(const std::string &path,
-                      const TraceReadOptions &opts)
-{
-    std::unique_ptr<TraceFileReader> rd(new TraceFileReader());
-    rd->label = path;
-    Status s = loadTraceFile(path, opts, rd->records_, rd->stats_);
-    if (!s.isOk())
-        return s;
-    return rd;
+    run_ = 0;
+    runPos_ = 0;
+    offset_ = 0;
+    codec_.reset();
 }
 
 bool
 TraceFileReader::next(MemRecord &out)
 {
-    if (pos >= records_.size())
-        return false;
-    out = records_[pos++];
-    return true;
+    return nextBatch(&out, 1) == 1;
 }
 
 std::size_t
 TraceFileReader::nextBatch(MemRecord *out, std::size_t n)
 {
-    // Decode (and any resync past corruption) happened at load time,
-    // so batch delivery is a bulk copy of already-validated records —
-    // the defect semantics of docs/TRACE_FORMAT.md are unaffected by
-    // where batch boundaries fall.
-    const std::size_t got = std::min(n, records_.size() - pos);
-    std::copy_n(records_.begin() +
-                    static_cast<std::ptrdiff_t>(pos),
-                got, out);
-    pos += got;
+    // The scan validated every byte the defect map covers, so decoding
+    // here cannot fail, and where batch boundaries fall cannot change
+    // which records are delivered.
+    std::size_t got = 0;
+    if (stats_.encoding == TraceEncoding::Packed) {
+        while (got < n && run_ < runs_.size()) {
+            const Run &run = runs_[run_];
+            const std::size_t take =
+                std::min(n - got, run.records - runPos_);
+            const std::uint8_t *p =
+                body_ + run.offset + runPos_ * recordBytes;
+            for (std::size_t i = 0; i < take; ++i) {
+                out[got + i] = unpackRecord(p);
+                p += recordBytes;
+            }
+            got += take;
+            runPos_ += take;
+            if (runPos_ == run.records) {
+                ++run_;
+                runPos_ = 0;
+            }
+        }
+        return got;
+    }
+
+    const std::uint8_t *end = body_ + validBytes_;
+    while (got < n && offset_ < validBytes_) {
+        std::size_t used = 0;
+        if (delta::decodeRecord(codec_, body_ + offset_, end, out[got],
+                                used) != delta::DecodeStatus::Ok) {
+            ccm_panic("scanned delta trace failed to re-decode: ",
+                      label_);
+        }
+        offset_ += used;
+        ++got;
+    }
     return got;
 }
 

@@ -13,23 +13,26 @@
  *    LEB128 varints of pc/addr deltas; trace/delta.hh), a fraction of
  *    the packed size for real traces.
  *
- * Readers sniff the magic, so every consumer takes either encoding
- * transparently.  The full layouts and their error-recovery semantics
- * are documented in docs/TRACE_FORMAT.md.
+ * The reader sniffs the magic, so every consumer takes either
+ * encoding transparently.  The full layouts and the reading rules are
+ * documented in docs/TRACE_FORMAT.md.
  *
- * Reading comes in two flavours: the strict constructor (any defect
- * is fatal — unchanged legacy behaviour) and TraceFileReader::open,
- * which returns a Status instead of dying and can optionally tolerate
- * bounded corruption: garbage bytes are resynced past (up to a
- * configurable budget) and a truncated tail is demoted to a warning.
- * Resync only exists for the packed encoding — a delta stream decodes
- * relative to all earlier bytes, so mid-stream damage is fatal there
- * regardless of budget.
+ * There is one reader, TraceFileReader.  It maps the file read-only
+ * (read() into one owned buffer only when the input cannot be
+ * mapped) and scans it once at open(): the scan applies
+ * TraceReadOptions, so a damaged file either fails with a Status or,
+ * within the options' tolerance, yields a defect map — garbage
+ * resynced past (packed only: a delta stream decodes relative to all
+ * earlier bytes, so mid-stream damage is an error regardless of
+ * budget) and a truncated tail cut off.  Records are then decoded
+ * straight from the bytes; nothing is copied.
  */
 
 #ifndef CCM_TRACE_FILE_TRACE_HH
 #define CCM_TRACE_FILE_TRACE_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <ostream>
@@ -77,8 +80,11 @@ class TraceFileWriter
     /** Append one record; error status on a short write. */
     Status writeChecked(const MemRecord &r);
 
-    /** Drain @p src (reset first) into the file; @return record count. */
-    std::size_t writeAll(TraceSource &src);
+    /**
+     * Drain @p src (reset first) into the file.  @return the record
+     * count, or the first short write's error.
+     */
+    Expected<std::size_t> writeAll(TraceSource &src);
 
     /**
      * Flush and close, reporting flush/close failures (a full disk
@@ -164,59 +170,86 @@ struct TraceReadStats
 };
 
 /**
- * Load @p path into @p out according to @p opts.
- *
- * On error @p out is left empty; @p stats is always filled in (its
- * firstDefect identifies what went wrong or what was tolerated).
- */
-Status loadTraceFile(const std::string &path,
-                     const TraceReadOptions &opts,
-                     std::vector<MemRecord> &out,
-                     TraceReadStats &stats);
-
-/**
- * Classify @p path without failing: loads with unlimited corruption
+ * Classify @p path without failing: scans with unlimited corruption
  * budget and tail tolerance and reports the first defect found
  * (TraceDefect::None for a clean file).  @p stats, when non-null,
- * receives the full load diagnostics.
+ * receives the full scan diagnostics.
  */
 TraceDefect probeTraceFile(const std::string &path,
                            TraceReadStats *stats = nullptr);
 
 /**
- * Replay a binary trace file.  The whole file is validated and loaded
- * up front (traces here are small); the legacy constructor is fatal
- * on malformed input, open() reports a Status instead.
+ * Replay a binary trace file of either encoding, zero-copy.
+ *
+ * open() maps the file read-only, or read()s it into one owned buffer
+ * when it cannot be mapped (not a regular file, mmap failed, no mmap
+ * on the platform).  One scan then checks the header and every record
+ * boundary under TraceReadOptions and leaves a defect map: the runs of
+ * valid packed records between resynced garbage (a clean file is a
+ * single run) and the end of the last whole record.  next() and
+ * nextBatch() decode straight from the bytes along that map and
+ * cannot fail.
  */
 class TraceFileReader : public TraceSource
 {
   public:
-    /** Strict load; fatal on any defect. */
-    explicit TraceFileReader(const std::string &path);
-
-    /** Load according to @p opts; error status instead of dying. */
+    /**
+     * Open and scan @p path according to @p opts.  @p stats, when
+     * non-null, receives the scan diagnostics even when the open
+     * fails: its firstDefect names what went wrong.
+     */
     static Expected<std::unique_ptr<TraceFileReader>>
-    open(const std::string &path, const TraceReadOptions &opts = {});
+    open(const std::string &path, const TraceReadOptions &opts = {},
+         TraceReadStats *stats = nullptr);
+
+    ~TraceFileReader() override;
+
+    TraceFileReader(const TraceFileReader &) = delete;
+    TraceFileReader &operator=(const TraceFileReader &) = delete;
 
     bool next(MemRecord &out) override;
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
-    void reset() override { pos = 0; }
-    std::string name() const override { return label; }
+    void reset() override;
+    std::string name() const override { return label_; }
 
-    std::size_t size() const { return records_.size(); }
+    /** Records one pass delivers (known from the scan). */
+    std::size_t size() const { return stats_.recordsRead; }
 
-    /** The decoded record sequence (shard views, conversions). */
-    const std::vector<MemRecord> &records() const { return records_; }
-
-    /** Diagnostics from the load (skips, resyncs, truncation). */
+    /** Diagnostics from the scan (skips, resyncs, truncation). */
     const TraceReadStats &readStats() const { return stats_; }
 
   private:
+    /** A run of back-to-back valid packed records in the body. */
+    struct Run
+    {
+        std::size_t offset;  ///< body byte offset of the first record
+        std::size_t records; ///< record count
+    };
+
     TraceFileReader() = default;
 
-    std::vector<MemRecord> records_;
-    std::size_t pos = 0;
-    std::string label;
+    /** Map or read() the whole file into the view. */
+    Status load();
+    /** Check the header, then scan the body into the defect map. */
+    Status scan(const TraceReadOptions &opts);
+    Status scanPacked(const TraceReadOptions &opts);
+    Status scanDelta(const TraceReadOptions &opts);
+
+    void *map_ = nullptr; ///< whole-file mapping, if mapped
+    std::vector<std::uint8_t> owned_; ///< the read() fallback's bytes
+    const std::uint8_t *file_ = nullptr; ///< the view: map_ or owned_
+    std::size_t fileBytes_ = 0;
+
+    const std::uint8_t *body_ = nullptr; ///< first byte after header
+    std::size_t validBytes_ = 0; ///< body bytes up to the last record
+    std::vector<Run> runs_;      ///< packed defect map
+
+    std::size_t run_ = 0;    ///< packed cursor: current run
+    std::size_t runPos_ = 0; ///< packed cursor: record within the run
+    std::size_t offset_ = 0; ///< delta cursor: body byte offset
+    delta::Codec codec_;     ///< delta predictor state
+
+    std::string label_;
     TraceReadStats stats_;
 };
 

@@ -1,6 +1,6 @@
 #include "workloads/code_stream.hh"
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

@@ -1,6 +1,6 @@
 #include "workloads/synthetic.hh"
 
-#include "common/logging.hh"
+#include "common/log.hh"
 
 namespace ccm
 {

@@ -248,15 +248,17 @@ TEST_F(BatchFileTest, CleanFile)
         TraceFileWriter w(path);
         w.writeAll(t);
     }
-    TraceFileReader rd(path);
-    expectBatchEquivalence(rd);
+    auto rd = TraceFileReader::open(path);
+    ASSERT_TRUE(rd.ok()) << rd.status().toString();
+    expectBatchEquivalence(*rd.value());
 }
 
 TEST_F(BatchFileTest, CorruptedFileResyncsAcrossBatchBoundaries)
 {
-    // Mid-file garbage between records 5 and 6: the resync happens at
-    // load time, so batch partitions that straddle the damaged region
-    // must deliver exactly the records the next() path delivers.
+    // Mid-file garbage between records 5 and 6: the resync happens in
+    // the open-time scan, so batch partitions that straddle the
+    // damaged region must deliver exactly the records the next() path
+    // delivers.
     auto bytes = header();
     for (std::uint8_t i = 1; i <= 5; ++i)
         append(bytes, record(i));

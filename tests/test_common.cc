@@ -24,7 +24,6 @@
 #include "common/addr_types.hh"
 #include "common/bitutil.hh"
 #include "common/log.hh"
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/sample_hash.hh"
 #include "common/shutdown.hh"

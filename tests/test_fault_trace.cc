@@ -10,14 +10,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#include "obs/metrics.hh"
+#include "trace/delta.hh"
 #include "trace/fault_trace.hh"
 #include "trace/file_trace.hh"
 #include "trace/vector_trace.hh"
+#include "trace/wire.hh"
 
 namespace ccm
 {
@@ -143,9 +151,9 @@ TEST_F(CorruptTraceTest, MissingFileIsIoError)
 
 TEST_F(CorruptTraceTest, DirectoryIsIoErrorNotZeroLength)
 {
-    // fopen("rb") on a directory succeeds on Linux; the first fread
-    // then fails with EISDIR. That is an I/O problem, not an empty
-    // trace.
+    // A directory opens on Linux but is not a regular file, so it
+    // takes the read() path, whose first read fails with EISDIR.
+    // That is an I/O problem, not an empty trace.
     auto rd = TraceFileReader::open(::testing::TempDir());
     ASSERT_FALSE(rd.ok());
     EXPECT_EQ(rd.status().code(), ErrorCode::IoError);
@@ -294,21 +302,233 @@ TEST_F(CorruptTraceTest, RepairProducesCleanTrace)
     opts.corruptionBudget = ~std::size_t{0};
     opts.tolerateTruncatedTail = true;
     opts.quiet = true;
-    std::vector<MemRecord> records;
-    TraceReadStats stats;
-    ASSERT_TRUE(loadTraceFile(path, opts, records, stats).isOk());
-    EXPECT_EQ(records.size(), 1u);
+    auto rd = TraceFileReader::open(path, opts);
+    ASSERT_TRUE(rd.ok()) << rd.status().toString();
+    EXPECT_EQ(rd.value()->size(), 1u);
 
     std::string repaired = path + ".repaired";
     {
         auto w = TraceFileWriter::create(repaired);
         ASSERT_TRUE(w.ok());
-        for (const auto &r : records)
-            ASSERT_TRUE(w.value()->writeChecked(r).isOk());
+        auto n = w.value()->writeAll(*rd.value());
+        ASSERT_TRUE(n.ok()) << n.status().toString();
+        EXPECT_EQ(n.value(), 1u);
         ASSERT_TRUE(w.value()->close().isOk());
     }
     EXPECT_EQ(probeTraceFile(repaired), TraceDefect::None);
     std::remove(repaired.c_str());
+}
+
+/**
+ * @p n records with every pc and addr byte nonzero and the addr's top
+ * byte above 2, so no 24-byte window that straddles a garbage run and
+ * a record can look plausible: resync lands on true boundaries only.
+ */
+std::vector<MemRecord>
+distinctRecords(std::size_t n)
+{
+    std::vector<MemRecord> recs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        recs[i].pc = 0x0101010101010101ull * (1 + i % 255);
+        recs[i].addr = 0x0101010101010101ull * (3 + i / 255);
+        recs[i].type = i % 3 == 0 ? RecordType::Store : RecordType::Load;
+        recs[i].dependsOnPrevLoad = i % 5 == 0;
+    }
+    return recs;
+}
+
+void
+expectSameRecords(const std::vector<MemRecord> &want,
+                  const std::vector<MemRecord> &got)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].pc, want[i].pc) << "record " << i;
+        ASSERT_EQ(got[i].addr, want[i].addr) << "record " << i;
+        ASSERT_EQ(got[i].type, want[i].type) << "record " << i;
+        ASSERT_EQ(got[i].dependsOnPrevLoad, want[i].dependsOnPrevLoad)
+            << "record " << i;
+    }
+}
+
+/** Everything @p src delivers through nextBatch(@p batch). */
+std::vector<MemRecord>
+drainBatches(TraceSource &src, std::size_t batch)
+{
+    std::vector<MemRecord> out;
+    std::vector<MemRecord> buf(batch);
+    std::size_t got;
+    while ((got = src.nextBatch(buf.data(), batch)) > 0)
+        out.insert(out.end(), buf.begin(), buf.begin() + got);
+    return out;
+}
+
+TEST_F(CorruptTraceTest, TolerantPackedReadWalksTheDefectMap)
+{
+    // Two garbage runs (one record, then two) and a 7-byte partial
+    // tail: the defect map has three runs, and batches of 97 or 256
+    // straddle the run boundaries at records 300 and 610.
+    const std::vector<MemRecord> recs = distinctRecords(1'000);
+    auto bytes = header();
+    std::vector<MemRecord> want;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        std::uint8_t packed[wire::recordBytes];
+        wire::packRecord(recs[i], packed);
+        const bool stamped = i == 300 || i == 611 || i == 612;
+        if (stamped)
+            std::fill(packed, packed + sizeof packed, 0xFF);
+        else
+            want.push_back(recs[i]);
+        bytes.insert(bytes.end(), packed, packed + sizeof packed);
+    }
+    const std::vector<std::uint8_t> tail(bytes.begin() + 16,
+                                         bytes.begin() + 23);
+    append(bytes, tail);
+    writeBytes(bytes);
+
+    TraceReadOptions opts;
+    opts.corruptionBudget = 2;
+    opts.tolerateTruncatedTail = true;
+    opts.quiet = true;
+    for (std::size_t batch : {std::size_t{1}, std::size_t{97},
+                              std::size_t{256}}) {
+        SCOPED_TRACE(batch);
+        auto rd = TraceFileReader::open(path, opts);
+        ASSERT_TRUE(rd.ok()) << rd.status().toString();
+        EXPECT_EQ(rd.value()->size(), want.size());
+        const TraceReadStats &stats = rd.value()->readStats();
+        EXPECT_EQ(stats.resyncEvents, 2u);
+        EXPECT_EQ(stats.bytesSkipped, 24u + 48u + 7u);
+        EXPECT_TRUE(stats.truncatedTail);
+        EXPECT_EQ(stats.firstDefect, TraceDefect::MidFileGarbage);
+
+        expectSameRecords(want, drainBatches(*rd.value(), batch));
+        rd.value()->reset();
+        expectSameRecords(want, drainBatches(*rd.value(), batch));
+    }
+
+    // The repaired file (what tracecheck repair writes) is clean and
+    // holds exactly the same records.
+    const std::string repaired = path + ".repaired";
+    {
+        auto rd = TraceFileReader::open(path, opts);
+        ASSERT_TRUE(rd.ok()) << rd.status().toString();
+        auto w = TraceFileWriter::create(repaired);
+        ASSERT_TRUE(w.ok());
+        ASSERT_TRUE(w.value()->writeAll(*rd.value()).ok());
+        ASSERT_TRUE(w.value()->close().isOk());
+    }
+    auto clean = TraceFileReader::open(repaired);
+    ASSERT_TRUE(clean.ok()) << clean.status().toString();
+    expectSameRecords(want, drainBatches(*clean.value(), 256));
+    std::remove(repaired.c_str());
+
+    // One run short of the damage is still an error.
+    opts.corruptionBudget = 1;
+    TraceReadStats stats;
+    auto strict = TraceFileReader::open(path, opts, &stats);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().message(),
+              "mid-file garbage in trace " + path + " at byte " +
+                  std::to_string(16 + 611 * 24) +
+                  " (corruption budget exhausted)");
+    EXPECT_EQ(stats.firstDefect, TraceDefect::MidFileGarbage);
+}
+
+TEST_F(CorruptTraceTest, TolerantDeltaReadStopsAtLastWholeRecord)
+{
+    const std::vector<MemRecord> recs = distinctRecords(500);
+    VectorTrace src;
+    for (const MemRecord &r : recs)
+        src.push(r);
+    {
+        TraceFileWriter w(path, TraceEncoding::Delta);
+        ASSERT_TRUE(w.writeAll(src).ok());
+    }
+    // The encoded size of the last record, to cut it one byte short.
+    delta::Codec codec;
+    std::uint8_t buf[delta::maxRecordBytes];
+    std::size_t lastBytes = 0;
+    for (const MemRecord &r : recs)
+        lastBytes = delta::encodeRecord(codec, r, buf);
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
+    const long len = std::ftell(f);
+    std::fclose(f);
+    ASSERT_EQ(truncate(path.c_str(), len - 1), 0);
+
+    auto strict = TraceFileReader::open(path);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().message(),
+              "trailing partial record in delta trace " + path);
+
+    TraceReadOptions opts;
+    opts.tolerateTruncatedTail = true;
+    opts.quiet = true;
+    auto rd = TraceFileReader::open(path, opts);
+    ASSERT_TRUE(rd.ok()) << rd.status().toString();
+    const TraceReadStats &stats = rd.value()->readStats();
+    EXPECT_EQ(stats.encoding, TraceEncoding::Delta);
+    EXPECT_TRUE(stats.truncatedTail);
+    EXPECT_EQ(stats.firstDefect, TraceDefect::PartialTail);
+    EXPECT_EQ(stats.bytesSkipped, lastBytes - 1);
+
+    const std::vector<MemRecord> want(recs.begin(), recs.end() - 1);
+    EXPECT_EQ(rd.value()->size(), want.size());
+    expectSameRecords(want, drainBatches(*rd.value(), 97));
+    rd.value()->reset();
+    expectSameRecords(want, drainBatches(*rd.value(), 1));
+}
+
+TEST_F(CorruptTraceTest, PipeIsReadNotMapped)
+{
+    // More than a pipe buffer of records, so the writer blocks until
+    // the reader drains it.
+    const std::vector<MemRecord> recs = distinctRecords(5'000);
+    auto bytes = header();
+    for (const MemRecord &r : recs) {
+        std::uint8_t packed[wire::recordBytes];
+        wire::packRecord(r, packed);
+        bytes.insert(bytes.end(), packed, packed + sizeof packed);
+    }
+    obs::Counter &mapped = obs::MetricsRegistry::global().counter(
+        "ccm_ingest_bytes_total", "");
+
+    // A regular file with the same bytes is mapped (and counted).
+    writeBytes(bytes);
+    std::uint64_t before = mapped.value();
+    auto file = TraceFileReader::open(path);
+    ASSERT_TRUE(file.ok()) << file.status().toString();
+    EXPECT_EQ(mapped.value() - before, bytes.size());
+    expectSameRecords(recs, drainBatches(*file.value(), 256));
+
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    // If the open fails, closing the read end must not kill the test.
+    auto oldPipe = std::signal(SIGPIPE, SIG_IGN);
+    std::thread writer([&] {
+        std::size_t off = 0;
+        while (off < bytes.size()) {
+            const ssize_t n = ::write(fds[1], bytes.data() + off,
+                                      bytes.size() - off);
+            if (n <= 0)
+                break;
+            off += static_cast<std::size_t>(n);
+        }
+        ::close(fds[1]);
+    });
+    before = mapped.value();
+    auto piped =
+        TraceFileReader::open("/dev/fd/" + std::to_string(fds[0]));
+    ::close(fds[0]);
+    writer.join();
+    std::signal(SIGPIPE, oldPipe);
+
+    ASSERT_TRUE(piped.ok()) << piped.status().toString();
+    EXPECT_EQ(mapped.value(), before);
+    EXPECT_TRUE(piped.value()->readStats().clean());
+    expectSameRecords(recs, drainBatches(*piped.value(), 97));
 }
 
 TEST_F(CorruptTraceTest, DefectNamesAreStable)
@@ -502,10 +722,11 @@ TEST(FaultInjectingSource, DirtyTraceStillSimulatesRoundTrip)
     std::size_t n;
     {
         TraceFileWriter w(path);
-        n = w.writeAll(f);
+        n = w.writeAll(f).value();
     }
-    TraceFileReader rd(path);
-    EXPECT_EQ(rd.size(), n);
+    auto rd = TraceFileReader::open(path);
+    ASSERT_TRUE(rd.ok()) << rd.status().toString();
+    EXPECT_EQ(rd.value()->size(), n);
     EXPECT_EQ(probeTraceFile(path), TraceDefect::None);
     std::remove(path.c_str());
 }

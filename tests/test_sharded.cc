@@ -12,10 +12,9 @@
  *  - the partition pass must place window boundaries by references
  *    only, and the TraceSource overload must reset its reader and
  *    agree with the span overload on every reader and encoding;
- *  - MappedTraceReader must deliver exactly the records
- *    TraceFileReader does, for both encodings, and must reject
- *    damaged files with a Status at open() (its next() has no failure
- *    path);
+ *  - TraceFileReader must deliver exactly the records the writer was
+ *    given, for both encodings, and must reject damaged files with a
+ *    Status at open() (its next() has no failure path);
  *  - the delta codec must round-trip arbitrary jumps (negative
  *    deltas included) and flag overlong varints and reserved control
  *    bits as the distinct defects tracecheck maps to exit codes
@@ -276,7 +275,7 @@ TEST(ShardedClassify, ExactMultipleOfIntervalLeavesNoPartialWindow)
     }
 }
 
-// ---- mapped reader vs copying reader -----------------------------
+// ---- trace file reader vs the written records ---------------------
 
 class MappedTraceTest : public ::testing::Test
 {
@@ -292,14 +291,17 @@ class MappedTraceTest : public ::testing::Test
 
     void TearDown() override { std::remove(path.c_str()); }
 
+    /** Write @p name's records to path; they land in `written`. */
     void
     writeWorkload(const std::string &name, std::size_t refs,
                   TraceEncoding enc = TraceEncoding::Packed)
     {
         auto wl = makeWorkload(name, refs, 42);
         ASSERT_NE(wl, nullptr) << name;
+        VectorTrace captured = VectorTrace::capture(*wl);
+        written = captured.records();
         TraceFileWriter writer(path, enc);
-        writer.writeAll(*wl);
+        ASSERT_TRUE(writer.writeAll(captured).ok());
     }
 
     void
@@ -322,6 +324,8 @@ class MappedTraceTest : public ::testing::Test
     }
 
     std::string path;
+    /** The records the last writeWorkload() gave the writer. */
+    std::vector<MemRecord> written;
 };
 
 void
@@ -347,13 +351,10 @@ TEST_F(MappedTraceTest, MatchesFileReaderOnEveryWorkload)
         SCOPED_TRACE(name);
         writeWorkload(name, 5'000);
 
-        auto file = TraceFileReader::open(path);
-        ASSERT_TRUE(file.ok()) << file.status().toString();
-        auto mapped = MappedTraceReader::open(path);
+        auto mapped = TraceFileReader::open(path);
         ASSERT_TRUE(mapped.ok()) << mapped.status().toString();
-
-        EXPECT_EQ(mapped.value()->size(), file.value()->size());
-        expectSameRecords(file.value()->records(), *mapped.value());
+        EXPECT_EQ(mapped.value()->size(), written.size());
+        expectSameRecords(written, *mapped.value());
     }
 }
 
@@ -361,28 +362,22 @@ TEST_F(MappedTraceTest, MatchesFileReaderOnDeltaEncoding)
 {
     writeWorkload("vortex", 20'000, TraceEncoding::Delta);
 
-    auto file = TraceFileReader::open(path);
-    ASSERT_TRUE(file.ok()) << file.status().toString();
-    EXPECT_EQ(file.value()->readStats().encoding,
-              TraceEncoding::Delta);
-
-    auto mapped = MappedTraceReader::open(path);
+    auto mapped = TraceFileReader::open(path);
     ASSERT_TRUE(mapped.ok()) << mapped.status().toString();
-    EXPECT_EQ(mapped.value()->encoding(), TraceEncoding::Delta);
-    expectSameRecords(file.value()->records(), *mapped.value());
+    EXPECT_EQ(mapped.value()->readStats().encoding,
+              TraceEncoding::Delta);
+    expectSameRecords(written, *mapped.value());
 
     // reset() must rewind the delta predictor too, not just the
     // cursor: a second pass sees the same bytes.
     mapped.value()->reset();
-    expectSameRecords(file.value()->records(), *mapped.value());
+    expectSameRecords(written, *mapped.value());
 }
 
 TEST_F(MappedTraceTest, BatchesAgreeWithSingleSteps)
 {
     writeWorkload("li", 8'000);
-    auto file = TraceFileReader::open(path);
-    ASSERT_TRUE(file.ok());
-    auto mapped = MappedTraceReader::open(path);
+    auto mapped = TraceFileReader::open(path);
     ASSERT_TRUE(mapped.ok());
 
     std::vector<MemRecord> batched;
@@ -391,12 +386,11 @@ TEST_F(MappedTraceTest, BatchesAgreeWithSingleSteps)
     while ((n = mapped.value()->nextBatch(buf, 97)) > 0)
         batched.insert(batched.end(), buf, buf + n);
 
-    const auto &ref = file.value()->records();
-    ASSERT_EQ(batched.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(ref[i].pc, batched[i].pc);
-        EXPECT_EQ(ref[i].addr, batched[i].addr);
-        EXPECT_EQ(ref[i].type, batched[i].type);
+    ASSERT_EQ(batched.size(), written.size());
+    for (std::size_t i = 0; i < written.size(); ++i) {
+        EXPECT_EQ(written[i].pc, batched[i].pc);
+        EXPECT_EQ(written[i].addr, batched[i].addr);
+        EXPECT_EQ(written[i].type, batched[i].type);
     }
 }
 
@@ -405,8 +399,10 @@ TEST_F(MappedTraceTest, TruncatedFileIsRejectedAtOpen)
     writeWorkload("compress", 1'000);
     // Chop mid-record: 16-byte header + some records + 7 stray bytes.
     truncateTo(16 + 24 * 10 + 7);
-    auto mapped = MappedTraceReader::open(path);
-    EXPECT_FALSE(mapped.ok());
+    auto mapped = TraceFileReader::open(path);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().toString(),
+              "corrupt-trace: trailing partial record in trace " + path);
 }
 
 TEST_F(MappedTraceTest, CorruptBodyIsRejectedAtOpen)
@@ -424,8 +420,11 @@ TEST_F(MappedTraceTest, CorruptBodyIsRejectedAtOpen)
     ASSERT_EQ(std::fwrite(junk, 1, sizeof junk, f), sizeof junk);
     std::fclose(f);
 
-    auto mapped = MappedTraceReader::open(path);
-    EXPECT_FALSE(mapped.ok());
+    auto mapped = TraceFileReader::open(path);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().toString(),
+              "corrupt-trace: mid-file garbage in trace " + path +
+                  " at byte " + std::to_string(16 + 24 * 50));
 }
 
 TEST_F(MappedTraceTest, EmptyAndMissingFilesAreRejected)
@@ -433,79 +432,46 @@ TEST_F(MappedTraceTest, EmptyAndMissingFilesAreRejected)
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fclose(f);
-    EXPECT_FALSE(MappedTraceReader::open(path).ok());
-    EXPECT_FALSE(
-        MappedTraceReader::open(path + ".does-not-exist").ok());
+    EXPECT_FALSE(TraceFileReader::open(path).ok());
+    EXPECT_FALSE(TraceFileReader::open(path + ".does-not-exist").ok());
 }
 
-TEST_F(MappedTraceTest, TolerantOptionsAreUnsupported)
+TEST_F(MappedTraceTest, TolerantOpenDeliversTheStrictStream)
 {
     writeWorkload("swim", 1'000);
+
+    auto strict = openTraceMappedOrFile(path, {});
+    ASSERT_TRUE(strict.ok()) << strict.status().toString();
+
+    // Tolerance changes nothing on a clean file: same stream.
     TraceReadOptions tolerant;
     tolerant.corruptionBudget = 4;
-    auto mapped = MappedTraceReader::open(path, tolerant);
-    ASSERT_FALSE(mapped.ok());
-    EXPECT_EQ(mapped.status().code(), ErrorCode::Unsupported);
-}
-
-TEST_F(MappedTraceTest, OpenMappedOrFileFallsBackForTolerantOpts)
-{
-    writeWorkload("swim", 1'000);
-
-    bool usedMmap = false;
-    auto strict = openTraceMappedOrFile(path, {}, &usedMmap);
-    ASSERT_TRUE(strict.ok()) << strict.status().toString();
-#if defined(__unix__) || defined(__APPLE__)
-    EXPECT_TRUE(usedMmap);
-#endif
-
-    TraceReadOptions tolerant;
     tolerant.tolerateTruncatedTail = true;
     tolerant.quiet = true;
-    auto fallback = openTraceMappedOrFile(path, tolerant, &usedMmap);
-    ASSERT_TRUE(fallback.ok()) << fallback.status().toString();
-    EXPECT_FALSE(usedMmap);
+    auto relaxed = openTraceMappedOrFile(path, tolerant);
+    ASSERT_TRUE(relaxed.ok()) << relaxed.status().toString();
 
-    // Both lanes still deliver the same stream.
-    std::vector<MemRecord> a, b;
-    MemRecord r;
-    while (strict.value()->next(r))
-        a.push_back(r);
-    while (fallback.value()->next(r))
-        b.push_back(r);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].addr, b[i].addr);
+    expectSameRecords(written, *strict.value());
+    expectSameRecords(written, *relaxed.value());
 }
 
 TEST_F(MappedTraceTest, OpenMappedOrFileHandlesDeltaTraces)
 {
-    // CCMTRACD: the mapped lane decodes delta in place, and the
-    // TraceFileReader fallback (tolerant options) must produce the
-    // identical stream — including the mem/non-mem mix and the
+    // CCMTRACD decoded in place, strict or tolerant, must reproduce
+    // the written stream — including the mem/non-mem mix and the
     // dependent-load bits the delta control byte packs.
     writeWorkload("vortex", 10'000, TraceEncoding::Delta);
 
-    auto ref = TraceFileReader::open(path);
-    ASSERT_TRUE(ref.ok()) << ref.status().toString();
-    ASSERT_EQ(ref.value()->readStats().encoding,
-              TraceEncoding::Delta);
-
-    bool usedMmap = false;
-    auto strict = openTraceMappedOrFile(path, {}, &usedMmap);
+    auto strict = openTraceMappedOrFile(path, {});
     ASSERT_TRUE(strict.ok()) << strict.status().toString();
-#if defined(__unix__) || defined(__APPLE__)
-    EXPECT_TRUE(usedMmap);
-#endif
-    expectSameRecords(ref.value()->records(), *strict.value());
+    expectSameRecords(written, *strict.value());
 
     TraceReadOptions tolerant;
     tolerant.tolerateTruncatedTail = true;
     tolerant.quiet = true;
-    auto fallback = openTraceMappedOrFile(path, tolerant, &usedMmap);
-    ASSERT_TRUE(fallback.ok()) << fallback.status().toString();
-    EXPECT_FALSE(usedMmap);
-    expectSameRecords(ref.value()->records(), *fallback.value());
+    auto relaxed = openTraceMappedOrFile(path, tolerant);
+    ASSERT_TRUE(relaxed.ok()) << relaxed.status().toString();
+    expectSameRecords(written, *relaxed.value());
 }
 
 TEST_F(MappedTraceTest, TraceSourceOverloadMatchesSpanOverload)
@@ -515,31 +481,23 @@ TEST_F(MappedTraceTest, TraceSourceOverloadMatchesSpanOverload)
                               TraceEncoding::Delta}) {
         SCOPED_TRACE(enc == TraceEncoding::Packed ? "packed" : "delta");
         writeWorkload("gcc", 25'000, enc);
-        auto file = TraceFileReader::open(path);
-        ASSERT_TRUE(file.ok()) << file.status().toString();
-        const std::vector<MemRecord> &recs = file.value()->records();
         const ShardedClassifyResult ref =
-            runShardedClassify(recs.data(), recs.size(), cfg);
-        EXPECT_EQ(ref.records, Count{recs.size()});
+            runShardedClassify(written.data(), written.size(), cfg);
+        EXPECT_EQ(ref.records, Count{written.size()});
 
-        auto mapped = MappedTraceReader::open(path);
+        auto mapped = TraceFileReader::open(path);
         ASSERT_TRUE(mapped.ok()) << mapped.status().toString();
         const ShardedClassifyResult viaMapped =
             runShardedClassify(*mapped.value(), cfg);
         expectSameResult(ref, viaMapped);
         EXPECT_EQ(viaMapped.records, ref.records);
-
-        const ShardedClassifyResult viaFile =
-            runShardedClassify(*file.value(), cfg);
-        expectSameResult(ref, viaFile);
-        EXPECT_EQ(viaFile.records, ref.records);
     }
 }
 
 TEST_F(MappedTraceTest, TraceSourceOverloadResetsTheReader)
 {
     writeWorkload("tomcatv", 12'000);
-    auto mapped = MappedTraceReader::open(path);
+    auto mapped = TraceFileReader::open(path);
     ASSERT_TRUE(mapped.ok()) << mapped.status().toString();
     const ShardedClassifyConfig cfg = smallConfig(3, 5'000);
 
@@ -652,12 +610,16 @@ TEST(DeltaCodec, FileReaderFlagsDeltaDefects)
 
     // Delta streams cannot resync: even an unlimited corruption
     // budget must not turn this into a tolerated defect.
-    std::vector<MemRecord> recs;
     TraceReadOptions opts;
     opts.corruptionBudget = ~std::size_t{0};
     opts.quiet = true;
     TraceReadStats stats2;
-    EXPECT_FALSE(loadTraceFile(path, opts, recs, stats2).isOk());
+    auto rd = TraceFileReader::open(path, opts, &stats2);
+    ASSERT_FALSE(rd.ok());
+    EXPECT_EQ(rd.status().message(),
+              "bad control byte in delta trace " + path +
+                  " at byte 16 (delta streams cannot be resynced)");
+    EXPECT_EQ(stats2.firstDefect, TraceDefect::BadControlByte);
     std::remove(path.c_str());
 }
 

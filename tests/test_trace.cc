@@ -170,7 +170,9 @@ TEST_F(TraceFileTest, RoundTripPreservesRecords)
         r.dependsOnPrevLoad = false;
         w.write(r);
     }
-    TraceFileReader rd(path);
+    auto opened = TraceFileReader::open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    TraceFileReader &rd = *opened.value();
     EXPECT_EQ(rd.size(), 2u);
     MemRecord r;
     ASSERT_TRUE(rd.next(r));
@@ -192,9 +194,13 @@ TEST_F(TraceFileTest, WriteAllDrainsASource)
         src.pushLoad(0x1000 + i * 64);
     {
         TraceFileWriter w(path);
-        EXPECT_EQ(w.writeAll(src), 100u);
+        auto n = w.writeAll(src);
+        ASSERT_TRUE(n.ok()) << n.status().toString();
+        EXPECT_EQ(n.value(), 100u);
     }
-    TraceFileReader rd(path);
+    auto opened = TraceFileReader::open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    TraceFileReader &rd = *opened.value();
     EXPECT_EQ(rd.size(), 100u);
     MemRecord r;
     for (int i = 0; i < 100; ++i) {
@@ -212,7 +218,9 @@ TEST_F(TraceFileTest, ReaderResets)
         r.addr = 0x40;
         w.write(r);
     }
-    TraceFileReader rd(path);
+    auto opened = TraceFileReader::open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    TraceFileReader &rd = *opened.value();
     MemRecord r;
     ASSERT_TRUE(rd.next(r));
     ASSERT_FALSE(rd.next(r));
@@ -271,9 +279,10 @@ TEST_F(TraceFileTest, ReadStatsDumpFormat)
         r.type = RecordType::Load;
         w.write(r);
     }
-    TraceFileReader rd(path);
+    auto rd = TraceFileReader::open(path);
+    ASSERT_TRUE(rd.ok()) << rd.status().toString();
     std::ostringstream os;
-    rd.readStats().dump(os, "t");
+    rd.value()->readStats().dump(os, "t");
     std::string s = os.str();
     EXPECT_NE(s.find("t.records_read 1"), std::string::npos);
     EXPECT_NE(s.find("t.resync_events 0"), std::string::npos);
@@ -282,10 +291,17 @@ TEST_F(TraceFileTest, ReadStatsDumpFormat)
     EXPECT_NE(s.find("t.first_defect none"), std::string::npos);
 }
 
+// The "...IsFatal" cases are fatal to the read, and come back as a
+// Status rather than ending the process.
 TEST_F(TraceFileTest, MissingFileIsFatal)
 {
-    EXPECT_DEATH(TraceFileReader("/nonexistent/nope.bin"),
-                 "cannot open");
+    auto rd = TraceFileReader::open("/nonexistent/nope.bin");
+    ASSERT_FALSE(rd.ok());
+    EXPECT_EQ(rd.status().code(), ErrorCode::IoError);
+    EXPECT_EQ(rd.status().message().rfind(
+                  "cannot open trace file: /nonexistent/nope.bin (", 0),
+              0u)
+        << rd.status().message();
 }
 
 TEST_F(TraceFileTest, BadMagicIsFatal)
@@ -295,7 +311,10 @@ TEST_F(TraceFileTest, BadMagicIsFatal)
         std::fwrite("NOTATRACEFILE!!!", 1, 16, f);
         std::fclose(f);
     }
-    EXPECT_DEATH(TraceFileReader{path}, "bad trace magic");
+    auto rd = TraceFileReader::open(path);
+    ASSERT_FALSE(rd.ok());
+    EXPECT_EQ(rd.status().code(), ErrorCode::CorruptTrace);
+    EXPECT_EQ(rd.status().message(), "bad trace magic in " + path);
 }
 
 TEST_F(TraceFileTest, TruncatedRecordIsFatal)
@@ -312,7 +331,11 @@ TEST_F(TraceFileTest, TruncatedRecordIsFatal)
     long len = std::ftell(f);
     std::fclose(f);
     ASSERT_EQ(truncate(path.c_str(), len - 1), 0);
-    EXPECT_DEATH(TraceFileReader{path}, "partial record");
+    auto rd = TraceFileReader::open(path);
+    ASSERT_FALSE(rd.ok());
+    EXPECT_EQ(rd.status().code(), ErrorCode::CorruptTrace);
+    EXPECT_EQ(rd.status().message(),
+              "trailing partial record in trace " + path);
 }
 
 } // namespace

@@ -339,25 +339,27 @@ buildConfig(const Options &o)
     return cfg;
 }
 
+/** Open a trace file under --budget / --tolerate-truncation. */
+Expected<std::unique_ptr<TraceSource>>
+openTraceFile(const Options &o, const std::string &path)
+{
+    TraceReadOptions ropts;
+    ropts.corruptionBudget = o.budget;
+    ropts.tolerateTruncatedTail = o.tolerateTruncation;
+    return openTraceMappedOrFile(path, ropts);
+}
+
 int
 runSuiteMode(const Options &o)
 {
     obs::ScopedSpan span("suite:" + o.arch, "sim");
     SystemConfig cfg = buildConfig(o);
 
-    TraceReadOptions ropts;
-    ropts.corruptionBudget = o.budget;
-    ropts.tolerateTruncatedTail = o.tolerateTruncation;
-
     auto factory = [&](const std::string &name)
         -> Expected<std::unique_ptr<TraceSource>> {
         if (o.traceDir.empty())
             return makeWorkloadChecked(name, o.refs, o.seed);
-        std::string path = o.traceDir + "/" + name + ".bin";
-        auto rd = TraceFileReader::open(path, ropts);
-        if (!rd.ok())
-            return rd.status();
-        return std::unique_ptr<TraceSource>(rd.take().release());
+        return openTraceFile(o, o.traceDir + "/" + name + ".bin");
     };
 
     // Per-workload interval samplers, attached as each machine is
@@ -492,18 +494,14 @@ buildClassifyConfig(const Options &o)
     return cfg;
 }
 
-/** Classify-mode trace factory: file (mmap-first) or synthetic. */
+/** Classify-mode trace factory: file or synthetic. */
 Expected<std::unique_ptr<TraceSource>>
 openClassifyTrace(const Options &o, const std::string &name)
 {
-    TraceReadOptions ropts;
-    ropts.corruptionBudget = o.budget;
-    ropts.tolerateTruncatedTail = o.tolerateTruncation;
     if (!o.traceDir.empty())
-        return openTraceMappedOrFile(o.traceDir + "/" + name + ".bin",
-                                     ropts);
+        return openTraceFile(o, o.traceDir + "/" + name + ".bin");
     if (!o.tracePath.empty())
-        return openTraceMappedOrFile(o.tracePath, ropts);
+        return openTraceFile(o, o.tracePath);
     return makeWorkloadChecked(name, o.refs, o.seed);
 }
 
@@ -907,7 +905,12 @@ main(int argc, char **argv)
 
     std::unique_ptr<TraceSource> src;
     if (!o.tracePath.empty()) {
-        src = std::make_unique<TraceFileReader>(o.tracePath);
+        auto rd = openTraceFile(o, o.tracePath);
+        if (!rd.ok()) {
+            CCM_LOG_ERROR(rd.status().toString());
+            return 1;
+        }
+        src = rd.take();
     } else {
         src = makeWorkload(o.workload, o.refs, o.seed);
         if (!src) {

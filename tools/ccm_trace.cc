@@ -56,8 +56,12 @@ cmdGen(int argc, char **argv)
         return 1;
     }
     TraceFileWriter writer(path, enc);
-    std::size_t n = writer.writeAll(*wl);
-    std::cout << "wrote " << n << " records (" << refs
+    auto n = writer.writeAll(*wl);
+    if (!n.ok()) {
+        CCM_LOG_ERROR(n.status().toString());
+        return 1;
+    }
+    std::cout << "wrote " << n.value() << " records (" << refs
               << " memory refs, " << toString(enc) << ") to " << path
               << "\n";
     return 0;
@@ -84,13 +88,13 @@ cmdConvert(int argc, char **argv, ccm::TraceEncoding enc)
         CCM_LOG_ERROR(wr.status().toString());
         return 1;
     }
-    std::size_t n = wr.value()->writeAll(*rd.value());
-    Status s = wr.value()->close();
+    auto n = wr.value()->writeAll(*rd.value());
+    Status s = n.ok() ? wr.value()->close() : n.status();
     if (!s.isOk()) {
         CCM_LOG_ERROR(s.toString());
         return 1;
     }
-    std::cout << "wrote " << n << " records ("
+    std::cout << "wrote " << n.value() << " records ("
               << toString(rd.value()->readStats().encoding) << " -> "
               << toString(enc) << ") to " << argv[3] << "\n";
     return 0;
@@ -104,7 +108,12 @@ cmdInfo(int argc, char **argv)
         CCM_LOG_ERROR("usage: ccm-trace info TRACE.bin");
         return 1;
     }
-    TraceFileReader rd(argv[2]);
+    auto opened = TraceFileReader::open(argv[2]);
+    if (!opened.ok()) {
+        CCM_LOG_ERROR(opened.status().toString());
+        return 1;
+    }
+    TraceFileReader &rd = *opened.value();
     std::size_t loads = 0, stores = 0, nonmem = 0, deps = 0;
     Addr lo = invalidAddr, hi = 0;
     MemRecord r;

@@ -23,7 +23,13 @@
 #      through the mapped reader at --shards 1 and 4;
 #      an invalid classify geometry or MCT shape must come back from
 #      ccm-sim (any --shards) and ccm-sample as exactly one bad-config
-#      line and exit 1, never as a fatal: exit
+#      line and exit 1, never as a fatal: exit;
+#      a damaged gcc trace (one garbage run, a 7-byte partial tail)
+#      must run under --budget 2 --tolerate-truncation in the single,
+#      --classify and --suite --trace-dir modes, classify exactly like
+#      its tracecheck repair, fail each mode with one error line and
+#      no fatal: without those options, and get tracecheck validate's
+#      documented exit code for each defect class
 #   9. perf smoke: the micro_throughput hotpath table (writes
 #      BENCH_hotpath.json for comparison against bench/baselines/,
 #      which must carry the classify_sharded_e2e and mmap_ingest
@@ -195,6 +201,80 @@ expect_bad_config() {
 expect_bad_config build/tools/ccm-sim --classify --suite --shards 4 \
     --l1-kb 3
 expect_bad_config build/tools/ccm-sample --exact --mct-depth 0
+
+step "damaged traces (tolerant read, one error line, tracecheck codes)"
+# One garbage run stamped at record 1000 and a 7-byte partial tail.
+# The suite modes read the damaged gcc.bin next to 15 clean traces.
+dmg="$obs_tmp/damaged"
+mkdir -p "$dmg"
+for w in $(build/tools/ccm-sim --list); do
+    build/tools/ccm-trace gen "$w" "$dmg/$w.bin" --refs 5000 --seed 7 \
+        > /dev/null
+done
+cp "$dmg/gcc.bin" "$obs_tmp/gcc_clean.bin"
+head -c 24 /dev/zero | tr '\0' '\377' |
+    dd of="$dmg/gcc.bin" bs=1 seek=$((16 + 24 * 1000)) conv=notrunc \
+        status=none
+truncate -s -17 "$dmg/gcc.bin"
+tolerant=(--budget 2 --tolerate-truncation)
+expect_rc() {
+    local want=$1
+    shift
+    local rc=0
+    "$@" > "$obs_tmp/dmg.out" 2>&1 || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        echo "FAIL: $* (exit $rc, want $want):" >&2
+        cat "$obs_tmp/dmg.out" >&2
+        exit 1
+    fi
+}
+expect_one_error() {
+    expect_rc "$@"
+    if [ "$(grep -c '^\[E ' "$obs_tmp/dmg.out")" -ne 1 ] ||
+       ! grep -q '^\[E .*\] corrupt-trace: ' "$obs_tmp/dmg.out" ||
+       grep -q 'fatal:' "$obs_tmp/dmg.out"; then
+        shift
+        echo "FAIL: $* must print exactly one error line:" >&2
+        cat "$obs_tmp/dmg.out" >&2
+        exit 1
+    fi
+}
+expect_rc 0 build/tools/ccm-sim --arch victim --trace "$dmg/gcc.bin" \
+    "${tolerant[@]}"
+expect_rc 0 build/tools/ccm-sim --classify --trace "$dmg/gcc.bin" \
+    --interval 1000 "${tolerant[@]}" \
+    --stats-json "$obs_tmp/dmg_tolerant.json"
+expect_rc 0 build/tools/ccm-sim --suite --trace-dir "$dmg" --arch victim \
+    "${tolerant[@]}"
+expect_rc 0 build/tools/tracecheck repair "$dmg/gcc.bin" \
+    "$obs_tmp/gcc_repaired.bin"
+expect_rc 0 build/tools/ccm-sim --classify \
+    --trace "$obs_tmp/gcc_repaired.bin" --interval 1000 \
+    --stats-json "$obs_tmp/dmg_repaired.json"
+if ! diff <(grep -v -e wall_seconds -e records_per_sec -e '"workload"' \
+                "$obs_tmp/dmg_tolerant.json") \
+          <(grep -v -e wall_seconds -e records_per_sec -e '"workload"' \
+                "$obs_tmp/dmg_repaired.json"); then
+    echo "FAIL: tolerant classify differs from classify of the repair" >&2
+    exit 1
+fi
+# Strict: one error line each.  The suite still runs its 15 clean rows
+# and exits 2, its partial-failure code.
+expect_one_error 1 build/tools/ccm-sim --arch victim --trace "$dmg/gcc.bin"
+expect_one_error 1 build/tools/ccm-sim --classify --trace "$dmg/gcc.bin"
+expect_one_error 2 build/tools/ccm-sim --suite --trace-dir "$dmg" \
+    --arch victim
+# tracecheck validate: 8 mid-file-garbage, 7 partial-tail, 5 bad-magic,
+# 3 zero-length (docs/TRACE_FORMAT.md).
+cp "$obs_tmp/gcc_clean.bin" "$obs_tmp/tail.bin"
+truncate -s -17 "$obs_tmp/tail.bin"
+cp "$obs_tmp/gcc_clean.bin" "$obs_tmp/magic.bin"
+printf 'NOTATRAC' | dd of="$obs_tmp/magic.bin" conv=notrunc status=none
+: > "$obs_tmp/empty.bin"
+expect_rc 8 build/tools/tracecheck validate "$dmg/gcc.bin" --quiet
+expect_rc 7 build/tools/tracecheck validate "$obs_tmp/tail.bin" --quiet
+expect_rc 5 build/tools/tracecheck validate "$obs_tmp/magic.bin" --quiet
+expect_rc 3 build/tools/tracecheck validate "$obs_tmp/empty.bin" --quiet
 
 step "sampling smoke + determinism (kind:\"sample\" document)"
 # The sampled classify path must emit a valid kind:"sample" document,

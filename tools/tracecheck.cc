@@ -182,13 +182,12 @@ cmdRepair(int argc, char **argv)
         }
     }
 
-    std::vector<MemRecord> records;
     TraceReadStats stats;
-    Status s = loadTraceFile(in, opts, records, stats);
-    if (!s.isOk()) {
+    auto reader = TraceFileReader::open(in, opts, &stats);
+    if (!reader.ok()) {
         // Header-level damage (or budget exhaustion): nothing we can
         // trust enough to salvage.
-        CCM_LOG_ERROR("cannot repair: ", s.toString());
+        CCM_LOG_ERROR("cannot repair: ", reader.status().toString());
         return stats.firstDefect == TraceDefect::None
                    ? exitRepairFailed
                    : defectExitCode(stats.firstDefect);
@@ -200,21 +199,15 @@ cmdRepair(int argc, char **argv)
                       writer.status().toString());
         return exitRepairFailed;
     }
-    for (const auto &r : records) {
-        Status ws = writer.value()->writeChecked(r);
-        if (!ws.isOk()) {
-            CCM_LOG_ERROR("cannot repair: ", ws.toString());
-            return exitRepairFailed;
-        }
-    }
-    Status cs = writer.value()->close();
-    if (!cs.isOk()) {
-        CCM_LOG_ERROR("cannot repair: ", cs.toString());
+    auto kept = writer.value()->writeAll(*reader.value());
+    Status ws = kept.ok() ? writer.value()->close() : kept.status();
+    if (!ws.isOk()) {
+        CCM_LOG_ERROR("cannot repair: ", ws.toString());
         return exitRepairFailed;
     }
 
     std::cout << "repaired       " << in << " -> " << out << "\n"
-              << "records kept   " << records.size() << "\n"
+              << "records kept   " << kept.value() << "\n"
               << "resync events  " << stats.resyncEvents << "\n"
               << "bytes dropped  " << stats.bytesSkipped << "\n"
               << "truncated tail " << (stats.truncatedTail ? "yes"
