@@ -164,9 +164,17 @@ measureMmapIngest(VectorTrace &trace)
                                                            : "/tmp") +
                              "/ccm_bench_mmap.bin";
     {
-        TraceFileWriter writer(path);
-        writer.writeAll(trace);
+        auto writer = TraceFileWriter::create(path);
+        Status s = writer.ok() ? writer.value()->writeAll(trace).status()
+                               : writer.status();
+        if (s.isOk())
+            s = writer.value()->close();
         trace.reset();
+        if (!s.isOk()) {
+            std::cerr << "mmap_ingest: " << s.toString() << "\n";
+            std::remove(path.c_str());
+            return 0.0;
+        }
     }
     double rate = 0.0;
     {

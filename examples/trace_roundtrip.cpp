@@ -33,10 +33,15 @@ main(int argc, char **argv)
     // 1. Capture to disk.
     std::size_t written;
     {
-        TraceFileWriter writer(path);
-        auto n = writer.writeAll(*wl);
-        if (!n.ok()) {
-            std::cerr << n.status().toString() << "\n";
+        auto writer = TraceFileWriter::create(path);
+        if (!writer.ok()) {
+            std::cerr << writer.status().toString() << "\n";
+            return 1;
+        }
+        auto n = writer.value()->writeAll(*wl);
+        Status s = n.ok() ? writer.value()->close() : n.status();
+        if (!s.isOk()) {
+            std::cerr << s.toString() << "\n";
             return 1;
         }
         written = n.value();

@@ -5,11 +5,18 @@
 namespace ccm
 {
 
+Status
+AssistBuffer::validate(unsigned num_entries)
+{
+    if (num_entries == 0)
+        return Status::badConfig("assist buffer needs at least one entry");
+    return Status::ok();
+}
+
 AssistBuffer::AssistBuffer(unsigned num_entries, BufRepl repl_)
     : slots(num_entries), repl(repl_)
 {
-    if (num_entries == 0)
-        ccm_fatal("assist buffer needs at least one entry");
+    fatalIfError(validate(num_entries));
 }
 
 BufEntry *

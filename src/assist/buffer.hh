@@ -26,6 +26,7 @@
 
 #include "common/addr_types.hh"
 #include "common/stats.hh"
+#include "common/status.hh"
 #include "common/types.hh"
 
 namespace ccm
@@ -85,6 +86,9 @@ class AssistBuffer
   public:
     explicit AssistBuffer(unsigned num_entries,
                           BufRepl repl = BufRepl::Lru);
+
+    /** Check the parameters the constructor would reject. */
+    static Status validate(unsigned num_entries);
 
     /** Look up a line; no replacement-state update. */
     BufEntry *find(LineAddr line_addr);

@@ -33,8 +33,6 @@ thread_local int cachedThreadId = -1;
 thread_local std::uint64_t currentStream = 0;
 thread_local bool currentStreamActive = false;
 
-thread_local int fatalThrowDepth = 0;
-
 LogLevel
 thresholdFromEnv()
 {
@@ -143,16 +141,6 @@ LogStreamScope::~LogStreamScope()
     currentStreamActive = savedActive_;
 }
 
-ScopedFatalThrow::ScopedFatalThrow()
-{
-    ++fatalThrowDepth;
-}
-
-ScopedFatalThrow::~ScopedFatalThrow()
-{
-    --fatalThrowDepth;
-}
-
 namespace detail
 {
 
@@ -200,8 +188,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    if (fatalThrowDepth > 0)
-        throw FatalError(msg);
     logWrite(LogLevel::Error, concat("fatal: ", msg, " @ ", file, ":",
                                      line));
     std::exit(1);

@@ -26,7 +26,8 @@
  *
  * The gem5-flavoured status/error macros live here too and route
  * through the same layer: ccm_panic for simulator bugs, ccm_fatal for
- * user configuration errors, ccm_warn / ccm_inform for status.
+ * a bad configuration that reached a constructor unchecked, ccm_warn /
+ * ccm_inform for status.
  */
 
 #ifndef CCM_COMMON_LOG_HH
@@ -34,7 +35,6 @@
 
 #include <cstdint>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -46,35 +46,6 @@ namespace ccm
 // forward declaration instead of including it back.
 template <typename T>
 class Expected;
-
-/**
- * Thrown instead of exiting when a ScopedFatalThrow is active, so a
- * harness sweeping many runs can record one run's fatal error and
- * carry on with the rest.
- */
-class FatalError : public std::runtime_error
-{
-  public:
-    explicit FatalError(const std::string &msg)
-        : std::runtime_error(msg)
-    {}
-};
-
-/**
- * While an instance is alive, ccm_fatal throws FatalError rather than
- * calling std::exit, making user-input errors recoverable for the
- * duration of a guarded region (e.g. one row of a suite sweep).
- * Nests; ccm_panic (simulator bugs) still aborts.
- */
-class ScopedFatalThrow
-{
-  public:
-    ScopedFatalThrow();
-    ~ScopedFatalThrow();
-
-    ScopedFatalThrow(const ScopedFatalThrow &) = delete;
-    ScopedFatalThrow &operator=(const ScopedFatalThrow &) = delete;
-};
 
 /** Severity levels, ascending; Off disables everything. */
 enum class LogLevel : int
@@ -171,8 +142,9 @@ concat(Args &&...args)
                              ::ccm::detail::concat(__VA_ARGS__))
 
 /**
- * Terminate the simulation due to a user error (bad configuration,
- * invalid arguments).
+ * Exit (status 1) on a bad configuration.  Entry points reject user
+ * input with a validate() Status first; this is the constructors'
+ * backstop, and it always exits.
  */
 #define ccm_fatal(...) \
     ::ccm::detail::fatalImpl(__FILE__, __LINE__, \

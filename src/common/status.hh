@@ -214,14 +214,6 @@ class Expected
         return ok() ? *val : std::move(fallback);
     }
 
-    /** The value; dies with the error message when there is none. */
-    T &&
-    valueOrDie()
-    {
-        fatalIfError(err);
-        return std::move(*val);
-    }
-
   private:
     std::optional<T> val;
     Status err;

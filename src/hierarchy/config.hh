@@ -11,6 +11,7 @@
 #include <cstddef>
 
 #include "assist/buffer.hh"
+#include "common/status.hh"
 #include "common/types.hh"
 #include "mct/miss_class.hh"
 
@@ -136,6 +137,13 @@ struct MemSysConfig
     ExcludePolicy exclude;
     AmbPolicy amb;
 };
+
+/**
+ * Ok exactly when MemorySystem(@p config) would construct; otherwise
+ * the bad-config message its constructor would die with.  Every
+ * timing entry point calls this before building a machine.
+ */
+Status validate(const MemSysConfig &config);
 
 } // namespace ccm
 

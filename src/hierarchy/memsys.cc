@@ -8,6 +8,13 @@ namespace ccm
 namespace
 {
 
+/** True for the modes that run the assist buffer. */
+bool
+hasAssistBuffer(AssistMode mode)
+{
+    return mode != AssistMode::None && mode != AssistMode::PseudoAssoc;
+}
+
 /** Bank selection: low line-address bits (paper: 8-way banking). */
 unsigned
 bankOf(const CacheGeometry &g, ByteAddr addr, unsigned banks)
@@ -17,6 +24,34 @@ bankOf(const CacheGeometry &g, ByteAddr addr, unsigned banks)
 }
 
 } // namespace
+
+Status
+validate(const MemSysConfig &config)
+{
+    // The checks run in the order MemorySystem builds its members, so
+    // the first failure is the one its constructor would die with.
+    Status s = CacheGeometry::validate(config.l1Bytes, config.l1Assoc,
+                                       config.lineBytes);
+    if (s.isOk())
+        s = CacheGeometry::validate(config.l2Bytes, config.l2Assoc,
+                                    config.lineBytes);
+    if (!s.isOk())
+        return s;
+    const CacheGeometry l1(config.l1Bytes, config.l1Assoc,
+                           config.lineBytes);
+    s = MissClassificationTable::validate(l1.numSets(),
+                                          config.mctTagBits);
+    if (s.isOk())
+        s = MshrFile::validate(config.mshrs);
+    if (s.isOk() && config.mode == AssistMode::PseudoAssoc)
+        s = PseudoAssocCache::validate(l1);
+    if (s.isOk() && hasAssistBuffer(config.mode))
+        s = AssistBuffer::validate(config.bufEntries);
+    if (s.isOk() && config.mode == AssistMode::PrefetchBuffer &&
+        config.prefetch.kind == PrefetchKind::Rpt)
+        s = RptPrefetcher::validate(config.prefetch.rptEntries);
+    return s;
+}
 
 MemorySystem::MemorySystem(const MemSysConfig &config)
     : cfg(config),
@@ -38,7 +73,7 @@ MemorySystem::MemorySystem(const MemSysConfig &config)
         l1 = std::make_unique<Cache>(l1Geom);
     }
 
-    if (hasBuffer())
+    if (hasAssistBuffer(cfg.mode))
         buf = std::make_unique<AssistBuffer>(cfg.bufEntries,
                                              cfg.bufRepl);
 
@@ -56,20 +91,6 @@ MemorySystem::MemorySystem(const MemSysConfig &config)
             cfg.exclude.algo == ExcludeAlgo::ConflictHistory) {
             history = std::make_unique<MissHistoryTable>();
         }
-    }
-}
-
-bool
-MemorySystem::hasBuffer() const
-{
-    switch (cfg.mode) {
-      case AssistMode::VictimCache:
-      case AssistMode::PrefetchBuffer:
-      case AssistMode::BypassBuffer:
-      case AssistMode::Amb:
-        return true;
-      default:
-        return false;
     }
 }
 

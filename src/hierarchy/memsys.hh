@@ -57,6 +57,7 @@ using MemAccessHook =
 class MemorySystem
 {
   public:
+    /** Dies (ccm_fatal) on a @p config that validate() rejects. */
     explicit MemorySystem(const MemSysConfig &config);
 
     /**
@@ -104,7 +105,6 @@ class MemorySystem
   private:
     AccessResult accessImpl(ByteAddr pc, ByteAddr addr, bool is_store,
                             Cycle now);
-    bool hasBuffer() const;
 
     /**
      * Fetch a line from L2/memory through the MSHRs and bus.

@@ -1,16 +1,23 @@
 #include "prefetch/rpt.hh"
 
 #include "common/bitutil.hh"
-#include "common/log.hh"
 
 namespace ccm
 {
 
+Status
+RptPrefetcher::validate(std::size_t entries)
+{
+    if (!isPowerOfTwo(entries))
+        return Status::badConfig("RPT entries must be a power of two: ",
+                                 entries);
+    return Status::ok();
+}
+
 RptPrefetcher::RptPrefetcher(std::size_t entries)
     : table(entries), mask(entries - 1)
 {
-    if (!isPowerOfTwo(entries))
-        ccm_fatal("RPT entries must be a power of two: ", entries);
+    fatalIfError(validate(entries));
 }
 
 std::optional<ByteAddr>

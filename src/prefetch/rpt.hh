@@ -20,6 +20,7 @@
 
 #include "common/addr_types.hh"
 #include "common/stats.hh"
+#include "common/status.hh"
 #include "common/types.hh"
 
 namespace ccm
@@ -42,6 +43,9 @@ class RptPrefetcher
      * @param entries table size (power of two, direct-mapped by PC)
      */
     explicit RptPrefetcher(std::size_t entries = 512);
+
+    /** Check the parameters the constructor would reject. */
+    static Status validate(std::size_t entries);
 
     /**
      * Observe a memory access and, if the entry is confident, return

@@ -1,7 +1,5 @@
 #include "pseudo/pseudo_cache.hh"
 
-#include "common/log.hh"
-
 namespace ccm
 {
 
@@ -27,6 +25,18 @@ lineAddrOfLineTag(const CacheGeometry &g, Tag line_tag)
 
 } // namespace
 
+Status
+PseudoAssocCache::validate(const CacheGeometry &geometry)
+{
+    if (geometry.assoc() != 1)
+        return Status::badConfig("pseudo-associative cache must be "
+                                 "built on a direct-mapped geometry");
+    if (geometry.numSets() < 2)
+        return Status::badConfig(
+            "pseudo-associative cache needs >= 2 sets");
+    return Status::ok();
+}
+
 PseudoAssocCache::PseudoAssocCache(const CacheGeometry &geometry,
                                    bool use_mct_replacement,
                                    unsigned mct_tag_bits)
@@ -34,11 +44,7 @@ PseudoAssocCache::PseudoAssocCache(const CacheGeometry &geometry,
       mct(geometry.numSets(), mct_tag_bits),
       lines(geometry.numSets())
 {
-    if (geometry.assoc() != 1)
-        ccm_fatal("pseudo-associative cache must be built on a "
-                  "direct-mapped geometry");
-    if (geometry.numSets() < 2)
-        ccm_fatal("pseudo-associative cache needs >= 2 sets");
+    fatalIfError(validate(geometry));
 }
 
 std::size_t

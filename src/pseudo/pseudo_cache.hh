@@ -64,6 +64,9 @@ class PseudoAssocCache
                      bool use_mct_replacement,
                      unsigned mct_tag_bits = 0);
 
+    /** Check the geometry the constructor would reject. */
+    static Status validate(const CacheGeometry &geometry);
+
     /**
      * Access @p addr, filling on a miss (this cache owns its fill
      * policy because placement and replacement are intertwined).

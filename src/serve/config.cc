@@ -5,37 +5,11 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/log.hh"
-#include "hierarchy/memsys.hh"
-
 namespace ccm::serve
 {
 
 namespace
 {
-
-/**
- * Reject any machine configuration MemorySystem would fatal on at
- * stream start (zero associativity, non-power-of-two sizes, ...) by
- * probe-constructing one.  Catching this at parse time means a broken
- * file never becomes the running configuration: reload() keeps the
- * previous good one instead of accepting a config under which every
- * subsequent stream fails at simulation start.
- */
-Status
-validateSystem(const SystemConfig &system)
-{
-    try {
-        ScopedFatalThrow guard;
-        MemorySystem probe(system.mem);
-    } catch (const FatalError &e) {
-        return Status::badConfig(e.what());
-    } catch (const std::exception &e) {
-        return Status::badConfig("configuration rejected: ",
-                                 e.what());
-    }
-    return Status::ok();
-}
 
 /** Strict unsigned parse: the whole token must be digits. */
 Expected<std::uint64_t>
@@ -52,28 +26,6 @@ parseU64(const std::string &key, const std::string &value)
 }
 
 } // namespace
-
-Expected<SystemConfig>
-buildArchConfig(const std::string &arch)
-{
-    if (arch == "baseline")
-        return baselineConfig();
-    if (arch == "victim")
-        return victimConfig(false, false);
-    if (arch == "prefetch")
-        return prefetchConfig(false);
-    if (arch == "exclude")
-        return excludeConfig(ExcludeAlgo::Capacity);
-    if (arch == "pseudo")
-        return pseudoConfig(true);
-    if (arch == "pseudo-lru")
-        return pseudoConfig(false);
-    if (arch == "twoway")
-        return twoWayConfig();
-    if (arch == "amb")
-        return ambConfig(true, true, true);
-    return Status::badConfig("unknown arch '", arch, "'");
-}
 
 Expected<ServeRuntimeConfig>
 parseServeConfig(std::string_view text)
@@ -153,7 +105,10 @@ parseServeConfig(std::string_view text)
             return Status::badConfig("unknown config key '", key, "'");
         }
     }
-    Status geom = validateSystem(cfg.system);
+    // Reject a machine the simulator would die on here, so a broken
+    // file never becomes the running configuration: reload() keeps the
+    // previous good one instead.
+    Status geom = validate(cfg.system.mem);
     if (!geom.isOk())
         return geom.withContext("invalid geometry");
     return cfg;

@@ -41,14 +41,6 @@ struct ServeRuntimeConfig
     StreamLimits limits;
 };
 
-/**
- * The named §5 architecture @p arch with default policy settings, or
- * why the name is unknown.  (Per-policy flags — filters, exclusion
- * algorithms — stay batch-CLI territory; the daemon picks the named
- * defaults.)
- */
-Expected<SystemConfig> buildArchConfig(const std::string &arch);
-
 /** Parse config-file @p text (see the grammar above). */
 Expected<ServeRuntimeConfig> parseServeConfig(std::string_view text);
 

@@ -229,7 +229,7 @@ StreamPipeline::runBody()
     };
 
     // The exact batch code path: Core::run over a MemorySystem built
-    // from this stream's config, with fatal user errors captured.
+    // from this stream's config, which tryRunTiming validates first.
     Expected<RunOutput> run = tryRunTiming(src, system, instrument);
 
     if (run.ok()) {

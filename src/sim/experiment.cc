@@ -3,7 +3,6 @@
 #include <chrono>
 #include <exception>
 
-#include "common/log.hh"
 #include "hierarchy/memsys.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -31,11 +30,11 @@ Expected<RunOutput>
 tryRunTiming(TraceSource &trace, const SystemConfig &config,
              const MemSysInstrument &instrument)
 {
+    Status s = validate(config.mem);
+    if (!s.isOk())
+        return s;
     try {
-        ScopedFatalThrow guard;
         return runTiming(trace, config, instrument);
-    } catch (const FatalError &e) {
-        return Status::badConfig(e.what());
     } catch (const std::exception &e) {
         return Status::internal("run failed: ", e.what());
     }
@@ -72,10 +71,7 @@ runSuiteCell(const std::string &name, const SuiteTraceFactory &factory,
 
     auto trace = [&]() -> Expected<std::unique_ptr<TraceSource>> {
         try {
-            ScopedFatalThrow guard;
             return factory(name);
-        } catch (const FatalError &e) {
-            return Status::badConfig(e.what());
         } catch (const std::exception &e) {
             return Status::internal("trace factory failed: ",
                                     e.what());
@@ -146,6 +142,28 @@ speedup(const RunOutput &base, const RunOutput &test)
         return 0.0;
     return static_cast<double>(base.sim.cycles) /
            static_cast<double>(test.sim.cycles);
+}
+
+Expected<SystemConfig>
+buildArchConfig(const std::string &arch)
+{
+    if (arch == "baseline")
+        return baselineConfig();
+    if (arch == "victim")
+        return victimConfig(false, false);
+    if (arch == "prefetch")
+        return prefetchConfig(false);
+    if (arch == "exclude")
+        return excludeConfig(ExcludeAlgo::Capacity);
+    if (arch == "pseudo")
+        return pseudoConfig(true);
+    if (arch == "pseudo-lru")
+        return pseudoConfig(false);
+    if (arch == "twoway")
+        return twoWayConfig();
+    if (arch == "amb")
+        return ambConfig(true, true, true);
+    return Status::badConfig("unknown arch '", arch, "'");
 }
 
 SystemConfig

@@ -51,9 +51,9 @@ RunOutput runTiming(TraceSource &trace, const SystemConfig &config,
                     const MemSysInstrument &instrument = {});
 
 /**
- * Like runTiming, but recoverable: a bad configuration (or any other
- * would-be-fatal user error raised while building and running the
- * machine) comes back as an error status instead of exiting.
+ * Like runTiming, but recoverable: a configuration validate() rejects
+ * comes back as its bad-config status (and an exception escaping the
+ * run as an internal one) instead of exiting.
  */
 Expected<RunOutput> tryRunTiming(TraceSource &trace,
                                  const SystemConfig &config,
@@ -119,11 +119,11 @@ using SuiteInstrument =
 
 /**
  * Produce the row for one suite cell: run the trace factory and the
- * simulation with every would-be-fatal error captured into the row's
- * status, and the cell's wall time measured.  This is the unit of
- * work shared by the sequential and parallel suite runners — both
- * paths execute exactly this, so their rows can only differ in
- * wallSeconds.
+ * simulation with every error status (and any exception) captured
+ * into the row's status, and the cell's wall time measured.  This is
+ * the unit of work shared by the sequential and parallel suite
+ * runners — both paths execute exactly this, so their rows can only
+ * differ in wallSeconds.
  */
 SuiteRow runSuiteCell(const std::string &name,
                       const SuiteTraceFactory &factory,
@@ -132,8 +132,8 @@ SuiteRow runSuiteCell(const std::string &name,
 
 /**
  * Sweep @p config over every workload in @p names, isolating
- * failures: a run whose trace can't be produced or whose simulation
- * dies on a user error is recorded as an errored row and the rest of
+ * failures: a run whose trace can't be produced or whose config
+ * validate() rejects is recorded as an errored row and the rest of
  * the suite still completes.  Row order matches @p names.
  */
 SuiteReport runSuite(const std::vector<std::string> &names,
@@ -147,6 +147,13 @@ SuiteReport runSuite(const std::vector<std::string> &names,
                      const SystemConfig &config);
 
 // ---- Named configurations from paper §5 ---------------------------
+
+/**
+ * The named §5 architecture @p arch (baseline | victim | prefetch |
+ * exclude | pseudo | pseudo-lru | twoway | amb) with its default
+ * policy settings, or why the name is unknown.
+ */
+Expected<SystemConfig> buildArchConfig(const std::string &arch);
 
 /** §4 baseline: no assist buffer. */
 SystemConfig baselineConfig();

@@ -1,6 +1,6 @@
 #include "trace/fault_trace.hh"
 
-#include "common/log.hh"
+#include <initializer_list>
 
 namespace ccm
 {
@@ -14,15 +14,23 @@ constexpr std::uint64_t faultStream = 0xfau;
 
 } // namespace
 
+Status
+FaultPlan::validate() const
+{
+    for (double rate : {bitFlipRate, dropRate, duplicateRate}) {
+        // Written so that NaN fails too.
+        if (!(rate >= 0.0 && rate <= 1.0))
+            return Status::badConfig(
+                "fault rates must be within [0, 1], got ", rate);
+    }
+    return Status::ok();
+}
+
 FaultInjectingSource::FaultInjectingSource(TraceSource &inner,
                                            const FaultPlan &plan)
     : inner_(inner), plan_(plan), rng(plan.seed, faultStream)
 {
-    if (plan.bitFlipRate < 0 || plan.bitFlipRate > 1 ||
-        plan.dropRate < 0 || plan.dropRate > 1 ||
-        plan.duplicateRate < 0 || plan.duplicateRate > 1) {
-        ccm_fatal("fault rates must be within [0, 1]");
-    }
+    fatalIfError(plan.validate());
 }
 
 bool

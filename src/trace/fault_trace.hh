@@ -24,6 +24,7 @@
 #include <string>
 
 #include "common/random.hh"
+#include "common/status.hh"
 #include "common/types.hh"
 #include "trace/batch_reader.hh"
 #include "trace/source.hh"
@@ -54,6 +55,9 @@ struct FaultPlan
         return bitFlipRate > 0 || dropRate > 0 || duplicateRate > 0 ||
                truncateAfter > 0;
     }
+
+    /** Bad-config unless every rate is within [0, 1]. */
+    Status validate() const;
 };
 
 /** Counters for the faults actually injected since the last reset. */

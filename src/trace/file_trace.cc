@@ -52,52 +52,36 @@ toString(TraceEncoding e)
     return e == TraceEncoding::Delta ? "delta" : "packed";
 }
 
-TraceFileWriter::TraceFileWriter(const std::string &path,
+TraceFileWriter::TraceFileWriter(std::FILE *file,
+                                 const std::string &path,
                                  TraceEncoding encoding)
-    : path_(path), encoding_(encoding)
-{
-    fatalIfError(openFile());
-}
-
-TraceFileWriter::TraceFileWriter(Unchecked, const std::string &path,
-                                 TraceEncoding encoding)
-    : path_(path), encoding_(encoding)
+    : fp(file), path_(path), encoding_(encoding)
 {
 }
 
 Expected<std::unique_ptr<TraceFileWriter>>
 TraceFileWriter::create(const std::string &path, TraceEncoding encoding)
 {
-    std::unique_ptr<TraceFileWriter> w(
-        new TraceFileWriter(Unchecked{}, path, encoding));
-    Status s = w->openFile();
-    if (!s.isOk())
-        return s;
-    return w;
-}
-
-Status
-TraceFileWriter::openFile()
-{
-    fp = std::fopen(path_.c_str(), "wb");
-    if (!fp) {
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    if (!file) {
         return Status::ioError(
-            "cannot open trace file for writing: ", path_,
+            "cannot open trace file for writing: ", path,
             errnoSuffix());
     }
-    std::fwrite(encoding_ == TraceEncoding::Delta ? delta::magic
-                                                  : magic,
-                1, 8, fp);
-    std::uint8_t verbuf[8] = {}; // version LE, then 4 reserved bytes
-    wire::storeLe32(traceVersion, verbuf);
-    if (std::fwrite(verbuf, 1, 8, fp) != 8) {
+    // Magic, then the version LE, then 4 reserved bytes.
+    std::uint8_t header[headerBytes] = {};
+    std::memcpy(header,
+                encoding == TraceEncoding::Delta ? delta::magic : magic,
+                8);
+    wire::storeLe32(traceVersion, header + 8);
+    if (std::fwrite(header, 1, headerBytes, file) != headerBytes) {
         Status s = Status::ioError(
-            "short write of trace header to ", path_, errnoSuffix());
-        std::fclose(fp);
-        fp = nullptr;
+            "short write of trace header to ", path, errnoSuffix());
+        std::fclose(file);
         return s;
     }
-    return Status::ok();
+    return std::unique_ptr<TraceFileWriter>(
+        new TraceFileWriter(file, path, encoding));
 }
 
 TraceFileWriter::~TraceFileWriter()
@@ -105,14 +89,6 @@ TraceFileWriter::~TraceFileWriter()
     Status s = close();
     if (!s.isOk())
         ccm_warn(s.message());
-}
-
-void
-TraceFileWriter::write(const MemRecord &r)
-{
-    if (!fp)
-        ccm_panic("write to closed trace file ", path_);
-    fatalIfError(writeChecked(r));
 }
 
 Status

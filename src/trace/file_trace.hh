@@ -60,10 +60,6 @@ const char *toString(TraceEncoding e);
 class TraceFileWriter
 {
   public:
-    /** Open @p path for writing; fatal on failure. */
-    explicit TraceFileWriter(const std::string &path,
-                             TraceEncoding encoding =
-                                 TraceEncoding::Packed);
     ~TraceFileWriter();
 
     TraceFileWriter(const TraceFileWriter &) = delete;
@@ -73,9 +69,6 @@ class TraceFileWriter
     static Expected<std::unique_ptr<TraceFileWriter>>
     create(const std::string &path,
            TraceEncoding encoding = TraceEncoding::Packed);
-
-    /** Append one record; fatal on a short write. */
-    void write(const MemRecord &r);
 
     /** Append one record; error status on a short write. */
     Status writeChecked(const MemRecord &r);
@@ -93,16 +86,9 @@ class TraceFileWriter
      */
     Status close();
 
-    TraceEncoding encoding() const { return encoding_; }
-
   private:
-    struct Unchecked
-    {
-    };
-    TraceFileWriter(Unchecked, const std::string &path,
+    TraceFileWriter(std::FILE *file, const std::string &path,
                     TraceEncoding encoding);
-
-    Status openFile();
 
     std::FILE *fp = nullptr;
     std::string path_;

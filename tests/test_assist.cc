@@ -193,6 +193,8 @@ TEST(AssistBuffer, LruRespectsHitRecency)
 
 TEST(AssistBufferDeath, ZeroEntriesRejected)
 {
+    EXPECT_EQ(AssistBuffer::validate(0).code(), ErrorCode::BadConfig);
+    EXPECT_TRUE(AssistBuffer::validate(1).isOk());
     EXPECT_DEATH(AssistBuffer{0}, "at least one");
 }
 

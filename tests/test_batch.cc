@@ -245,8 +245,10 @@ TEST_F(BatchFileTest, CleanFile)
     auto wl = makeWorkload("mgrid", 2000, 11);
     VectorTrace t = VectorTrace::capture(*wl);
     {
-        TraceFileWriter w(path);
-        w.writeAll(t);
+        auto w = TraceFileWriter::create(path);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
+        ASSERT_TRUE(w.value()->writeAll(t).ok());
+        ASSERT_TRUE(w.value()->close().isOk());
     }
     auto rd = TraceFileReader::open(path);
     ASSERT_TRUE(rd.ok()) << rd.status().toString();

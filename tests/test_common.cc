@@ -397,13 +397,13 @@ TEST(SyncLockRank, InversionIsCaughtDeterministically)
     Mutex low(LockRank::ServeDaemon, "rank-test-low");
     Mutex high(LockRank::ServeQueue, "rank-test-high");
 
-    ScopedFatalThrow guard;
     MutexLock a(high);
     // The deliberate inversion: acquiring rank 10 while holding rank
     // 50 must die on the spot — no deadlock, no second thread needed.
-    EXPECT_THROW(MutexLock b(low), FatalError);
+    EXPECT_DEATH(MutexLock b(low),
+                 "lock-rank inversion: acquiring 'rank-test-low'");
 
-    // The checker fired *before* touching the lock, so the held-rank
+    // The checker fires before touching the lock, so the held-rank
     // state is intact and a legal follow-up still works.
     Mutex higher(LockRank::ThreadPool, "rank-test-higher");
     MutexLock c(higher);
@@ -419,9 +419,9 @@ TEST(SyncLockRank, SameRankReacquisitionIsAnInversion)
     // inverted, which also catches same-mutex self-deadlock.
     Mutex a(LockRank::ServeStream, "rank-test-a");
     Mutex b(LockRank::ServeStream, "rank-test-b");
-    ScopedFatalThrow guard;
     MutexLock la(a);
-    EXPECT_THROW(MutexLock lb(b), FatalError);
+    EXPECT_DEATH(MutexLock lb(b),
+                 "lock-rank inversion: acquiring 'rank-test-b'");
 }
 
 TEST(SyncLockRank, UnrankedMutexesAreExempt)

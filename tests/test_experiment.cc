@@ -158,6 +158,21 @@ TEST(Experiment, TryRunTimingReportsBadConfigInsteadOfDying)
               std::string::npos);
 }
 
+TEST(Experiment, ArchTableNamesEveryValidConfig)
+{
+    for (const char *arch : {"baseline", "victim", "prefetch", "exclude",
+                             "pseudo", "pseudo-lru", "twoway", "amb"}) {
+        auto cfg = buildArchConfig(arch);
+        ASSERT_TRUE(cfg.ok()) << arch;
+        EXPECT_TRUE(validate(cfg.value().mem).isOk()) << arch;
+    }
+    EXPECT_EQ(buildArchConfig("twoway").value().mem.l1Assoc, 2u);
+    EXPECT_EQ(buildArchConfig("exclude").value().mem.bufEntries, 16u);
+    EXPECT_FALSE(buildArchConfig("pseudo-lru").value().mem.pseudoUseMct);
+    EXPECT_EQ(buildArchConfig("ternary").status().code(),
+              ErrorCode::BadConfig);
+}
+
 TEST(Suite, CompletesDespiteOneFailingWorkload)
 {
     std::vector<std::string> names = {"go", "gcc", "perl"};

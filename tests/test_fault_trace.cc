@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -442,8 +443,10 @@ TEST_F(CorruptTraceTest, TolerantDeltaReadStopsAtLastWholeRecord)
     for (const MemRecord &r : recs)
         src.push(r);
     {
-        TraceFileWriter w(path, TraceEncoding::Delta);
-        ASSERT_TRUE(w.writeAll(src).ok());
+        auto w = TraceFileWriter::create(path, TraceEncoding::Delta);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
+        ASSERT_TRUE(w.value()->writeAll(src).ok());
+        ASSERT_TRUE(w.value()->close().isOk());
     }
     // The encoded size of the last record, to cut it one byte short.
     delta::Codec codec;
@@ -706,6 +709,22 @@ TEST(FaultInjectingSource, InvalidRatesAreFatal)
     EXPECT_DEATH(FaultInjectingSource(t, plan), "within");
 }
 
+TEST(FaultInjectingSource, PlanValidateChecksEveryRate)
+{
+    FaultPlan plan;
+    plan.bitFlipRate = 1.0;
+    plan.dropRate = 0.0;
+    EXPECT_TRUE(plan.validate().isOk());
+    for (double bad : {2.0, -0.1, std::nan("")}) {
+        FaultPlan p;
+        p.duplicateRate = bad;
+        EXPECT_EQ(p.validate().code(), ErrorCode::BadConfig) << bad;
+        p.duplicateRate = 0.0;
+        p.bitFlipRate = bad;
+        EXPECT_EQ(p.validate().code(), ErrorCode::BadConfig) << bad;
+    }
+}
+
 TEST(FaultInjectingSource, DirtyTraceStillSimulatesRoundTrip)
 {
     // A dirty trace written to disk and read back strictly is still a
@@ -721,8 +740,10 @@ TEST(FaultInjectingSource, DirtyTraceStillSimulatesRoundTrip)
     std::string path = ::testing::TempDir() + "ccm_dirty_rt.bin";
     std::size_t n;
     {
-        TraceFileWriter w(path);
-        n = w.writeAll(f).value();
+        auto w = TraceFileWriter::create(path);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
+        n = w.value()->writeAll(f).value();
+        ASSERT_TRUE(w.value()->close().isOk());
     }
     auto rd = TraceFileReader::open(path);
     ASSERT_TRUE(rd.ok()) << rd.status().toString();

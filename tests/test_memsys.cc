@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <string>
+#include <utility>
+
 #include "hierarchy/memsys.hh"
 
 namespace ccm
@@ -532,6 +537,87 @@ TEST(MemSys, AccessCountsAreConsistent)
     EXPECT_NEAR(st.l1HitRatePct() + st.bufHitRatePct() +
                     st.missRatePct(),
                 100.0, 1e-9);
+}
+
+// ---- validate(MemSysConfig) against the constructor ----------------
+
+/** @p text as a POSIX regex that matches it literally. */
+std::string
+literalRegex(const std::string &text)
+{
+    std::string re;
+    for (char c : text) {
+        if (std::string("\\^$.|?*+()[]{}").find(c) != std::string::npos)
+            re.push_back('\\');
+        re.push_back(c);
+    }
+    return re;
+}
+
+TEST(MemSysValidate, AgreesWithTheConstructorOverAGrid)
+{
+    // Every assist mode (the prefetch buffer once per engine) over
+    // good and bad values of each knob validate() checks.  A config
+    // validate() accepts must construct; one it rejects must die in
+    // the constructor with validate()'s message.  Each death test
+    // forks, so only the first config per (mode, message) is forked:
+    // the axes list their bad values first, so that one also has the
+    // most other knobs bad and pins the order of the checks.
+    struct Mode
+    {
+        AssistMode mode;
+        PrefetchKind kind;
+    };
+    const Mode modes[] = {
+        {AssistMode::None, PrefetchKind::NextLine},
+        {AssistMode::VictimCache, PrefetchKind::NextLine},
+        {AssistMode::PrefetchBuffer, PrefetchKind::NextLine},
+        {AssistMode::PrefetchBuffer, PrefetchKind::Rpt},
+        {AssistMode::BypassBuffer, PrefetchKind::NextLine},
+        {AssistMode::Amb, PrefetchKind::NextLine},
+        {AssistMode::PseudoAssoc, PrefetchKind::NextLine},
+    };
+    std::set<std::pair<std::size_t, std::string>> forked;
+    std::size_t valid = 0;
+    for (std::size_t m = 0; m < std::size(modes); ++m)
+    for (std::size_t l1 : {3 * 1024, 16 * 1024})
+    for (unsigned assoc : {0u, 2u, 1u})
+    for (unsigned line : {60u, 64u})
+    for (std::size_t l2 : {7 * 1024, 1024 * 1024})
+    for (unsigned bits : {65u, 0u})
+    for (unsigned buf : {0u, 8u})
+    for (std::size_t rpt : {100, 256}) {
+        MemSysConfig cfg;
+        cfg.mode = modes[m].mode;
+        cfg.prefetch.kind = modes[m].kind;
+        cfg.l1Bytes = l1;
+        cfg.l1Assoc = assoc;
+        cfg.lineBytes = line;
+        cfg.l2Bytes = l2;
+        cfg.mctTagBits = bits;
+        cfg.bufEntries = buf;
+        cfg.prefetch.rptEntries = rpt;
+        const Status s = validate(cfg);
+        if (s.isOk()) {
+            MemorySystem built(cfg);
+            EXPECT_EQ(built.mct().numSets(), l1 / line / assoc);
+            ++valid;
+            continue;
+        }
+        EXPECT_EQ(s.code(), ErrorCode::BadConfig);
+        if (forked.emplace(m, s.message()).second) {
+            EXPECT_DEATH(MemorySystem{cfg}, literalRegex(s.message()))
+                << "mode " << m << ": " << s.message();
+        }
+    }
+    // Valid: L1 16 KB, 64 B lines, L2 1 MB, full MCT tags, assoc 1
+    // or 2 (pseudo: 1), buffer and RPT sizes free where the mode has
+    // no such structure: 8 + 4 + 4 + 2 + 4 + 4 + 4.
+    EXPECT_EQ(valid, 30u);
+    // Five messages every mode can hit (L1 size, line size, assoc,
+    // L2 size, MCT bits), plus the pseudo geometry, the buffer size
+    // and the RPT size where they apply: 5 + 6 * 5 + 7.
+    EXPECT_EQ(forked.size(), 42u);
 }
 
 } // namespace

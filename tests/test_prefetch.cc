@@ -174,6 +174,9 @@ TEST(Rpt, ClearForgets)
 
 TEST(RptDeath, NonPowerOfTwoEntries)
 {
+    EXPECT_EQ(RptPrefetcher::validate(100).code(), ErrorCode::BadConfig);
+    EXPECT_EQ(RptPrefetcher::validate(0).code(), ErrorCode::BadConfig);
+    EXPECT_TRUE(RptPrefetcher::validate(256).isOk());
     EXPECT_DEATH(RptPrefetcher{100}, "power of two");
 }
 

@@ -188,7 +188,18 @@ TEST(Pseudo, DirtyBitTravelsThroughSwap)
 TEST(PseudoDeath, RequiresDirectMappedGeometry)
 {
     CacheGeometry g2(1024, 2, 64);
+    EXPECT_EQ(PseudoAssocCache::validate(g2).code(),
+              ErrorCode::BadConfig);
     EXPECT_DEATH(PseudoAssocCache(g2, true), "direct-mapped");
+}
+
+TEST(PseudoDeath, RequiresTwoSets)
+{
+    CacheGeometry one_set(64, 1, 64);
+    EXPECT_TRUE(PseudoAssocCache::validate(geom()).isOk());
+    EXPECT_EQ(PseudoAssocCache::validate(one_set).code(),
+              ErrorCode::BadConfig);
+    EXPECT_DEATH(PseudoAssocCache(one_set, true), ">= 2 sets");
 }
 
 } // namespace

@@ -300,8 +300,10 @@ class MappedTraceTest : public ::testing::Test
         ASSERT_NE(wl, nullptr) << name;
         VectorTrace captured = VectorTrace::capture(*wl);
         written = captured.records();
-        TraceFileWriter writer(path, enc);
-        ASSERT_TRUE(writer.writeAll(captured).ok());
+        auto writer = TraceFileWriter::create(path, enc);
+        ASSERT_TRUE(writer.ok()) << writer.status().toString();
+        ASSERT_TRUE(writer.value()->writeAll(captured).ok());
+        ASSERT_TRUE(writer.value()->close().isOk());
     }
 
     void
@@ -594,8 +596,10 @@ TEST(DeltaCodec, FileReaderFlagsDeltaDefects)
                              "ccm_delta_defect.bin";
     auto wl = makeWorkload("compress", 500, 42);
     {
-        TraceFileWriter writer(path, TraceEncoding::Delta);
-        writer.writeAll(*wl);
+        auto writer = TraceFileWriter::create(path, TraceEncoding::Delta);
+        ASSERT_TRUE(writer.ok()) << writer.status().toString();
+        ASSERT_TRUE(writer.value()->writeAll(*wl).ok());
+        ASSERT_TRUE(writer.value()->close().isOk());
     }
     // Reserved bits in the very first control byte.
     std::FILE *f = std::fopen(path.c_str(), "rb+");

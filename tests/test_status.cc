@@ -123,36 +123,5 @@ TEST(FatalIfError, DiesWithMessage)
     fatalIfError(Status::ok()); // no-op
 }
 
-TEST(ScopedFatalThrow, ConvertsFatalToException)
-{
-    bool caught = false;
-    try {
-        ScopedFatalThrow guard;
-        ccm_fatal("recoverable ", 123);
-    } catch (const FatalError &e) {
-        caught = true;
-        EXPECT_STREQ(e.what(), "recoverable 123");
-    }
-    EXPECT_TRUE(caught);
-}
-
-TEST(ScopedFatalThrow, RestoresExitBehaviourAfterScope)
-{
-    {
-        ScopedFatalThrow guard;
-    }
-    EXPECT_DEATH(ccm_fatal("really dies"), "really dies");
-}
-
-TEST(ScopedFatalThrow, Nests)
-{
-    ScopedFatalThrow outer;
-    {
-        ScopedFatalThrow inner;
-    }
-    // The outer guard must still be active.
-    EXPECT_THROW(ccm_fatal("still recoverable"), FatalError);
-}
-
 } // namespace
 } // namespace ccm

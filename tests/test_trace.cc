@@ -157,18 +157,19 @@ class TraceFileTest : public ::testing::Test
 TEST_F(TraceFileTest, RoundTripPreservesRecords)
 {
     {
-        TraceFileWriter w(path);
+        auto w = TraceFileWriter::create(path);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
         MemRecord r;
         r.pc = 0x1000;
         r.addr = 0xdeadbeef;
         r.type = RecordType::Load;
         r.dependsOnPrevLoad = true;
-        w.write(r);
+        ASSERT_TRUE(w.value()->writeChecked(r).isOk());
         r.pc = 0x1004;
         r.addr = 0x12345678;
         r.type = RecordType::Store;
         r.dependsOnPrevLoad = false;
-        w.write(r);
+        ASSERT_TRUE(w.value()->writeChecked(r).isOk());
     }
     auto opened = TraceFileReader::open(path);
     ASSERT_TRUE(opened.ok()) << opened.status().toString();
@@ -193,8 +194,9 @@ TEST_F(TraceFileTest, WriteAllDrainsASource)
     for (int i = 0; i < 100; ++i)
         src.pushLoad(0x1000 + i * 64);
     {
-        TraceFileWriter w(path);
-        auto n = w.writeAll(src);
+        auto w = TraceFileWriter::create(path);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
+        auto n = w.value()->writeAll(src);
         ASSERT_TRUE(n.ok()) << n.status().toString();
         EXPECT_EQ(n.value(), 100u);
     }
@@ -212,11 +214,12 @@ TEST_F(TraceFileTest, WriteAllDrainsASource)
 TEST_F(TraceFileTest, ReaderResets)
 {
     {
-        TraceFileWriter w(path);
+        auto w = TraceFileWriter::create(path);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
         MemRecord r;
         r.type = RecordType::Load;
         r.addr = 0x40;
-        w.write(r);
+        ASSERT_TRUE(w.value()->writeChecked(r).isOk());
     }
     auto opened = TraceFileReader::open(path);
     ASSERT_TRUE(opened.ok()) << opened.status().toString();
@@ -258,11 +261,12 @@ TEST_F(TraceFileTest, WriterCloseReportsStatusAndIsIdempotent)
 TEST_F(TraceFileTest, OpenReturnsReaderWithCleanStats)
 {
     {
-        TraceFileWriter w(path);
+        auto w = TraceFileWriter::create(path);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
         MemRecord r;
         r.type = RecordType::Store;
         r.addr = 0x80;
-        w.write(r);
+        ASSERT_TRUE(w.value()->writeChecked(r).isOk());
     }
     auto rd = TraceFileReader::open(path);
     ASSERT_TRUE(rd.ok()) << rd.status().toString();
@@ -274,10 +278,11 @@ TEST_F(TraceFileTest, OpenReturnsReaderWithCleanStats)
 TEST_F(TraceFileTest, ReadStatsDumpFormat)
 {
     {
-        TraceFileWriter w(path);
+        auto w = TraceFileWriter::create(path);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
         MemRecord r;
         r.type = RecordType::Load;
-        w.write(r);
+        ASSERT_TRUE(w.value()->writeChecked(r).isOk());
     }
     auto rd = TraceFileReader::open(path);
     ASSERT_TRUE(rd.ok()) << rd.status().toString();
@@ -320,10 +325,11 @@ TEST_F(TraceFileTest, BadMagicIsFatal)
 TEST_F(TraceFileTest, TruncatedRecordIsFatal)
 {
     {
-        TraceFileWriter w(path);
+        auto w = TraceFileWriter::create(path);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
         MemRecord r;
         r.type = RecordType::Load;
-        w.write(r);
+        ASSERT_TRUE(w.value()->writeChecked(r).isOk());
     }
     // Chop off the last byte.
     std::FILE *f = std::fopen(path.c_str(), "rb");

@@ -183,7 +183,7 @@ main(int argc, char **argv)
         opts.runtime = cfg.take();
     }
     if (!archOverride.empty()) {
-        auto sys = serve::buildArchConfig(archOverride);
+        auto sys = buildArchConfig(archOverride);
         if (!sys.ok()) {
             CCM_LOG_ERROR(sys.status().toString());
             return 1;

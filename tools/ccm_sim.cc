@@ -16,7 +16,9 @@
  * the remaining runs still complete.
  *
  * Exit status 0 on success, 1 on usage errors, 2 when a suite sweep
- * finished with one or more errored rows.
+ * finished with one or more errored rows.  A configuration validate()
+ * rejects (a bad geometry or policy name) is a usage error in every
+ * mode: one bad-config line and exit 1, before any suite row runs.
  */
 
 #include <chrono>
@@ -265,7 +267,7 @@ usage()
         "info)\n";
 }
 
-ConflictFilter
+Expected<ConflictFilter>
 parseFilter(const std::string &f)
 {
     if (f == "in")
@@ -276,11 +278,20 @@ parseFilter(const std::string &f)
         return ConflictFilter::And;
     if (f == "or")
         return ConflictFilter::Or;
-    CCM_LOG_ERROR("unknown filter '", f, "'");
-    std::exit(1);
+    return Status::badConfig("unknown filter '", f, "'");
 }
 
-ExcludeAlgo
+Expected<PrefetchKind>
+parsePrefetchKind(const std::string &k)
+{
+    if (k == "nextline")
+        return PrefetchKind::NextLine;
+    if (k == "rpt")
+        return PrefetchKind::Rpt;
+    return Status::badConfig("unknown prefetch kind '", k, "'");
+}
+
+Expected<ExcludeAlgo>
 parseExcludeAlgo(const std::string &a)
 {
     if (a == "mat")
@@ -295,47 +306,52 @@ parseExcludeAlgo(const std::string &a)
         return ExcludeAlgo::CapacityHistory;
     if (a == "conf-hist")
         return ExcludeAlgo::ConflictHistory;
-    CCM_LOG_ERROR("unknown exclusion algorithm '", a, "'");
-    std::exit(1);
+    return Status::badConfig("unknown exclusion algorithm '", a, "'");
 }
 
-SystemConfig
+/** The validated timing machine: arch, then its policy and geometry flags. */
+Expected<SystemConfig>
 buildConfig(const Options &o)
 {
-    SystemConfig cfg;
-    if (o.arch == "baseline") {
-        cfg = baselineConfig();
-    } else if (o.arch == "victim") {
-        cfg = victimConfig(o.filterSwaps, o.filterFills,
-                           parseFilter(o.filter));
+    auto named = buildArchConfig(o.arch);
+    if (!named.ok())
+        return named.status();
+    SystemConfig cfg = named.take();
+    MemSysConfig &m = cfg.mem;
+    if (o.arch == "victim") {
+        auto filter = parseFilter(o.filter);
+        if (!filter.ok())
+            return filter.status();
+        m.victim = {o.filterSwaps, o.filterFills, filter.value()};
     } else if (o.arch == "prefetch") {
-        cfg = prefetchConfig(o.prefFiltered, parseFilter(o.filter));
-        cfg.mem.prefetch.kind = o.prefKind == "rpt"
-                                    ? PrefetchKind::Rpt
-                                    : PrefetchKind::NextLine;
+        auto filter = parseFilter(o.filter);
+        if (!filter.ok())
+            return filter.status();
+        auto kind = parsePrefetchKind(o.prefKind);
+        if (!kind.ok())
+            return kind.status();
+        m.prefetch.kind = kind.value();
+        m.prefetch.filtered = o.prefFiltered;
+        m.prefetch.filter = filter.value();
     } else if (o.arch == "exclude") {
-        cfg = excludeConfig(parseExcludeAlgo(o.excludeAlgo));
-    } else if (o.arch == "pseudo") {
-        cfg = pseudoConfig(true);
-    } else if (o.arch == "pseudo-lru") {
-        cfg = pseudoConfig(false);
-    } else if (o.arch == "twoway") {
-        cfg = twoWayConfig();
+        auto algo = parseExcludeAlgo(o.excludeAlgo);
+        if (!algo.ok())
+            return algo.status();
+        m.exclude.algo = algo.value();
     } else if (o.arch == "amb") {
-        cfg = ambConfig(o.ambVictim, o.ambPrefetch, o.ambExclude);
-    } else {
-        CCM_LOG_ERROR("unknown arch '", o.arch, "'");
-        std::exit(1);
+        m.amb = {o.ambVictim, o.ambPrefetch, o.ambExclude};
     }
 
-    cfg.mem.l1Bytes = o.l1Kb * 1024;
-    if (o.arch == "twoway")
-        cfg.mem.l1Assoc = 2;
-    else if (o.arch != "pseudo" && o.arch != "pseudo-lru")
-        cfg.mem.l1Assoc = o.l1Assoc;
-    cfg.mem.l2Bytes = o.l2Kb * 1024;
-    cfg.mem.bufEntries = o.bufEntries;
-    cfg.mem.mctTagBits = o.mctTagBits;
+    m.l1Bytes = o.l1Kb * 1024;
+    if (o.arch != "twoway" && o.arch != "pseudo" &&
+        o.arch != "pseudo-lru")
+        m.l1Assoc = o.l1Assoc;
+    m.l2Bytes = o.l2Kb * 1024;
+    m.bufEntries = o.bufEntries;
+    m.mctTagBits = o.mctTagBits;
+    Status s = validate(m);
+    if (!s.isOk())
+        return s;
     return cfg;
 }
 
@@ -350,10 +366,9 @@ openTraceFile(const Options &o, const std::string &path)
 }
 
 int
-runSuiteMode(const Options &o)
+runSuiteMode(const Options &o, const SystemConfig &cfg)
 {
     obs::ScopedSpan span("suite:" + o.arch, "sim");
-    SystemConfig cfg = buildConfig(o);
 
     auto factory = [&](const std::string &name)
         -> Expected<std::unique_ptr<TraceSource>> {
@@ -644,12 +659,6 @@ runSampleMode(const Options &o, const ShardedClassifyConfig &ccfg)
 int
 runClassifyMode(const Options &o)
 {
-    if (!o.suite && o.traceDir.empty() && o.tracePath.empty() &&
-        !makeWorkload(o.workload, 1, o.seed)) {
-        CCM_LOG_ERROR("unknown workload '", o.workload,
-                      "' (try --list)");
-        return 1;
-    }
     auto ccfg = buildClassifyConfig(o);
     if (!ccfg.ok()) {
         CCM_LOG_ERROR(ccfg.status().toString());
@@ -895,32 +904,30 @@ main(int argc, char **argv)
         return rc;
     }
 
+    // One validation for the whole timing run: a bad config is one
+    // bad-config line before any suite row runs.
+    auto built = buildConfig(o);
+    if (!built.ok()) {
+        CCM_LOG_ERROR(built.status().toString());
+        return 1;
+    }
+    const SystemConfig cfg = built.take();
     if (o.suite) {
-        const int rc = runSuiteMode(o);
+        const int rc = runSuiteMode(o, cfg);
         Status fs = obs::SpanTracer::global().flush();
         if (!fs.isOk())
             CCM_LOG_ERROR(fs.toString());
         return rc;
     }
 
-    std::unique_ptr<TraceSource> src;
-    if (!o.tracePath.empty()) {
-        auto rd = openTraceFile(o, o.tracePath);
-        if (!rd.ok()) {
-            CCM_LOG_ERROR(rd.status().toString());
-            return 1;
-        }
-        src = rd.take();
-    } else {
-        src = makeWorkload(o.workload, o.refs, o.seed);
-        if (!src) {
-            CCM_LOG_ERROR("unknown workload '", o.workload,
-                          "' (try --list)");
-            return 1;
-        }
+    auto opened = o.tracePath.empty()
+                      ? makeWorkloadChecked(o.workload, o.refs, o.seed)
+                      : openTraceFile(o, o.tracePath);
+    if (!opened.ok()) {
+        CCM_LOG_ERROR(opened.status().toString());
+        return 1;
     }
-
-    SystemConfig cfg = buildConfig(o);
+    const std::unique_ptr<TraceSource> src = opened.take();
     RunObservers obsv = makeObservers(o);
     RunOutput r = [&] {
         obs::ScopedSpan span("run:" + src->name(), "sim");

@@ -89,12 +89,11 @@ parseRate(const char *flag, const char *text)
 {
     char *end = nullptr;
     const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || v < 0.0 || v > 1.0) {
-        CCM_LOG_ERROR(flag, " needs a rate in [0,1], got '", text,
-                      "'");
+    if (end == text || *end != '\0') {
+        CCM_LOG_ERROR(flag, " needs a number, got '", text, "'");
         std::exit(1);
     }
-    return v;
+    return v; // the [0, 1] range is FaultPlan::validate()'s check
 }
 
 struct Options
@@ -134,6 +133,11 @@ runControl(const Options &o)
 int
 runProducer(const Options &o)
 {
+    Status plan = o.faults.validate();
+    if (!plan.isOk()) {
+        CCM_LOG_ERROR(plan.toString());
+        return 1;
+    }
     std::unique_ptr<TraceSource> base;
     if (!o.tracePath.empty()) {
         auto rd = TraceFileReader::open(o.tracePath);
@@ -143,11 +147,12 @@ runProducer(const Options &o)
         }
         base = std::unique_ptr<TraceSource>(rd.take().release());
     } else {
-        base = makeWorkload(o.workload, o.refs, o.seed);
-        if (!base) {
-            CCM_LOG_ERROR("unknown workload '", o.workload, "'");
+        auto wl = makeWorkloadChecked(o.workload, o.refs, o.seed);
+        if (!wl.ok()) {
+            CCM_LOG_ERROR(wl.status().toString());
             return 1;
         }
+        base = wl.take();
     }
 
     TraceSource *src = base.get();

@@ -22,6 +22,21 @@
 namespace
 {
 
+/** Write @p src to a new trace file; the count, or the first error. */
+ccm::Expected<std::size_t>
+writeTrace(ccm::TraceSource &src, const std::string &path,
+           ccm::TraceEncoding enc)
+{
+    auto wr = ccm::TraceFileWriter::create(path, enc);
+    if (!wr.ok())
+        return wr.status();
+    auto n = wr.value()->writeAll(src);
+    ccm::Status s = n.ok() ? wr.value()->close() : n.status();
+    if (!s.isOk())
+        return s;
+    return n;
+}
+
 int
 cmdGen(int argc, char **argv)
 {
@@ -50,13 +65,12 @@ cmdGen(int argc, char **argv)
         }
     }
 
-    auto wl = makeWorkload(name, refs, seed);
-    if (!wl) {
-        CCM_LOG_ERROR("unknown workload '", name, "'");
+    auto wl = makeWorkloadChecked(name, refs, seed);
+    if (!wl.ok()) {
+        CCM_LOG_ERROR(wl.status().toString());
         return 1;
     }
-    TraceFileWriter writer(path, enc);
-    auto n = writer.writeAll(*wl);
+    auto n = writeTrace(*wl.value(), path, enc);
     if (!n.ok()) {
         CCM_LOG_ERROR(n.status().toString());
         return 1;
@@ -83,15 +97,9 @@ cmdConvert(int argc, char **argv, ccm::TraceEncoding enc)
         CCM_LOG_ERROR(rd.status().toString());
         return 1;
     }
-    auto wr = TraceFileWriter::create(argv[3], enc);
-    if (!wr.ok()) {
-        CCM_LOG_ERROR(wr.status().toString());
-        return 1;
-    }
-    auto n = wr.value()->writeAll(*rd.value());
-    Status s = n.ok() ? wr.value()->close() : n.status();
-    if (!s.isOk()) {
-        CCM_LOG_ERROR(s.toString());
+    auto n = writeTrace(*rd.value(), argv[3], enc);
+    if (!n.ok()) {
+        CCM_LOG_ERROR(n.status().toString());
         return 1;
     }
     std::cout << "wrote " << n.value() << " records ("

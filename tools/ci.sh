@@ -21,9 +21,11 @@
 #      must produce a stats document byte-identical to --shards 1,
 #      and so must a gcc trace file, packed and delta-encoded, read
 #      through the mapped reader at --shards 1 and 4;
-#      an invalid classify geometry or MCT shape must come back from
-#      ccm-sim (any --shards) and ccm-sample as exactly one bad-config
-#      line and exit 1, never as a fatal: exit;
+#      a bad geometry, MCT shape, --pref-kind or --refs 0 (ccm-sim
+#      single, --suite, --classify; ccm-sample; ccm-trace gen; a
+#      ccm-serve --config file) must give one bad-config line and exit
+#      1, never a fatal: exit, and ccm-trace gen to /dev/full one
+#      io-error line and exit 1;
 #      a damaged gcc trace (one garbage run, a 7-byte partial tail)
 #      must run under --budget 2 --tolerate-truncation in the single,
 #      --classify and --suite --trace-dir modes, classify exactly like
@@ -186,21 +188,35 @@ for enc in bin d.bin; do
     done
 done
 
-step "invalid classify config (one bad-config line, exit 1)"
-expect_bad_config() {
+step "invalid config (one bad-config line, exit 1)"
+# expect_code CODE CMD...: exit 1, one CODE line, no fatal: exit.
+expect_code() {
+    local code=$1
+    shift
     local rc=0
     "$@" > "$obs_tmp/bad.out" 2>&1 || rc=$?
     if [ "$rc" -ne 1 ] ||
-       [ "$(grep -c 'bad-config' "$obs_tmp/bad.out")" -ne 1 ] ||
+       [ "$(grep -c "$code" "$obs_tmp/bad.out")" -ne 1 ] ||
        grep -q 'fatal:' "$obs_tmp/bad.out"; then
-        echo "FAIL: $* (exit $rc):" >&2
+        echo "FAIL: $* (exit $rc, want one $code line):" >&2
         cat "$obs_tmp/bad.out" >&2
         exit 1
     fi
 }
-expect_bad_config build/tools/ccm-sim --classify --suite --shards 4 \
+expect_code bad-config build/tools/ccm-sim --classify --suite --shards 4 \
     --l1-kb 3
-expect_bad_config build/tools/ccm-sample --exact --mct-depth 0
+expect_code bad-config build/tools/ccm-sample --exact --mct-depth 0
+expect_code bad-config build/tools/ccm-sim --workload gcc --l1-kb 3
+expect_code bad-config build/tools/ccm-sim --suite --l1-kb 3
+expect_code bad-config build/tools/ccm-sim --arch victim --buf-entries 0
+expect_code bad-config build/tools/ccm-sim --arch prefetch --pref-kind bogus
+expect_code bad-config build/tools/ccm-sim --refs 0
+expect_code bad-config build/tools/ccm-trace gen gcc "$obs_tmp/x.bin" --refs 0
+echo "l1-kb 3" > "$obs_tmp/bad.conf"
+# The timeout only matters if the daemon wrongly accepts the file.
+expect_code bad-config timeout 20 build/tools/ccm-serve \
+    --socket "$obs_tmp/bad.sock" --config "$obs_tmp/bad.conf"
+expect_code io-error build/tools/ccm-trace gen gcc /dev/full --refs 10
 
 step "damaged traces (tolerant read, one error line, tracecheck codes)"
 # One garbage run stamped at record 1000 and a 7-byte partial tail.
