@@ -23,8 +23,7 @@ classifyRun(TraceSource &trace, const ClassifyConfig &cfg)
     // Loop-driven pipeline: pull fixed-size batches and walk them in
     // place (no per-record copy-out), the hot-path delivery shape.
     std::array<MemRecord, maxTraceBatch> buf;
-    const std::size_t batch = traceBatchSize();
-    for (std::size_t n; (n = trace.nextBatch(buf.data(), batch)) > 0;) {
+    for (std::size_t n; (n = trace.nextBatch(buf.data(), buf.size())) > 0;) {
         for (std::size_t i = 0; i < n; ++i) {
             const MemRecord &r = buf[i];
             if (!r.isMem())

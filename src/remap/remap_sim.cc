@@ -102,9 +102,8 @@ PageRemapSim::run(TraceSource &trace)
     // Loop-driven pipeline: batches are walked in place, same shape
     // as classifyRun.
     std::array<MemRecord, maxTraceBatch> buf;
-    const std::size_t batch = traceBatchSize();
     Count since_epoch = 0;
-    for (std::size_t n; (n = trace.nextBatch(buf.data(), batch)) > 0;) {
+    for (std::size_t n; (n = trace.nextBatch(buf.data(), buf.size())) > 0;) {
         for (std::size_t i = 0; i < n; ++i) {
             const MemRecord &r = buf[i];
             if (!r.isMem())

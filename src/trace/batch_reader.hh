@@ -11,10 +11,10 @@
  * next(), so the virtual dispatch amortizes across ~256 records while
  * the record sequence stays exactly the one next() would produce.
  *
- * The batch size is a process-wide knob (default 256, env override
- * CCM_TRACE_BATCH, setTraceBatchSize() for benches/tests); 1 degrades
- * to the historical record-at-a-time behaviour, which tools/ci.sh
- * uses to prove the batched path is byte-identical.
+ * Batches are maxTraceBatch records.  A source may return fewer per
+ * call; tests/test_batch.cc drives every consumer through a source
+ * that returns one record per batch to prove the results do not
+ * depend on the partitioning.
  */
 
 #ifndef CCM_TRACE_BATCH_READER_HH
@@ -31,27 +31,11 @@ namespace ccm
 /** Hard upper bound on any delivery batch (buffer size). */
 inline constexpr std::size_t maxTraceBatch = 256;
 
-/**
- * Process-wide delivery batch size in [1, maxTraceBatch].  First use
- * reads $CCM_TRACE_BATCH (clamped); 1 disables read-ahead.
- */
-std::size_t traceBatchSize();
-
-/** Override the batch size (clamped to [1, maxTraceBatch]). */
-void setTraceBatchSize(std::size_t n);
-
 /** Batch-buffered reader; does not reset() the source. */
 class BatchReader
 {
   public:
-    explicit BatchReader(TraceSource &src,
-                         std::size_t batch = traceBatchSize())
-        : src_(src),
-          batch_(batch == 0          ? 1
-                 : batch > maxTraceBatch ? maxTraceBatch
-                                         : batch)
-    {
-    }
+    explicit BatchReader(TraceSource &src) : src_(src) {}
 
     /** Same sequence and semantics as TraceSource::next(). */
     bool
@@ -70,13 +54,12 @@ class BatchReader
         // A short batch is not end-of-trace (see the nextBatch
         // contract); only an empty one is, so a short refill simply
         // leads to another refill on a later next().
-        count = src_.nextBatch(buf.data(), batch_);
+        count = src_.nextBatch(buf.data(), buf.size());
         pos = 0;
         return count > 0;
     }
 
     TraceSource &src_;
-    std::size_t batch_;
     std::size_t pos = 0;
     std::size_t count = 0;
     std::array<MemRecord, maxTraceBatch> buf;

@@ -4,19 +4,24 @@
  * implementation, the concatenation of nextBatch() results must
  * equal the next() sequence, for any batch partitioning — including
  * across FileTrace resync points and fault-injection decisions.
- * Also covers the BatchReader adapter and the process-wide batch
- * size knob.
+ * Also covers the BatchReader adapter and the drivers that pull
+ * through it or through nextBatch() directly: their results must not
+ * depend on how the source partitions its batches.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "mct/classify_run.hh"
 #include "mt/interleave.hh"
+#include "remap/remap_sim.hh"
+#include "sim/experiment.hh"
 #include "trace/batch_reader.hh"
 #include "trace/fault_trace.hh"
 #include "trace/file_trace.hh"
@@ -283,39 +288,105 @@ TEST_F(BatchFileTest, CorruptedFileResyncsAcrossBatchBoundaries)
     expectBatchEquivalence(*rd.value());
 }
 
+/**
+ * Passes @p inner through, but returns at most @p cap records from
+ * each nextBatch() call: a legal short batch on every pull, so a
+ * consumer that treats a short batch as the end of the trace (or
+ * skips records past it) diverges from the plain source.
+ */
+class CappedBatchTrace : public TraceSource
+{
+  public:
+    CappedBatchTrace(TraceSource &inner, std::size_t cap)
+        : inner_(inner), cap_(cap)
+    {
+    }
+
+    bool next(MemRecord &out) override { return inner_.next(out); }
+
+    std::size_t
+    nextBatch(MemRecord *out, std::size_t n) override
+    {
+        return inner_.nextBatch(out, std::min(n, cap_));
+    }
+
+    void reset() override { inner_.reset(); }
+    std::string name() const override { return inner_.name(); }
+
+  private:
+    TraceSource &inner_;
+    std::size_t cap_;
+};
+
 TEST(BatchReaderTest, DeliversIdenticalStream)
 {
     auto wl = makeWorkload("swim", 2000, 3);
     VectorTrace t = VectorTrace::capture(*wl);
     const std::vector<MemRecord> ref = drainNext(t);
 
-    for (std::size_t batch : {std::size_t{1}, std::size_t{17},
-                              std::size_t{256}}) {
+    for (std::size_t cap : {std::size_t{1}, std::size_t{17},
+                            maxTraceBatch}) {
         t.reset();
-        BatchReader reader(t, batch);
+        CappedBatchTrace capped(t, cap);
+        BatchReader reader(capped);
         std::vector<MemRecord> got;
         MemRecord r;
         while (reader.next(r))
             got.push_back(r);
-        ASSERT_EQ(got.size(), ref.size()) << "batch " << batch;
+        ASSERT_EQ(got.size(), ref.size()) << "cap " << cap;
         for (std::size_t i = 0; i < ref.size(); ++i)
-            ASSERT_TRUE(sameRecord(got[i], ref[i])) << "batch " << batch;
+            ASSERT_TRUE(sameRecord(got[i], ref[i])) << "cap " << cap;
     }
 }
 
-TEST(BatchReaderTest, BatchSizeKnobClampsAndRoundTrips)
+TEST(BatchReaderTest, DriversAgreeOnSingleRecordBatches)
 {
-    const std::size_t before = traceBatchSize();
+    auto wl = makeWorkload("tomcatv", 20000, 7);
+    VectorTrace plain = VectorTrace::capture(*wl);
+    CappedBatchTrace single(plain, 1);
 
-    setTraceBatchSize(17);
-    EXPECT_EQ(traceBatchSize(), 17u);
-    setTraceBatchSize(0);                // 0 means record-at-a-time
-    EXPECT_EQ(traceBatchSize(), 1u);
-    setTraceBatchSize(100000);           // clamped to the buffer size
-    EXPECT_EQ(traceBatchSize(), maxTraceBatch);
+    // Timing: the victim machine, so Core pulls through BatchReader
+    // and the assist buffer sees every MCT decision.
+    const SystemConfig sys = victimConfig(false, false);
+    const RunOutput a = runTiming(plain, sys);
+    const RunOutput b = runTiming(single, sys);
+    EXPECT_GT(a.mem.l1Misses, 0u);
+    EXPECT_EQ(a.sim.cycles, b.sim.cycles);
+    EXPECT_EQ(a.sim.instructions, b.sim.instructions);
+    EXPECT_EQ(a.sim.memRefs, b.sim.memRefs);
+    MemStats::forEachField([&](const char *name, Count MemStats::*f) {
+        EXPECT_EQ(a.mem.*f, b.mem.*f) << "counter " << name;
+    });
+    EXPECT_EQ(a.heat.l1Misses, b.heat.l1Misses);
+    EXPECT_EQ(a.heat.mctConflicts, b.heat.mctConflicts);
 
-    setTraceBatchSize(before);
-    EXPECT_EQ(traceBatchSize(), before);
+    // Classification: cache + MCT + oracle over nextBatch().
+    const ClassifyConfig ccfg;
+    const ClassifyResult ca = classifyRun(plain, ccfg);
+    const ClassifyResult cb = classifyRun(single, ccfg);
+    EXPECT_GT(ca.scorer.oracleConflicts(), 0u);
+    EXPECT_EQ(ca.references, cb.references);
+    EXPECT_EQ(ca.misses, cb.misses);
+    EXPECT_EQ(ca.scorer.conflictAsConflict(),
+              cb.scorer.conflictAsConflict());
+    EXPECT_EQ(ca.scorer.conflictAsCapacity(),
+              cb.scorer.conflictAsCapacity());
+    EXPECT_EQ(ca.scorer.capacityAsConflict(),
+              cb.scorer.capacityAsConflict());
+    EXPECT_EQ(ca.scorer.capacityAsCapacity(),
+              cb.scorer.capacityAsCapacity());
+    EXPECT_EQ(ca.scorer.compulsoryMisses(), cb.scorer.compulsoryMisses());
+
+    // Page remapping: epochs count references across batch edges.
+    RemapConfig rcfg;
+    rcfg.epochRefs = 1000;
+    rcfg.hotThreshold = 8;
+    const RemapResult ra = PageRemapSim(rcfg).run(plain);
+    const RemapResult rb = PageRemapSim(rcfg).run(single);
+    EXPECT_GT(ra.remaps, 0u);
+    EXPECT_EQ(ra.references, rb.references);
+    EXPECT_EQ(ra.misses, rb.misses);
+    EXPECT_EQ(ra.remaps, rb.remaps);
 }
 
 } // namespace

@@ -39,7 +39,8 @@
 #include "obs/interval.hh"
 #include "obs/sink.hh"
 #include "obs/span.hh"
-#include "sample/engine.hh"
+#include "sample/mrc.hh"
+#include "sample/recommend.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
 #include "sim/sharded.hh"
@@ -99,11 +100,7 @@ struct Options
 
     bool dumpRaw = false;
 
-    // statistical sampling engine (src/sample)
-    double sampleRate = 0.0;         ///< SHARDS rate; 0 = off
-    std::size_t sampleIntervals = 0; ///< representative windows K
-    bool sampleExact = false;        ///< also run exact references
-    bool autoSize = false;           ///< MRC-sized suite geometry
+    bool autoSize = false; ///< MRC-sized suite geometry
 
     // structured stats output
     std::string statsOut;
@@ -233,24 +230,12 @@ usage()
         "                             conflict | cap-hist | conf-hist\n"
         "  --victim --prefetch --exclude   AMB components\n"
         "  --raw                      also dump raw counters\n"
-        "\n"
-        "statistical sampling (requires --classify; docs/PERFORMANCE"
-        ".md):\n"
-        "  --sample-rate R            SHARDS-sampled analysis at rate\n"
-        "                             R in (0,1] (e.g. 0.01): one\n"
-        "                             cheap pass emits a miss-ratio\n"
-        "                             curve + geometry recommendation\n"
-        "                             as a kind:\"sample\" document\n"
-        "  --sample-intervals K       also pick K representative\n"
-        "                             windows, replay only those, and\n"
-        "                             reconstruct whole-trace stats\n"
-        "                             with error bars\n"
-        "  --sample-exact             additionally run the exact\n"
-        "                             references and report errors\n"
         "  --auto-size                timing suite only: size each\n"
         "                             workload's assist geometry from\n"
-        "                             a sampled MRC pass before the\n"
-        "                             sweep (EXPERIMENTS.md recipe)\n"
+        "                             a 1% SHARDS MRC pass before the\n"
+        "                             sweep (EXPERIMENTS.md recipe);\n"
+        "                             sampled analysis is ccm-sample\n"
+        "\n"
         "  --stats-json FILE          write a ccm-stats JSON document\n"
         "                             (\"-\" = stdout)\n"
         "  --stats-out FILE           like --stats-json, but honours\n"
@@ -414,7 +399,7 @@ runSuiteMode(const Options &o, const SystemConfig &cfg)
                 continue;
             VectorTrace captured = VectorTrace::capture(*tr.value());
             sample::MrcConfig mcfg;
-            mcfg.rate = o.sampleRate > 0.0 ? o.sampleRate : 0.01;
+            mcfg.rate = 0.01;
             mcfg.seed = o.seed;
             auto mrc = sample::buildMrc(captured.records().data(),
                                         captured.records().size(),
@@ -587,75 +572,6 @@ runClassifySuiteMode(const Options &o, const ShardedClassifyConfig &ccfg)
     return errored == 0 ? 0 : 2;
 }
 
-/** --classify --sample-rate/--sample-intervals: sampled analysis. */
-int
-runSampleMode(const Options &o, const ShardedClassifyConfig &ccfg)
-{
-    obs::ScopedSpan span("sample:" + o.workload, "sim");
-    auto trace = openClassifyTrace(o, o.workload);
-    if (!trace.ok()) {
-        CCM_LOG_ERROR(trace.status().toString());
-        return 1;
-    }
-    VectorTrace captured = VectorTrace::capture(*trace.value());
-
-    sample::SampleRunConfig scfg;
-    scfg.mrc.rate = o.sampleRate > 0.0 ? o.sampleRate : 0.01;
-    scfg.mrc.seed = o.seed;
-    scfg.intervals = o.sampleIntervals;
-    scfg.classify = ccfg;
-    scfg.compareExact = o.sampleExact;
-
-    auto rep = sample::runSampleAnalysis(captured.records().data(),
-                                         captured.records().size(),
-                                         scfg);
-    if (!rep.ok()) {
-        CCM_LOG_ERROR(rep.status().toString());
-        return 1;
-    }
-    const sample::SampleReport &r = rep.value();
-
-    std::cout << "== ccm-sim sample: " << trace.value()->name()
-              << " ==\n"
-              << "sampling rate     " << r.mrc.finalRate * 100.0
-              << "% (" << sample::toString(r.mrc.variant) << ")\n"
-              << "references        " << r.mrc.sampledRefs
-              << " sampled of " << r.mrc.totalRefs << "\n"
-              << "lines sampled     " << r.mrc.linesSampled << "\n\n"
-              << "capacity    miss ratio\n";
-    for (const sample::MrcPoint &p : r.mrc.points)
-        std::cout << p.capacityBytes / 1024 << "KB\t    "
-                  << p.missRatio << "\n";
-    std::cout << "\nrecommendation    "
-              << r.recommendation.rationale << "\n";
-    if (r.hasIntervals) {
-        std::cout << "intervals         " << r.intervals.clusters
-                  << " of " << r.intervals.windows
-                  << " windows replayed (" << r.intervals.replayedRefs
-                  << " of " << r.intervals.totalRefs << " refs)\n";
-        const sample::StatEstimate *miss =
-            r.intervals.find("l1_misses");
-        if (miss != nullptr)
-            std::cout << "predicted misses  " << miss->predicted
-                      << " +/- " << miss->errorBar << "\n";
-    }
-    if (r.hasExact) {
-        std::cout << "MRC error         mae " << r.mrcMae << ", max "
-                  << r.mrcMaxError << "\n";
-        if (r.hasIntervals)
-            std::cout << "stat error        max "
-                      << r.maxStatRelError * 100.0 << "% relative\n";
-    }
-
-    if (!o.statsOut.empty()) {
-        obs::JsonValue doc =
-            obs::sampleDocument(trace.value()->name(), r);
-        doc.set("arch", obs::JsonValue::str(o.arch));
-        return emitStatsDoc(o, std::move(doc));
-    }
-    return 0;
-}
-
 int
 runClassifyMode(const Options &o)
 {
@@ -666,8 +582,6 @@ runClassifyMode(const Options &o)
     }
     if (o.suite)
         return runClassifySuiteMode(o, ccfg.value());
-    if (o.sampleRate > 0.0 || o.sampleIntervals > 0)
-        return runSampleMode(o, ccfg.value());
 
     obs::ScopedSpan span("classify:" + o.workload, "sim");
     // records/sec: every trace record (non-memory included) over the
@@ -798,13 +712,6 @@ main(int argc, char **argv)
             o.ambExclude = true;
         } else if (a == "--raw") {
             o.dumpRaw = true;
-        } else if (a == "--sample-rate") {
-            o.sampleRate = std::strtod(val().c_str(), nullptr);
-        } else if (a == "--sample-intervals") {
-            o.sampleIntervals =
-                std::strtoull(val().c_str(), nullptr, 10);
-        } else if (a == "--sample-exact") {
-            o.sampleExact = true;
         } else if (a == "--auto-size") {
             o.autoSize = true;
         } else if (a == "--stats-json" || a == "--stats-out") {
@@ -876,15 +783,6 @@ main(int argc, char **argv)
         CCM_LOG_ERROR(Status::badConfig(
                           "--trace-events is not supported in "
                           "--classify mode")
-                          .toString());
-        return 1;
-    }
-    if ((o.sampleRate > 0.0 || o.sampleIntervals > 0) &&
-        (!o.classify || o.suite)) {
-        CCM_LOG_ERROR(Status::badConfig(
-                          "--sample-rate/--sample-intervals require "
-                          "--classify on a single workload (use "
-                          "ccm-sample for richer sweeps)")
                           .toString());
         return 1;
     }

@@ -31,13 +31,17 @@
 #      --classify and --suite --trace-dir modes, classify exactly like
 #      its tracecheck repair, fail each mode with one error line and
 #      no fatal: without those options, and get tracecheck validate's
-#      documented exit code for each defect class
-#   9. perf smoke: the micro_throughput hotpath table (writes
-#      BENCH_hotpath.json for comparison against bench/baselines/,
-#      which must carry the classify_sharded_e2e and mmap_ingest
-#      records/sec rows), plus batching determinism: a suite run with
-#      CCM_TRACE_BATCH=1 (record-at-a-time delivery) must be
-#      byte-identical to the default batched run
+#      documented exit code for each defect class;
+#      sampling smoke: ccm-sample's kind:"sample" document must
+#      validate, render and be byte-deterministic run to run, and the
+#      sampling_accuracy gate must hold
+#   9. perf smoke: the benchmark (perfbench/run.py, BENCHMARK.json)
+#      on classify-trace with the per-layer pass; its result line must
+#      say "correct": true and "failed": 0, i.e. every document matched
+#      perfbench/digests.json and every layer metric was measured;
+#      SKIPPED with a notice when no python3 is installed.  Delivery
+#      batching needs no CI step: tests/test_batch.cc runs the timing,
+#      classify and remap drivers on one-record batches
 #  10. serve smoke: ccm-serve with three concurrent producers, one of
 #      them wire-corrupted; the live stats document must validate,
 #      the clean streams must match batch ccm-sim byte for byte, and
@@ -293,17 +297,15 @@ expect_rc 5 build/tools/tracecheck validate "$obs_tmp/magic.bin" --quiet
 expect_rc 3 build/tools/tracecheck validate "$obs_tmp/empty.bin" --quiet
 
 step "sampling smoke + determinism (kind:\"sample\" document)"
-# The sampled classify path must emit a valid kind:"sample" document,
-# render cleanly, and be byte-deterministic (modulo wall time) — the
-# SHARDS predicate and the k-means interval selection are seeded.
-build/tools/ccm-sim --workload tomcatv --refs 20000 --classify \
-    --sample-rate 0.05 --sample-intervals 3 \
-    --stats-json "$obs_tmp/sample_a.json" > /dev/null
+# ccm-sample must emit a valid kind:"sample" document, render cleanly,
+# and be byte-deterministic (modulo wall time) — the SHARDS predicate
+# and the k-means interval selection are seeded.
+for run in a b; do
+    build/tools/ccm-sample --workload tomcatv --refs 20000 --rate 0.05 \
+        --intervals 3 --stats-out "$obs_tmp/sample_$run.json" > /dev/null
+done
 build/tools/ccm-report --check "$obs_tmp/sample_a.json"
 build/tools/ccm-report "$obs_tmp/sample_a.json" > /dev/null
-build/tools/ccm-sim --workload tomcatv --refs 20000 --classify \
-    --sample-rate 0.05 --sample-intervals 3 \
-    --stats-json "$obs_tmp/sample_b.json" > /dev/null
 diff <(grep -v wall_seconds "$obs_tmp/sample_a.json") \
      <(grep -v wall_seconds "$obs_tmp/sample_b.json")
 # The ccm-sample CLI end to end, including the error columns.
@@ -320,29 +322,27 @@ step "sampling accuracy gate (bench/sampling_accuracy --gate-only)"
 # live in bench/baselines/BENCH_sampling.json).
 build/bench/sampling_accuracy --gate-only
 
-step "perf smoke (micro_throughput hotpath table)"
-CCM_BENCH_JSON_DIR="$obs_tmp" build/bench/micro_throughput \
-    --hotpath-only
-test -s "$obs_tmp/BENCH_hotpath.json"
-# The raw-speed rows must be present: an end-to-end records/sec
-# number for the sharded classify engine and for mmap ingestion.
-grep -q '"classify_sharded_e2e"' "$obs_tmp/BENCH_hotpath.json"
-grep -q '"mmap_ingest"' "$obs_tmp/BENCH_hotpath.json"
-
-# Batching determinism: batched delivery must not change a single
-# simulated byte.  CCM_TRACE_BATCH=1 restores record-at-a-time pulls;
-# its suite document must equal the default batched one exactly
-# (modulo wall time).
-step "batched vs unbatched determinism"
-build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
-    --stats-json "$obs_tmp/batched.json" > /dev/null
-CCM_TRACE_BATCH=1 \
-    build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
-    --stats-json "$obs_tmp/unbatched.json" > /dev/null
-if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/batched.json") \
-          <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/unbatched.json"); then
-    echo "FAIL: batched simulation output differs from unbatched" >&2
-    exit 1
+step "perf smoke (perfbench/run.py classify-trace, per-layer pass)"
+# One short digest-checked run of the benchmark: it builds into
+# .bench_build/, and its last stdout line is the JSON result.  A
+# document that differs from perfbench/digests.json is a failed
+# operation, and a layer metric that was not measured makes run.py
+# fail outright.
+if command -v python3 >/dev/null 2>&1; then
+    python3 perfbench/run.py --workload classify-trace --seconds 2 \
+        --trace 1 > "$obs_tmp/perf.out"
+    grep '^operations:' "$obs_tmp/perf.out"
+    if ! tail -n 1 "$obs_tmp/perf.out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+'; then
+        echo "FAIL: perfbench result is not correct:" >&2
+        tail -n 1 "$obs_tmp/perf.out" >&2
+        exit 1
+    fi
+else
+    skip "perf smoke" "python3 not installed"
 fi
 
 step "serve smoke (ccm-serve + concurrent producers + drain)"
