@@ -797,8 +797,28 @@ checkEvents(const JsonValue &events)
     return Status::ok();
 }
 
+/** A non-empty mem.counters object of numbers. */
 Status
-checkRunBody(const JsonValue &doc)
+checkCounters(const JsonValue &counters)
+{
+    if (!counters.isObject() || counters.size() == 0)
+        return Status::badConfig("missing mem.counters");
+    for (const auto &[name, value] : counters.members()) {
+        if (!value.isNumber())
+            return Status::badConfig("mem.counters.", name,
+                                     " is not a number");
+    }
+    return Status::ok();
+}
+
+/**
+ * The body of a run: workload, mem and the optional heatmap,
+ * intervals and events sections.  @p timed also requires the timing
+ * model's sim section (run documents and suite rows; a classify body
+ * has none).
+ */
+Status
+checkRunBody(const JsonValue &doc, bool timed)
 {
     if (!doc.at("workload").isString())
         return Status::badConfig("missing workload name");
@@ -806,10 +826,19 @@ checkRunBody(const JsonValue &doc)
     if (!mem.isObject())
         return Status::badConfig("missing mem section");
     const JsonValue &counters = mem.at("counters");
-    if (!counters.isObject() || counters.size() == 0)
-        return Status::badConfig("missing mem.counters");
+    Status cs = checkCounters(counters);
+    if (!cs.isOk())
+        return cs;
     if (!mem.at("derived").isObject())
         return Status::badConfig("missing mem.derived");
+    if (timed) {
+        for (const char *key :
+             {"cycles", "instructions", "mem_refs", "ipc"}) {
+            if (!doc.at("sim").at(key).isNumber())
+                return Status::badConfig(
+                    "sim.", key, " is missing or not a number");
+        }
+    }
 
     if (const JsonValue *heat = doc.get("heatmap")) {
         Status s = checkHeatmap(*heat);
@@ -833,7 +862,7 @@ checkRunBody(const JsonValue &doc)
 Status
 checkClassifyBody(const JsonValue &doc)
 {
-    Status s = checkRunBody(doc);
+    Status s = checkRunBody(doc, false);
     if (!s.isOk())
         return s;
     const JsonValue &cls = doc.at("classify");
@@ -899,10 +928,12 @@ checkServeBody(const JsonValue &doc)
         } else if (state == "done") {
             ++done;
             const JsonValue &mem = s.at("mem");
-            if (!mem.isObject() || !mem.at("counters").isObject() ||
-                !mem.at("derived").isObject())
+            if (!mem.isObject() || !mem.at("derived").isObject())
                 return Status::badConfig(
                     ctx, ": done stream has no mem section");
+            Status st = checkCounters(mem.at("counters"));
+            if (!st.isOk())
+                return st.withContext(ctx);
         } else {
             ++active;
         }
@@ -1043,6 +1074,11 @@ checkSampleBody(const JsonValue &doc)
     double prev_mr = 2.0;
     bool first = true;
     for (const JsonValue &p : points.elements()) {
+        if (!p.at("capacity_bytes").isNumber() ||
+            !p.at("miss_ratio").isNumber())
+            return Status::badConfig(
+                "mrc.points[].capacity_bytes and miss_ratio must be "
+                "numbers");
         const std::uint64_t cap = p.at("capacity_bytes").asU64();
         const double mr = p.at("miss_ratio").asDouble();
         if (mr < 0.0 || mr > 1.0)
@@ -1080,8 +1116,13 @@ checkSampleBody(const JsonValue &doc)
             return Status::badConfig(
                 "intervals.representatives is missing or empty");
         double weight_sum = 0.0;
-        for (const JsonValue &w : reps.elements())
+        for (const JsonValue &w : reps.elements()) {
+            if (!w.at("weight").isNumber())
+                return Status::badConfig(
+                    "intervals.representatives[].weight is missing "
+                    "or not a number");
             weight_sum += w.at("weight").asDouble();
+        }
         if (std::fabs(weight_sum - 1.0) > 1e-6)
             return Status::badConfig(
                 "representative weights sum to ", weight_sum,
@@ -1127,10 +1168,9 @@ validateStatsDoc(const JsonValue &doc)
 
     const std::string &kind = doc.at("kind").asString();
     if (kind == "run")
-        return checkRunBody(doc).withContext("run document");
+        return checkRunBody(doc, true).withContext("run document");
     // Classify documents share the run-body schema minus the sim
-    // section (which checkRunBody never required) plus a "classify"
-    // summary block.
+    // section plus a "classify" summary block.
     if (kind == "classify")
         return checkClassifyBody(doc).withContext("classify document");
     if (kind == "serve")
@@ -1172,7 +1212,7 @@ validateStatsDoc(const JsonValue &doc)
             } else {
                 Status s = kind == "classify-suite"
                                ? checkClassifyBody(row)
-                               : checkRunBody(row);
+                               : checkRunBody(row, true);
                 if (!s.isOk())
                     return s.withContext("suite row " +
                                          std::to_string(i));

@@ -38,9 +38,12 @@ connectOnce(const std::string &path)
     return fd;
 }
 
+/** Backoff ceiling between connect attempts. */
+constexpr int kBackoffMaxMs = 1000;
+
 /**
  * Connect with retry + exponential backoff: attempt, sleep
- * backoffInitialMs, double, cap at backoffMaxMs, up to
+ * backoffInitialMs, double, cap at kBackoffMaxMs, up to
  * connectRetries attempts in total.
  */
 Expected<int>
@@ -52,8 +55,7 @@ connectWithRetry(const std::string &path, const ClientOptions &opts)
     for (int i = 0; i < attempts; ++i) {
         if (i > 0) {
             ::poll(nullptr, 0, backoff);
-            backoff = std::min(backoff * 2,
-                               std::max(1, opts.backoffMaxMs));
+            backoff = std::min(backoff * 2, kBackoffMaxMs);
         }
         auto fd = connectOnce(path);
         if (fd.ok())

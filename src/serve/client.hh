@@ -34,11 +34,8 @@ struct ClientOptions
     /** Connect attempts before giving up (>= 1). */
     int connectRetries = 5;
 
-    /** Backoff before the second attempt; doubles each retry. */
+    /** Backoff before the second attempt; doubles, capped at 1 s. */
     int backoffInitialMs = 10;
-
-    /** Backoff ceiling. */
-    int backoffMaxMs = 1000;
 
     /** Per-send/receive progress timeout. */
     int ioTimeoutMs = 5000;

@@ -1,5 +1,6 @@
 #include "serve/daemon.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -25,6 +26,9 @@ namespace ccm::serve
 namespace
 {
 
+constexpr int kReapPeriodMs = 100;            ///< the one fixed tick
+constexpr std::int64_t kControlReadMs = 1000; ///< command-line deadline
+
 std::int64_t
 nowMillis()
 {
@@ -32,6 +36,14 @@ nowMillis()
     return duration_cast<milliseconds>(
                steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** poll() timeout until @p deadline; 0, never "forever", once past. */
+int
+millisUntil(std::int64_t deadline)
+{
+    return static_cast<int>(
+        std::max<std::int64_t>(0, deadline - nowMillis()));
 }
 
 /** Bind + listen a nonblocking unix-domain socket at @p path. */
@@ -78,9 +90,7 @@ sendAll(int fd, const void *data, std::size_t n, int timeout_ms)
     const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
     std::size_t off = 0;
     while (off < n) {
-        pollfd pf{};
-        pf.fd = fd;
-        pf.events = POLLOUT;
+        pollfd pf{fd, POLLOUT, 0};
         const int pr = ::poll(&pf, 1, timeout_ms);
         if (pr < 0 && errno == EINTR)
             continue;
@@ -184,7 +194,6 @@ ServeDaemon::start()
                      ? ""
                      : " (control " + opts.controlPath + ")");
 
-    stopAll.store(false);
     started_.store(true);
     acceptThread = std::thread([this] { acceptLoop(); });
     if (controlFd >= 0)
@@ -196,15 +205,14 @@ ServeDaemon::start()
 void
 ServeDaemon::requestDrain()
 {
-    bool expected = false;
-    if (draining_.compare_exchange_strong(expected, true))
-        drainDeadlineMs.store(nowMillis() + opts.drainGraceMs);
-}
-
-bool
-ServeDaemon::draining() const
-{
-    return draining_.load();
+    std::int64_t none = 0;
+    if (!drainDeadlineMs.compare_exchange_strong(
+            none, nowMillis() + opts.drainGraceMs))
+        return;
+    drainLatch.requestStop();
+    // Wakes the acceptor's poll() and makes later connects fail with
+    // ECONNREFUSED instead of waiting in the backlog.
+    ::shutdown(listenFd, SHUT_RDWR);
 }
 
 Status
@@ -234,10 +242,10 @@ ServeDaemon::drainAndStop()
     if (!started_.load())
         return;
     requestDrain();
-    stopAll.store(true);
     if (acceptThread.joinable())
         acceptThread.join();
     joinFinishedReaders(true);
+    stopLatch.requestStop();
     if (controlThread.joinable())
         controlThread.join();
     if (reaperThread.joinable())
@@ -282,7 +290,7 @@ ServeDaemon::admitStream(const std::string &name, int fd)
     std::shared_ptr<StreamPipeline> pipe;
     {
         MutexLock lock(mu);
-        if (draining_.load()) {
+        if (draining()) {
             ++refused_;
             serveMetrics().streamsRefused.inc();
             CCM_LOG_WARN("stream '", name,
@@ -399,7 +407,7 @@ ServeDaemon::statsDocument() const
                        .count()));
     daemon.set("arch", obs::JsonValue::str(runtime.arch));
     daemon.set("draining",
-               obs::JsonValue::boolean(draining_.load()));
+               obs::JsonValue::boolean(draining()));
     daemon.set("streams_total", obs::JsonValue::uint(admitted_));
     daemon.set("streams_active", obs::JsonValue::uint(live_active));
     daemon.set("streams_done",
@@ -439,22 +447,12 @@ void
 ServeDaemon::acceptLoop()
 {
     for (;;) {
-        if (stopAll.load() || draining_.load())
-            break;
         joinFinishedReaders(false);
-
-        pollfd pf{};
-        pf.fd = listenFd;
-        pf.events = POLLIN;
-        const int pr =
-            ::poll(&pf, 1, static_cast<int>(opts.pollMs));
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
+        pollfd pf{listenFd, POLLIN, 0};
+        if (::poll(&pf, 1, -1) < 0 && errno != EINTR)
             break;
-        }
-        if (pr == 0)
-            continue;
+        if (draining())
+            break;
         const int cfd = ::accept(listenFd, nullptr, nullptr);
         if (cfd < 0)
             continue; // EAGAIN / aborted handshake
@@ -476,8 +474,8 @@ ServeDaemon::serveConnection(int fd, std::atomic<bool> *done_flag)
     bool cut_by_drain = false;
 
     for (;;) {
-        if (draining_.load() &&
-            nowMillis() >= drainDeadlineMs.load()) {
+        const std::int64_t deadline = drainDeadlineMs.load();
+        if (deadline != 0 && nowMillis() >= deadline) {
             cut_by_drain = true;
             break;
         }
@@ -491,17 +489,20 @@ ServeDaemon::serveConnection(int fd, std::atomic<bool> *done_flag)
         if (sink.pipe != nullptr && sink.pipe->finished())
             break;
 
-        pollfd pf{};
-        pf.fd = fd;
-        pf.events = POLLIN;
+        // The connection and the drain latch, then the connection
+        // until the drain deadline.
+        pollfd pf[2] = {{fd, POLLIN, 0},
+                        {drainLatch.wakeFd(), POLLIN, 0}};
         const int pr =
-            ::poll(&pf, 1, static_cast<int>(opts.pollMs));
+            deadline == 0
+                ? ::poll(pf, 2, -1)
+                : ::poll(pf, 1, millisUntil(deadline));
         if (pr < 0) {
             if (errno == EINTR)
                 continue;
             break;
         }
-        if (pr == 0)
+        if (pf[0].revents == 0)
             continue;
         const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
         if (n == 0)
@@ -566,8 +567,11 @@ ServeDaemon::serveConnection(int fd, std::atomic<bool> *done_flag)
 void
 ServeDaemon::reaperLoop()
 {
-    while (!stopAll.load()) {
-        ::poll(nullptr, 0, static_cast<int>(opts.pollMs));
+    for (;;) {
+        pollfd pf{stopLatch.wakeFd(), POLLIN, 0};
+        ::poll(&pf, 1, kReapPeriodMs);
+        if (stopLatch.stopRequested())
+            return;
         MutexLock lock(mu);
         std::size_t queued = 0;
         for (const auto &[id, as] : active) {
@@ -606,15 +610,12 @@ void
 ServeDaemon::controlLoop()
 {
     for (;;) {
-        if (stopAll.load())
+        pollfd pf[2] = {{controlFd, POLLIN, 0},
+                        {stopLatch.wakeFd(), POLLIN, 0}};
+        if (::poll(pf, 2, -1) < 0 && errno != EINTR)
             break;
-        pollfd pf{};
-        pf.fd = controlFd;
-        pf.events = POLLIN;
-        const int pr =
-            ::poll(&pf, 1, static_cast<int>(opts.pollMs));
-        if (pr <= 0)
-            continue;
+        if (stopLatch.stopRequested())
+            break;
         const int cfd = ::accept(controlFd, nullptr, nullptr);
         if (cfd < 0)
             continue;
@@ -658,15 +659,12 @@ ServeDaemon::handleControlClient(int fd)
 {
     // One short request line, then one response, then close.
     std::string command;
-    const std::int64_t deadline = nowMillis() + 10 * opts.pollMs;
+    const std::int64_t deadline = nowMillis() + kControlReadMs;
     while (nowMillis() < deadline && command.find('\n') ==
                                          std::string::npos &&
            command.size() < 256) {
-        pollfd pf{};
-        pf.fd = fd;
-        pf.events = POLLIN;
-        const int pr =
-            ::poll(&pf, 1, static_cast<int>(opts.pollMs));
+        pollfd pf{fd, POLLIN, 0};
+        const int pr = ::poll(&pf, 1, millisUntil(deadline));
         if (pr < 0 && errno != EINTR)
             break;
         if (pr <= 0)

@@ -6,18 +6,20 @@
  * bounded memory, and answers live stats queries on a control socket
  * with schema-versioned kind:"serve" ccm-stats JSON.
  *
- * Thread model (one daemon, docs/SERVING.md):
+ * Thread model (one daemon, docs/SERVING.md).  Each thread blocks on
+ * the events it serves; the reaper's 100 ms period is the one tick:
  *
- *  - one acceptor thread: accepts ingest connections and spawns one
- *    reader thread per connection;
- *  - one reader thread per connection: parses frames, feeds the
- *    stream's bounded queue, owns the stream lifecycle end to end
- *    (admit at hello, finish/fail at EOF, retire the report);
- *  - one simulation thread per stream (inside StreamPipeline);
- *  - one control thread: one-shot "stats" / "drain" / "reload" /
- *    "ping" request-response connections;
- *  - one reaper thread: fails and disconnects streams idle past the
- *    TTL.
+ *  - acceptor: the ingest socket; spawns one reader per connection.
+ *    requestDrain() shuts the listener, which wakes it and refuses
+ *    later connects;
+ *  - reader, one per connection: its socket and the drain latch, then
+ *    its socket until the drain deadline.  Parses frames, feeds the
+ *    stream's bounded queue, owns the stream lifecycle end to end;
+ *  - simulation, one per stream (inside StreamPipeline): its queue;
+ *  - control: the control socket and the stop latch; answers one-shot
+ *    "stats" / "drain" / "reload" / "ping" requests;
+ *  - reaper: the stop latch, every 100 ms; fails and disconnects
+ *    streams idle past the TTL or whose pipeline already ended.
  *
  * Fault isolation: any per-stream failure (corrupt frames past the
  * defect budget, producer disconnect without the end frame, idle-TTL
@@ -25,7 +27,7 @@
  * leaves every other stream — and the daemon — running.
  *
  * Lifecycle: requestDrain() (SIGTERM, or the control "drain" command)
- * stops admission, gives connected producers a grace period to send
+ * refuses new connections, gives connected producers a grace period to send
  * their end frames, then cuts the stragglers; drainAndStop() joins
  * everything.  reload() (SIGHUP) re-reads the config file and swaps
  * the runtime configuration under the admission lock — streams in
@@ -56,6 +58,7 @@
 #include <string>
 #include <thread>
 
+#include "common/shutdown.hh"
 #include "common/sync.hh"
 #include "obs/json.hh"
 #include "serve/config.hh"
@@ -84,9 +87,6 @@ struct ServeOptions
 
     /** Reap streams idle longer than this; 0 = never. */
     std::int64_t idleTtlMs = 0;
-
-    /** Internal poll tick for all daemon threads. */
-    std::int64_t pollMs = 100;
 
     /** Drain: how long producers get to deliver their end frames. */
     std::int64_t drainGraceMs = 2000;
@@ -119,7 +119,10 @@ class ServeDaemon
     void requestDrain();
 
     /** True once a drain was requested (signal or control socket). */
-    bool draining() const;
+    bool draining() const { return drainDeadlineMs.load() != 0; }
+
+    /** Readable once a drain was requested; poll() it to wake. */
+    int drainWakeFd() const { return drainLatch.wakeFd(); }
 
     /**
      * Re-read the config file and swap the runtime configuration for
@@ -199,9 +202,9 @@ class ServeDaemon
         std::chrono::steady_clock::now();
 
     std::atomic<bool> started_{false};
-    std::atomic<bool> stopAll{false};
-    std::atomic<bool> draining_{false};
-    std::atomic<std::int64_t> drainDeadlineMs{0};
+    std::atomic<std::int64_t> drainDeadlineMs{0}; ///< 0 = not draining
+    ShutdownLatch drainLatch; ///< fired by requestDrain()
+    ShutdownLatch stopLatch;  ///< fired once the readers are joined
 
     mutable Mutex mu{LockRank::ServeDaemon, "serve-daemon"};
     /** Current config (reload swaps). */

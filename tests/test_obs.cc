@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,7 +25,11 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/sink.hh"
+#include "sample/engine.hh"
+#include "serve/client.hh"
+#include "serve/daemon.hh"
 #include "sim/experiment.hh"
+#include "sim/sharded.hh"
 #include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
 
@@ -190,6 +198,315 @@ TEST(ObsSchema, ValidatorRejectsTampering)
     Status s = obs::validateStatsDoc(torn);
     ASSERT_FALSE(s.isOk());
     EXPECT_NE(s.message().find("accesses"), std::string::npos);
+}
+
+namespace
+{
+
+/**
+ * @p node with the value at the dotted @p path replaced by @p v, or
+ * removed when @p v is empty.  Numeric segments index arrays (one
+ * past the end appends); the empty path is the whole document.
+ */
+std::optional<JsonValue>
+edited(const JsonValue &node, std::string_view path,
+       const std::optional<JsonValue> &v)
+{
+    if (path.empty())
+        return v;
+    const std::size_t dot = path.find('.');
+    const std::string key(path.substr(0, dot));
+    const std::string_view rest =
+        dot == std::string_view::npos ? "" : path.substr(dot + 1);
+    if (node.isArray()) {
+        const std::size_t idx = std::stoul(key);
+        JsonValue out = JsonValue::array();
+        for (std::size_t i = 0; i < node.size(); ++i) {
+            std::optional<JsonValue> c =
+                i == idx ? edited(node.elements()[i], rest, v)
+                         : node.elements()[i];
+            if (c)
+                out.push(std::move(*c));
+        }
+        if (idx == node.size()) {
+            if (std::optional<JsonValue> c = edited(JsonValue(), rest, v))
+                out.push(std::move(*c));
+        }
+        return out;
+    }
+    JsonValue out = JsonValue::object();
+    for (const auto &[k, child] : node.members()) {
+        std::optional<JsonValue> c =
+            k == key ? edited(child, rest, v) : child;
+        if (c)
+            out.set(k, std::move(*c));
+    }
+    return out;
+}
+
+/** A live daemon's document: one done stream, then one cut stream. */
+JsonValue
+serveDocument()
+{
+    serve::ServeOptions o;
+    o.socketPath = ::testing::TempDir() + "ccm_obs_schema.sock";
+    o.runtime.limits.windowEvery = 500;
+    serve::ServeDaemon daemon(o);
+    EXPECT_TRUE(daemon.start().isOk());
+    auto settled = [&](const char *key) {
+        for (int i = 0; i < 2000; ++i) {
+            JsonValue doc = daemon.statsDocument();
+            if (doc.at("daemon").at(key).asU64() == 1)
+                return doc;
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        ADD_FAILURE() << "daemon never reported " << key;
+        return JsonValue();
+    };
+
+    auto wl = makeWorkload("go", 2000, 7);
+    auto done = serve::ServeClient::connect(o.socketPath, "done");
+    EXPECT_TRUE(done.ok() && done.value().streamAll(*wl).isOk());
+    settled("streams_done");
+
+    auto cut = serve::ServeClient::connect(o.socketPath, "cut");
+    EXPECT_TRUE(cut.ok());
+    if (cut.ok())
+        cut.value().closeAbrupt();
+    JsonValue doc = settled("streams_failed");
+    daemon.drainAndStop();
+    return doc;
+}
+
+/** One valid document of every kind, each from its real builder. */
+std::map<std::string, JsonValue>
+validDocuments()
+{
+    std::map<std::string, JsonValue> docs;
+
+    obs::IntervalSampler sampler(1000);
+    obs::ClassifyEventTrace events;
+    RunOutput r = observedRun(&sampler, &events);
+    docs["run"] = obs::runDocument("go", r, &sampler, &events);
+
+    docs["suite"] = obs::suiteDocument(runSuite(
+        {"go"},
+        [](const std::string &name)
+            -> Expected<std::unique_ptr<TraceSource>> {
+            return makeWorkloadChecked(name, 2000, 3);
+        },
+        baselineConfig()));
+
+    const std::vector<MemRecord> recs =
+        VectorTrace::capture(*makeWorkload("go", 20000, 7)).records();
+    ShardedClassifyConfig ccfg;
+    ccfg.interval = 5000;
+    obs::ClassifyRow row{"go", Status::ok(),
+                         runShardedClassify(recs.data(), recs.size(),
+                                            ccfg),
+                         0.0};
+    docs["classify"] = obs::classifyDocument("go", row.out);
+    docs["classify-suite"] = obs::classifySuiteDocument({row});
+
+    docs["serve"] = serveDocument();
+
+    obs::MetricsRegistry reg;
+    reg.counter("t_total", "a counter").inc(7);
+    obs::Histogram &h = reg.histogram("t_us", "a histogram");
+    h.observe(1);
+    h.observe(1000);
+    docs["metrics"] = obs::metricsDocument(reg);
+
+    sample::SampleRunConfig scfg;
+    scfg.mrc.rate = 0.1;
+    scfg.intervals = 2;
+    auto rep = sample::runSampleAnalysis(recs.data(), recs.size(), scfg);
+    EXPECT_TRUE(rep.ok()) << rep.status().toString();
+    docs["sample"] = obs::sampleDocument("go", rep.value());
+
+    TextTable t({"policy", "speedup"});
+    t.setNum(t.addRow("base"), 1, 1.0, 3);
+    docs["bench"] = obs::benchDocument("unit_test", t);
+    return docs;
+}
+
+} // namespace
+
+/**
+ * The validator's rejection corpus: every rejection validateStatsDoc
+ * makes, each as one edit of a valid document of its kind, with the
+ * field the error message must name.
+ */
+TEST(ObsSchema, RejectsMalformedDocuments)
+{
+    const std::map<std::string, JsonValue> docs = validDocuments();
+    for (const auto &[kind, doc] : docs) {
+        Status s = obs::validateStatsDoc(doc);
+        ASSERT_TRUE(s.isOk()) << kind << ": " << s.toString();
+    }
+
+    const JsonValue &run = docs.at("run");
+    const std::uint64_t sets = run.at("heatmap").at("sets").asU64();
+    const std::uint64_t accesses =
+        run.at("mem").at("counters").at("accesses").asU64();
+    const std::uint64_t second_first = run.at("intervals")
+                                           .at("samples")
+                                           .elements()[1]
+                                           .at("first_ref")
+                                           .asU64();
+    const std::uint64_t events_recorded =
+        run.at("events").at("recorded").asU64();
+    const std::uint64_t cap0 = docs.at("sample")
+                                   .at("mrc")
+                                   .at("points")
+                                   .elements()[0]
+                                   .at("capacity_bytes")
+                                   .asU64();
+    // One more representative, carrying no weight.
+    const std::string extra_rep =
+        "intervals.representatives." +
+        std::to_string(docs.at("sample")
+                           .at("intervals")
+                           .at("representatives")
+                           .size());
+    JsonValue blank_point = JsonValue::array();
+    blank_point.push(JsonValue::object());
+
+    using J = JsonValue;
+    const std::optional<JsonValue> drop;
+    struct Rejection
+    {
+        const char *kind;
+        const char *path; ///< dotted; "" = the whole document
+        std::optional<JsonValue> value; ///< empty = remove the key
+        const char *names; ///< what the message must mention
+    };
+    const std::vector<Rejection> corpus = {
+        // Header, every kind.
+        {"run", "", J::array(), "not a JSON object"},
+        {"run", "schema", J::str("not-stats"), "ccm-stats"},
+        {"run", "schema_version", J::uint(99), "schema_version"},
+        {"run", "kind", J::str("bogus"), "kind 'bogus'"},
+        // Run bodies.
+        {"run", "workload", drop, "workload"},
+        {"run", "mem", drop, "mem section"},
+        {"run", "mem.counters", J::object(), "mem.counters"},
+        {"run", "mem.derived", drop, "mem.derived"},
+        {"run", "sim", drop, "sim.cycles"},
+        {"run", "sim.ipc", J::str("fast"), "sim.ipc"},
+        {"run", "heatmap", J::array(), "heatmap"},
+        {"run", "heatmap.l1_misses", J::uint(0), "heatmap.l1_misses"},
+        {"run", "heatmap.sets", J::uint(sets + 1), "heatmap.sets"},
+        {"run", "heatmap.top_sets", drop, "heatmap.top_sets"},
+        {"run", "intervals", J::array(), "intervals"},
+        {"run", "intervals.samples", drop, "intervals.samples"},
+        {"run", "intervals.samples.0.first_ref", J::uint(2),
+         "start at ref 1"},
+        {"run", "intervals.samples.1.first_ref",
+         J::uint(second_first + 1), "not contiguous"},
+        {"run", "intervals.samples.0.last_ref", J::uint(0),
+         "before it starts"},
+        {"run", "mem.counters.accesses", J::uint(accesses + 1),
+         "'accesses'"},
+        {"run", "events", J::array(), "events"},
+        {"run", "events.events", drop, "events.events"},
+        {"run", "events.recorded", J::uint(events_recorded + 1),
+         "events.recorded"},
+        {"run", "events.seen", J::uint(0), "events.seen"},
+        // Suites.
+        {"suite", "rows", drop, "rows"},
+        {"suite", "rows.0.sim", drop, "sim.cycles"},
+        {"suite", "rows.0.mem.counters.accesses", J::str("lots"),
+         "mem.counters.accesses"},
+        {"suite", "rows.0.workload", J::uint(1), "suite row 0"},
+        {"suite", "summary", drop, "summary"},
+        {"suite", "summary.runs", J::uint(2), "summary.runs"},
+        {"suite", "summary.errored", J::uint(1), "summary.errored"},
+        // Classify bodies.
+        {"classify", "classify", drop, "classify section"},
+        {"classify", "classify.references", drop,
+         "classify.references"},
+        {"classify", "classify.misses", J::str("many"),
+         "classify.misses"},
+        {"classify", "mem.counters.l1_misses", J::str("many"),
+         "mem.counters.l1_misses"},
+        {"classify-suite", "rows.0.classify", drop,
+         "classify section"},
+        {"classify-suite", "summary.errored", J::uint(1),
+         "summary.errored"},
+        // Serve.
+        {"serve", "daemon", drop, "daemon section"},
+        {"serve", "daemon.records_total", drop, "daemon.records_total"},
+        {"serve", "streams", drop, "streams"},
+        {"serve", "streams.0.name", drop, "name"},
+        {"serve", "streams.0.state", J::str("lost"), "state 'lost'"},
+        {"serve", "streams.0.records", drop, "records"},
+        {"serve", "streams.0.state", J::str("failed"), "no error"},
+        {"serve", "streams.0.mem", drop, "mem section"},
+        {"serve", "streams.0.mem.counters", J::object(),
+         "mem.counters"},
+        {"serve", "streams.0.heatmap.sets", J::uint(sets + 1),
+         "heatmap.sets"},
+        {"serve", "streams.0.window.samples.0.first_ref", J::uint(2),
+         "start at ref 1"},
+        {"serve", "daemon.streams_active", J::uint(1),
+         "daemon.streams_active"},
+        {"serve", "daemon.streams_done", J::uint(0),
+         "daemon.streams_done"},
+        {"serve", "daemon.streams_failed", J::uint(0),
+         "daemon.streams_failed"},
+        // Metrics.
+        {"metrics", "metrics", drop, "metrics array"},
+        {"metrics", "metrics.0.name", drop, "name"},
+        {"metrics", "metrics.0.type", J::str("bogus"), "type 'bogus'"},
+        {"metrics", "metrics.0.value", drop, "value"},
+        {"metrics", "metrics.1.p99", drop, "p99"},
+        {"metrics", "metrics.1.buckets", drop, "buckets"},
+        {"metrics", "metrics.1.buckets.0.le", J::str("x"), "bucket"},
+        {"metrics", "metrics.1.buckets.1.le", J::uint(0),
+         "not cumulative"},
+        {"metrics", "metrics.1.count", J::uint(99), "count"},
+        // Samples.
+        {"sample", "workload", drop, "workload"},
+        {"sample", "sampling", drop, "sampling section"},
+        {"sample", "sampling.total_refs", drop, "sampling.total_refs"},
+        {"sample", "sampling.rate_final", J::real(0.0),
+         "sampling.rate_final"},
+        {"sample", "mrc", drop, "mrc section"},
+        {"sample", "mrc.points", J::array(), "mrc.points"},
+        {"sample", "mrc.points", blank_point, "capacity_bytes"},
+        {"sample", "mrc.points.0.miss_ratio", J::real(1.5),
+         "miss_ratio"},
+        {"sample", "mrc.points.1.capacity_bytes", J::uint(cap0),
+         "capacities"},
+        {"sample", "mrc.points.1.miss_ratio", J::real(1.0),
+         "miss_ratio rises"},
+        {"sample", "recommendation", drop, "recommendation"},
+        {"sample", "intervals.windows", drop, "intervals.windows"},
+        {"sample", "intervals.representatives", J::array(),
+         "intervals.representatives"},
+        {"sample", "intervals.representatives.0.weight", J::real(5.0),
+         "weights"},
+        {"sample", extra_rep.c_str(), J::object(), "weight"},
+        {"sample", "intervals.stats", J::array(), "intervals.stats"},
+        {"sample", "intervals.stats.0.name", drop, "name"},
+        {"sample", "intervals.stats.0.error_bar", drop, "error_bar"},
+        // Bench.
+        {"bench", "table.headers", J::array(), "table.headers"},
+        {"bench", "table.rows", drop, "table.rows"},
+        {"bench", "table.rows.0", J::array(), "row 0"},
+    };
+
+    for (const Rejection &r : corpus) {
+        SCOPED_TRACE(std::string(r.kind) + " " + r.path);
+        const std::optional<JsonValue> bad =
+            edited(docs.at(r.kind), r.path, r.value);
+        ASSERT_TRUE(bad.has_value());
+        const Status s = obs::validateStatsDoc(*bad);
+        EXPECT_FALSE(s.isOk());
+        EXPECT_NE(s.toString().find(r.names), std::string::npos)
+            << s.toString();
+    }
 }
 
 // ---- Interval sampling ---------------------------------------------

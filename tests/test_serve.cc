@@ -566,7 +566,6 @@ daemonOptions(const char *tag)
     serve::ServeOptions o;
     o.socketPath = sockPath(tag);
     o.controlPath = sockPath((std::string(tag) + "c").c_str());
-    o.pollMs = 20;
     return o;
 }
 
@@ -829,6 +828,47 @@ TEST(ServeDaemon, DrainCutsStragglersAndRefusesNewStreams)
     EXPECT_NE(
         doc.at("streams").elements().at(0).at("error").asString().find("drain"),
         std::string::npos);
+}
+
+TEST(ServeDaemon, DrainRefusesLateProducers)
+{
+    serve::ServeOptions o = daemonOptions("late");
+    o.drainGraceMs = 3000;
+    serve::ServeDaemon daemon(o);
+    ASSERT_TRUE(daemon.start().isOk());
+
+    // A straggler holds the 3 s grace period open.
+    auto straggler =
+        serve::ServeClient::connect(o.socketPath, "straggler");
+    ASSERT_TRUE(straggler.ok());
+    std::vector<MemRecord> recs = someRecords(64);
+    ASSERT_TRUE(straggler.value()
+                    .sendRecords(recs.data(), recs.size())
+                    .isOk());
+    ASSERT_TRUE(waitFor([&] { return daemon.activeStreams() == 1; }));
+
+    using namespace std::chrono;
+    const auto t0 = steady_clock::now();
+    daemon.requestDrain();
+    // A producer arriving during the grace is refused at connect, not
+    // parked in the listen backlog until the grace runs out.
+    auto late = serve::ServeClient::connect(o.socketPath, "late");
+    ASSERT_FALSE(late.ok());
+    EXPECT_EQ(late.status().code(), ErrorCode::Unavailable)
+        << late.status().toString();
+    EXPECT_LT(duration_cast<milliseconds>(steady_clock::now() - t0)
+                  .count(),
+              1000);
+
+    // The straggler still finishes inside the grace, and its end
+    // frame (not the deadline) is what ends the drain.
+    ASSERT_TRUE(straggler.value().sendEnd().isOk());
+    daemon.drainAndStop();
+    EXPECT_LT(duration_cast<milliseconds>(steady_clock::now() - t0)
+                  .count(),
+              2000);
+    EXPECT_EQ(counter(daemon, "streams_done"), 1u);
+    EXPECT_EQ(counter(daemon, "streams_failed"), 0u);
 }
 
 TEST(ServeDaemon, ConcurrentConnectDisconnectChurn)

@@ -55,8 +55,9 @@ usage()
         "                         (overrides the config file)\n"
         "  --max-streams N        admission cap (default 64)\n"
         "  --idle-ttl-ms N        reap streams idle > N ms (0 = never)\n"
-        "  --drain-grace-ms N     drain grace period (default 2000)\n"
-        "  --poll-ms N            internal poll tick (default 100)\n"
+        "  --drain-grace-ms N     grace for connected producers at a\n"
+        "                         drain (default 2000); new connects\n"
+        "                         are refused at once\n"
         "  --queue-records N      per-stream queue bound (default 8192)\n"
         "  --policy P             block | shed (default block)\n"
         "  --window-every N       rolling-window sample length in refs\n"
@@ -120,9 +121,6 @@ main(int argc, char **argv)
         } else if (a == "--drain-grace-ms") {
             opts.drainGraceMs = static_cast<std::int64_t>(
                 parseNum("--drain-grace-ms", val()));
-        } else if (a == "--poll-ms") {
-            opts.pollMs = static_cast<std::int64_t>(
-                parseNum("--poll-ms", val()));
         } else if (a == "--queue-records") {
             opts.runtime.limits.queueRecords =
                 parseNum("--queue-records", val());
@@ -224,10 +222,10 @@ main(int argc, char **argv)
                 CCM_LOG_WARN(s.toString());
             continue;
         }
-        pollfd pf{};
-        pf.fd = latch.wakeFd();
-        pf.events = POLLIN;
-        ::poll(&pf, 1, 200);
+        // Signals and a control-socket drain both wake this at once.
+        pollfd pf[2] = {{latch.wakeFd(), POLLIN, 0},
+                        {daemon.drainWakeFd(), POLLIN, 0}};
+        ::poll(pf, 2, -1);
     }
 
     CCM_LOG_INFO("draining...");

@@ -48,7 +48,9 @@
 #      a SIGTERM drain must exit 0 (docs/SERVING.md).  The telemetry
 #      plane is scraped mid-run: Prometheus text via the `metrics`
 #      command, `metrics json` validated by ccm-report, and a
-#      ccm-top --once snapshot
+#      ccm-top --once snapshot.  A second, idle ccm-serve is drained
+#      by the control socket's `drain` command alone: it must exit 0
+#      within 1 s and leave a final document that validates
 #  11. telemetry smoke: suite stats must stay byte-identical with
 #      span tracing on (telemetry is strictly observational), the
 #      span file must be well-formed, and bench/telemetry_overhead
@@ -429,6 +431,33 @@ diff "$obs_tmp/served_mem.txt" "$obs_tmp/batch_mem.txt"
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 build/tools/ccm-report --check "$obs_tmp/serve_final.json"
+
+# Control-socket drain: the `drain` command alone must end an idle
+# daemon (exit 0 within 1 s) and leave a valid final document.
+serve2_ctl="$obs_tmp/ctl2.sock"
+build/tools/ccm-serve --socket "$obs_tmp/ing2.sock" \
+    --control "$serve2_ctl" \
+    --stats-out "$obs_tmp/serve_drained.json" > /dev/null &
+serve2_pid=$!
+for _ in $(seq 50); do
+    if build/tools/ccm-stream --control "$serve2_ctl" --cmd ping \
+        > /dev/null 2>&1; then
+        break
+    fi
+    sleep 0.1
+done
+build/tools/ccm-stream --control "$serve2_ctl" --cmd drain > /dev/null
+for _ in $(seq 10); do
+    kill -0 "$serve2_pid" 2> /dev/null || break
+    sleep 0.1
+done
+if kill -0 "$serve2_pid" 2> /dev/null; then
+    echo "FAIL: ccm-serve still running 1 s after a control drain" >&2
+    kill -TERM "$serve2_pid"
+    exit 1
+fi
+wait "$serve2_pid"
+build/tools/ccm-report --check "$obs_tmp/serve_drained.json"
 
 step "telemetry smoke (span tracing + overhead budget)"
 # Spans on must not change a single byte of the stats document (the
