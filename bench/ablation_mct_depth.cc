@@ -14,6 +14,7 @@
 
 #include "common/table.hh"
 #include "mct/classify_run.hh"
+#include "mct/mct.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -50,8 +51,10 @@ main()
         table.setNum(row, 1, pooled.conflictAccuracy(), 1);
         table.setNum(row, 2, pooled.capacityAccuracy(), 1);
         table.setNum(row, 3, pooled.overallAccuracy(), 1);
-        // 256 sets x depth x (10 tag + 1 valid) bits.
-        table.setNum(row, 4, 256.0 * depth * 11 / 8.0 / 1024.0, 2);
+        // 16KB / 64B lines = 256 sets.
+        const double storage_bits = static_cast<double>(
+            MissClassificationTable(256, 10, depth).storageBits());
+        table.setNum(row, 4, storage_bits / 8.0 / 1024.0, 2);
     }
 
     table.print(std::cout);

@@ -4,9 +4,9 @@
  * the incoming tag against the set's remembered evicted tags, fill
  * the line with that verdict as its conflict bit, and write the
  * victim's tag into the table.  classifyRun (oracle-bearing),
- * runShardedClassify (set-sharded) and interval replay all drive this
- * kernel, so the protocol — and any optimisation of it — lives here
- * once.
+ * runShardedClassify (set-sharded), interval replay and the page
+ * recoloring study all drive this kernel, so the protocol — and any
+ * optimisation of it — lives here once.
  *
  * The kernel is header-inline: it sits in every classify hot loop.
  */
@@ -20,7 +20,7 @@
 #include "cache/cache.hh"
 #include "cache/geometry.hh"
 #include "common/status.hh"
-#include "mct/shadow.hh"
+#include "mct/mct.hh"
 
 namespace ccm
 {
@@ -35,8 +35,8 @@ struct ClassifyGeometry
     unsigned mctTagBits = 0;
     /**
      * Evicted tags remembered per set.  1 = the paper's MCT; more
-     * implements the Stone/Pomerene shadow directory (§2/§3), which
-     * also identifies higher-order conflict misses.
+     * is the Stone/Pomerene shadow directory (§2/§3), which also
+     * identifies higher-order conflict misses.
      */
     unsigned mctDepth = 1;
 
@@ -51,13 +51,13 @@ struct ClassifyGeometry
             CacheGeometry::make(cacheBytes, assoc, lineBytes);
         if (!geom.ok())
             return geom.status();
-        return ShadowDirectory::validate(geom.value().numSets(),
-                                         mctDepth, mctTagBits);
+        return MissClassificationTable::validate(
+            geom.value().numSets(), mctTagBits, mctDepth);
     }
 };
 
 /**
- * A private cache and shadow directory (depth 1 = the MCT) stepped
+ * A private cache and MCT (of any depth) stepped
  * one memory reference at a time.  The hit test and the miss step
  * are separate calls so a caller can observe the cache outcome before
  * the classifier's lookup hook fires.
@@ -68,7 +68,7 @@ class ClassifyKernel
     /** Fatal on an invalid @p g; callers validate() first. */
     explicit ClassifyKernel(const ClassifyGeometry &g)
         : geom_(g.cacheBytes, g.assoc, g.lineBytes), cache_(geom_),
-          mct_(geom_.numSets(), g.mctDepth, g.mctTagBits)
+          mct_(geom_.numSets(), g.mctTagBits, g.mctDepth)
     {
     }
 
@@ -105,12 +105,12 @@ class ClassifyKernel
 
     const CacheGeometry &geometry() const { return geom_; }
     const Cache &cache() const { return cache_; }
-    const ShadowDirectory &directory() const { return mct_; }
+    const MissClassificationTable &mct() const { return mct_; }
 
   private:
     CacheGeometry geom_;
     Cache cache_;
-    ShadowDirectory mct_;
+    MissClassificationTable mct_;
 };
 
 } // namespace ccm

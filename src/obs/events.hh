@@ -5,10 +5,10 @@
  * oracle agreement when an oracle is present).  Off by default —
  * nothing in the hot path unless a trace is attached.
  *
- * The recorder plugs into MissClassificationTable/ShadowDirectory
- * lookup hooks for the table-side fields and (in classification runs)
- * into a ClassifyObserver for the oracle verdict, which is annotated
- * onto the most recently recorded event.
+ * The recorder plugs into MissClassificationTable lookup hooks for
+ * the table-side fields and (in classification runs) into a
+ * ClassifyObserver for the oracle verdict, which is annotated onto
+ * the most recently recorded event.
  */
 
 #ifndef CCM_OBS_EVENTS_HH

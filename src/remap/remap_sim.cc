@@ -12,9 +12,9 @@ namespace ccm
 
 PageRemapSim::PageRemapSim(const RemapConfig &config)
     : cfg(config),
-      geom(config.cacheBytes, 1, config.lineBytes),
-      cache(geom),
-      mct(geom.numSets()),
+      kernel(ClassifyGeometry{.cacheBytes = config.cacheBytes,
+                              .assoc = 1,
+                              .lineBytes = config.lineBytes}),
       cml(config.pageBytes),
       numColors(static_cast<unsigned>(config.cacheBytes /
                                       config.pageBytes)),
@@ -111,17 +111,11 @@ PageRemapSim::run(TraceSource &trace)
             ++res.references;
 
             ByteAddr paddr = translate(r.dataAddr());
-            if (!cache.access(paddr, r.isStore())) {
+            if (!kernel.access(paddr, r.isStore())) {
                 ++res.misses;
-                SetIndex set = geom.setOf(paddr);
-                bool conflict =
-                    mct.isConflictMiss(set, geom.tagOf(paddr));
-                if (conflict || !cfg.conflictOnly)
+                if (isConflict(kernel.miss(paddr, r.isStore())) ||
+                    !cfg.conflictOnly)
                     cml.recordMiss(r.dataAddr());
-                FillResult ev =
-                    cache.fill(paddr, conflict, r.isStore());
-                if (ev.valid)
-                    mct.recordEviction(set, geom.tagOf(ev.lineAddr));
             }
 
             if (++since_epoch >= cfg.epochRefs) {

@@ -19,10 +19,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/cache.hh"
 #include "common/addr_types.hh"
 #include "common/types.hh"
-#include "mct/mct.hh"
+#include "mct/classify_kernel.hh"
 #include "remap/cml.hh"
 #include "trace/source.hh"
 
@@ -74,9 +73,8 @@ class PageRemapSim
     void pollAndRemap();
 
     RemapConfig cfg;
-    CacheGeometry geom;
-    Cache cache;
-    MissClassificationTable mct;
+    /** Physically indexed direct-mapped cache + full-tag MCT. */
+    ClassifyKernel kernel;
     CmlBuffer cml;
 
     unsigned numColors;

@@ -293,8 +293,8 @@ reconstructFromIntervals(const MemRecord *records, std::size_t count,
     // when k == n — degenerate but exact).  Window 0 is always its
     // own singleton cluster: the cold-start window carries the
     // trace's first-touch misses (all classified capacity by an
-    // empty shadow directory), and averaging it into a steady-state
-    // cluster systematically underpredicts capacity misses.
+    // empty MCT), and averaging it into a steady-state cluster
+    // systematically underpredicts capacity misses.
     const std::vector<std::vector<double>> feat =
         windowFeatures(mrc);
     std::vector<std::size_t> assign;

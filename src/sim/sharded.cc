@@ -183,8 +183,8 @@ runShard(const Partition &part, const ShardedClassifyConfig &cfg,
     out.heat.sets = geom.numSets();
     out.heat.l1Misses = kernel.cache().setMissHistogram();
     out.heat.l1Evictions = kernel.cache().setEvictionHistogram();
-    out.heat.mctLookups = kernel.directory().setLookupHistogram();
-    out.heat.mctConflicts = kernel.directory().setConflictHistogram();
+    out.heat.mctLookups = kernel.mct().setLookupHistogram();
+    out.heat.mctConflicts = kernel.mct().setConflictHistogram();
     return out;
 }
 

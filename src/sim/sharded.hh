@@ -6,8 +6,8 @@
  * A set-indexed cache never moves a line between sets, and the MCT is
  * likewise per-set state, so the classify pipeline factors exactly
  * along the set index: shard k simulates only the references whose
- * set satisfies set % K == k, against a private Cache + shadow
- * directory, and no other shard can observe or perturb it.
+ * set satisfies set % K == k, against a private Cache + MCT, and no
+ * other shard can observe or perturb it.
  *
  * The input is read once, on the calling thread: one streaming pass
  * drops non-memory records, appends each memory reference (address

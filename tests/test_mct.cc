@@ -1,12 +1,19 @@
 /**
  * @file
  * Unit tests for the Miss Classification Table — the paper's core
- * mechanism — and the four conflict filters of §3.
+ * mechanism — at depth 1 and deeper (the shadow directory), a seeded
+ * differential test against the naive model in tests/ref/, and the
+ * four conflict filters of §3.
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "mct/mct.hh"
+#include "ref/mct_ref.hh"
 
 namespace ccm
 {
@@ -53,14 +60,6 @@ TEST(Mct, PaperScenario)
     mct.recordEviction(SetIndex{set}, Tag{tag_a});
     // A misses next: conflict.
     EXPECT_EQ(mct.classify(SetIndex{set}, Tag{tag_a}), MissClass::Conflict);
-}
-
-TEST(Mct, InvalidateEntryForgetsSet)
-{
-    MissClassificationTable mct(4);
-    mct.recordEviction(SetIndex{3}, Tag{0x9});
-    mct.invalidateEntry(SetIndex{3});
-    EXPECT_EQ(mct.classify(SetIndex{3}, Tag{0x9}), MissClass::Capacity);
 }
 
 TEST(Mct, ClearForgetsEverything)
@@ -134,6 +133,199 @@ TEST(MctDeath, ZeroSetsRejected)
 TEST(MctDeath, OversizedTagRejected)
 {
     EXPECT_DEATH(MissClassificationTable(4, 65), "out of range");
+}
+
+// ---- depth > 1: the shadow directory (§2/§3) ----------------------
+
+TEST(Shadow, DepthOneMatchesMctSemantics)
+{
+    MissClassificationTable mct(4, 0, 1);
+    EXPECT_EQ(mct.classify(SetIndex{0}, Tag{0x1}), MissClass::Capacity);
+    mct.recordEviction(SetIndex{0}, Tag{0x1});
+    EXPECT_EQ(mct.classify(SetIndex{0}, Tag{0x1}), MissClass::Conflict);
+    mct.recordEviction(SetIndex{0}, Tag{0x2});
+    EXPECT_EQ(mct.classify(SetIndex{0}, Tag{0x1}), MissClass::Capacity);
+    EXPECT_EQ(mct.classify(SetIndex{0}, Tag{0x2}), MissClass::Conflict);
+}
+
+TEST(Shadow, DeeperDirectoryRemembersMore)
+{
+    MissClassificationTable mct(4, 0, 3);
+    mct.recordEviction(SetIndex{0}, Tag{0x1});
+    mct.recordEviction(SetIndex{0}, Tag{0x2});
+    mct.recordEviction(SetIndex{0}, Tag{0x3});
+    EXPECT_TRUE(mct.isConflictMiss(SetIndex{0}, Tag{0x1}));
+    EXPECT_TRUE(mct.isConflictMiss(SetIndex{0}, Tag{0x2}));
+    EXPECT_TRUE(mct.isConflictMiss(SetIndex{0}, Tag{0x3}));
+    EXPECT_FALSE(mct.isConflictMiss(SetIndex{0}, Tag{0x4}));
+    // A fourth eviction pushes the oldest out.
+    mct.recordEviction(SetIndex{0}, Tag{0x4});
+    EXPECT_FALSE(mct.isConflictMiss(SetIndex{0}, Tag{0x1}));
+    EXPECT_TRUE(mct.isConflictMiss(SetIndex{0}, Tag{0x4}));
+}
+
+TEST(Shadow, MatchDepthReportsPosition)
+{
+    MissClassificationTable mct(2, 0, 4);
+    mct.recordEviction(SetIndex{1}, Tag{0xA});
+    mct.recordEviction(SetIndex{1}, Tag{0xB});
+    mct.recordEviction(SetIndex{1}, Tag{0xC});
+    EXPECT_EQ(mct.matchDepth(SetIndex{1}, Tag{0xC}), 1u);   // most recent
+    EXPECT_EQ(mct.matchDepth(SetIndex{1}, Tag{0xB}), 2u);
+    EXPECT_EQ(mct.matchDepth(SetIndex{1}, Tag{0xA}), 3u);
+    EXPECT_EQ(mct.matchDepth(SetIndex{1}, Tag{0xD}), 0u);
+    EXPECT_EQ(mct.matchDepth(SetIndex{0}, Tag{0xA}), 0u);   // other set
+}
+
+TEST(Shadow, ReEvictionMovesToFront)
+{
+    MissClassificationTable mct(1, 0, 3);
+    mct.recordEviction(SetIndex{0}, Tag{0x1});
+    mct.recordEviction(SetIndex{0}, Tag{0x2});
+    mct.recordEviction(SetIndex{0}, Tag{0x1});   // 0x1 re-evicted: front, no dup
+    EXPECT_EQ(mct.matchDepth(SetIndex{0}, Tag{0x1}), 1u);
+    EXPECT_EQ(mct.matchDepth(SetIndex{0}, Tag{0x2}), 2u);
+    // Room still for a third distinct tag.
+    mct.recordEviction(SetIndex{0}, Tag{0x3});
+    EXPECT_TRUE(mct.isConflictMiss(SetIndex{0}, Tag{0x2}));
+}
+
+TEST(Shadow, PartialTagsMask)
+{
+    MissClassificationTable mct(1, 4, 2);
+    mct.recordEviction(SetIndex{0}, Tag{0xAB});
+    EXPECT_TRUE(mct.isConflictMiss(SetIndex{0}, Tag{0xFB}));   // low nibble matches
+    EXPECT_FALSE(mct.isConflictMiss(SetIndex{0}, Tag{0xAC}));
+}
+
+TEST(Shadow, StorageBits)
+{
+    EXPECT_EQ(MissClassificationTable(256, 10, 2).storageBits(),
+              256u * 2u * 11u);
+    EXPECT_EQ(MissClassificationTable(4, 0, 1).storageBits(), 4u * 65u);
+}
+
+TEST(Shadow, ClearForgets)
+{
+    MissClassificationTable mct(2, 0, 2);
+    mct.recordEviction(SetIndex{0}, Tag{0x1});
+    mct.clear();
+    EXPECT_FALSE(mct.isConflictMiss(SetIndex{0}, Tag{0x1}));
+}
+
+TEST(Shadow, ValidateRejectsWithoutDying)
+{
+    EXPECT_TRUE(MissClassificationTable::validate(4, 12, 2).isOk());
+    EXPECT_EQ(MissClassificationTable::validate(0, 0, 1).code(),
+              ErrorCode::BadConfig);
+    EXPECT_EQ(MissClassificationTable::validate(4, 0, 0).code(),
+              ErrorCode::BadConfig);
+    EXPECT_EQ(MissClassificationTable::validate(4, 70, 1).code(),
+              ErrorCode::BadConfig);
+}
+
+TEST(ShadowDeath, BadParams)
+{
+    EXPECT_DEATH(MissClassificationTable(0, 0, 1), "at least one");
+    EXPECT_DEATH(MissClassificationTable(4, 0, 0), "depth");
+    EXPECT_DEATH(MissClassificationTable(4, 70, 1), "out of range");
+}
+
+/** Depth sweep: a cyclic pattern of k+1 tags in one set is fully
+ *  identified at depth k+... precisely, depth >= k. */
+class ShadowCycle : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(ShadowCycle, CycleOfDepthPlusOneTagsNeedsDepth)
+{
+    unsigned k = GetParam();   // cycle length
+    // Simulate a DM set receiving a round-robin of k distinct tags:
+    // each miss on tag t evicts the previous resident.
+    auto run = [&](unsigned depth) {
+        MissClassificationTable mct(1, 0, depth);
+        unsigned caught = 0, total = 0;
+        Addr resident = 0;     // tag currently "in the cache"
+        bool has_resident = false;
+        for (int i = 0; i < 100; ++i) {
+            Addr tag = 1 + (i % k);
+            if (has_resident && resident == tag)
+                continue;      // would be a hit
+            ++total;
+            if (i >= int(k) && mct.isConflictMiss(SetIndex{0}, Tag{tag}))
+                ++caught;
+            if (has_resident)
+                mct.recordEviction(SetIndex{0}, Tag{resident});
+            resident = tag;
+            has_resident = true;
+        }
+        return std::pair<unsigned, unsigned>(caught, total);
+    };
+
+    // Depth k-1 catches the whole cycle; depth k-2 catches none of
+    // it (each tag was evicted exactly k-1 evictions ago).
+    auto [caught_hi, total_hi] = run(k - 1);
+    EXPECT_GT(caught_hi, 80u);
+    (void)total_hi;
+    if (k >= 3) {
+        auto [caught_lo, total_lo] = run(k - 2);
+        (void)total_lo;
+        EXPECT_EQ(caught_lo, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(CycleLengths, ShadowCycle,
+                         ::testing::Values(2, 3, 4, 6, 8));
+
+// ---- differential test against the naive reference model ----------
+
+TEST(Mct, MatchesReferenceModel)
+{
+    std::mt19937_64 rng(20260417);
+    const unsigned tag_widths[] = {0, 1, 4, 10, 63, 64};
+    const unsigned depths[] = {1, 2, 3, 8};
+    for (int config = 0; config < 200; ++config) {
+        const std::size_t sets = 1 + rng() % 16;
+        const unsigned bits = tag_widths[rng() % std::size(tag_widths)];
+        const unsigned depth = depths[rng() % std::size(depths)];
+        SCOPED_TRACE(::testing::Message()
+                     << "config " << config << ": sets=" << sets
+                     << " tag_bits=" << bits << " depth=" << depth);
+        MissClassificationTable mct(sets, bits, depth);
+        ref::RefMct model(sets, bits, depth);
+        MctLookupEvent seen;
+        mct.setLookupHook([&](const MctLookupEvent &e) { seen = e; });
+
+        // A few more tags than the depth, half of them equal to
+        // another in the low bits so truncation collides.
+        std::vector<Addr> pool;
+        for (unsigned i = 0; i < depth + 3; ++i) {
+            pool.push_back(i % 2 != 0 ? pool.back() ^ (Addr{1} << 62)
+                                      : Addr{rng()});
+        }
+        for (int op = 0; op < 400; ++op) {
+            const std::size_t set = rng() % sets;
+            const Addr tag = pool[rng() % pool.size()];
+            if (rng() % 2 == 0) {
+                mct.recordEviction(SetIndex{set}, Tag{tag});
+                model.recordEviction(set, tag);
+                continue;
+            }
+            ASSERT_EQ(mct.matchDepth(SetIndex{set}, Tag{tag}),
+                      model.matchDepth(set, tag))
+                << "op " << op;
+            ASSERT_EQ(mct.isConflictMiss(SetIndex{set}, Tag{tag}),
+                      model.classify(set, tag))
+                << "op " << op;
+            bool valid = false;
+            const Addr front = model.front(set, valid);
+            ASSERT_EQ(seen.storedValid, valid) << "op " << op;
+            ASSERT_EQ(seen.storedTag, front) << "op " << op;
+        }
+        EXPECT_EQ(mct.setLookupHistogram(), model.lookups);
+        EXPECT_EQ(mct.setConflictHistogram(), model.conflicts);
+        EXPECT_EQ(mct.storageBits(), model.storageBits());
+    }
 }
 
 // ---- conflict filters (§3) ----------------------------------------

@@ -9,6 +9,8 @@
  *  - the sharded engine must agree with the oracle-bearing
  *    classifyRun on everything both compute (references, misses, MCT
  *    conflict verdicts), at every valid line size, 1 byte included;
+ *  - the timing model's baseline machine must agree with the classify
+ *    lane on every L1 and MCT counter and per-set histogram;
  *  - the partition pass must place window boundaries by references
  *    only, and the TraceSource overload must reset its reader and
  *    agree with the span overload on every reader and encoding;
@@ -30,6 +32,7 @@
 
 #include "hierarchy/memstats.hh"
 #include "mct/classify_run.hh"
+#include "sim/experiment.hh"
 #include "sim/sharded.hh"
 #include "trace/delta.hh"
 #include "trace/file_trace.hh"
@@ -272,6 +275,56 @@ TEST(ShardedClassify, ExactMultipleOfIntervalLeavesNoPartialWindow)
         EXPECT_EQ(res.intervals[2].firstRef, Count{20'001});
         EXPECT_EQ(res.intervals[2].lastRef, Count{30'000});
         EXPECT_EQ(res.intervals[2].delta.accesses, Count{10'000});
+    }
+}
+
+// ---- the timing lane agrees with the classify lane -----------------
+
+/**
+ * The timing model's baseline machine and the classify kernel run the
+ * same cache + MCT protocol, so on every workload they must produce
+ * the same L1 and MCT counters and per-set histograms.  Full and
+ * partial tags, direct-mapped and 2-way.
+ */
+TEST(LaneAgreement, TimingBaselineEqualsClassify)
+{
+    struct Shape
+    {
+        unsigned tagBits;
+        unsigned assoc;
+    };
+    for (const Shape shape : {Shape{0, 1}, Shape{8, 1}, Shape{10, 2}}) {
+        SystemConfig timing = baselineConfig();
+        timing.mem.mctTagBits = shape.tagBits;
+        timing.mem.l1Assoc = shape.assoc;
+        ShardedClassifyConfig classify;
+        classify.cacheBytes = timing.mem.l1Bytes;
+        classify.assoc = shape.assoc;
+        classify.lineBytes = timing.mem.lineBytes;
+        classify.mctTagBits = shape.tagBits;
+        classify.shards = 1;
+        for (const std::string &name : workloadNames()) {
+            SCOPED_TRACE(::testing::Message()
+                         << name << " tag_bits=" << shape.tagBits
+                         << " assoc=" << shape.assoc);
+            auto wl = makeWorkload(name, 20'000, 42);
+            const RunOutput t = runTiming(*wl, timing);
+            const ShardedClassifyResult c =
+                runShardedClassify(*wl, classify);
+            EXPECT_EQ(t.mem.accesses, c.mem.accesses);
+            EXPECT_EQ(t.mem.loads, c.mem.loads);
+            EXPECT_EQ(t.mem.stores, c.mem.stores);
+            EXPECT_EQ(t.mem.l1Hits, c.mem.l1Hits);
+            EXPECT_EQ(t.mem.l1Misses, c.mem.l1Misses);
+            EXPECT_EQ(t.mem.conflictMisses, c.mem.conflictMisses);
+            EXPECT_EQ(t.mem.capacityMisses, c.mem.capacityMisses);
+            ASSERT_FALSE(t.heat.empty());
+            EXPECT_EQ(t.heat.sets, c.heat.sets);
+            EXPECT_EQ(t.heat.l1Misses, c.heat.l1Misses);
+            EXPECT_EQ(t.heat.l1Evictions, c.heat.l1Evictions);
+            EXPECT_EQ(t.heat.mctLookups, c.heat.mctLookups);
+            EXPECT_EQ(t.heat.mctConflicts, c.heat.mctConflicts);
+        }
     }
 }
 

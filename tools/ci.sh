@@ -34,7 +34,10 @@
 #      documented exit code for each defect class;
 #      sampling smoke: ccm-sample's kind:"sample" document must
 #      validate, render and be byte-deterministic run to run, and the
-#      sampling_accuracy gate must hold
+#      sampling_accuracy gate must hold;
+#      reproduction tables: seven paper benches (partial tags, MCT
+#      depth, the §5.4/§5.6 studies) must print the tables in
+#      bench/baselines/tables/ byte for byte
 #   9. perf smoke: the benchmark (perfbench/run.py, BENCHMARK.json)
 #      on classify-trace with the per-layer pass; its result line must
 #      say "correct": true and "failed": 0, i.e. every document matched
@@ -323,6 +326,22 @@ step "sampling accuracy gate (bench/sampling_accuracy --gate-only)"
 # than 5% (the wall-clock sweep columns are skipped — speedup numbers
 # live in bench/baselines/BENCH_sampling.json).
 build/bench/sampling_accuracy --gate-only
+
+step "reproduction tables (paper benches vs bench/baselines/tables)"
+# The printed tables are the simulated bytes of the paths Golden.*
+# does not reach: partial tags in the timing lane, MCT depth > 1, and
+# the pseudo-associative, biased, multithread and remap studies.  Run
+# in a scratch directory: fig1_accuracy also writes its BENCH_*.json.
+mkdir -p "$obs_tmp/tables"
+for b in fig1_accuracy fig2_tag_bits ablation_mct_depth \
+         sec54_pseudo_assoc sec56_assoc_bias sec56_multithread \
+         sec56_page_remap; do
+    if ! (cd "$obs_tmp/tables" && "$repo_root/build/bench/$b") |
+         diff "bench/baselines/tables/$b.txt" -; then
+        echo "FAIL: $b no longer prints bench/baselines/tables/$b.txt" >&2
+        exit 1
+    fi
+done
 
 step "perf smoke (perfbench/run.py classify-trace, per-layer pass)"
 # One short digest-checked run of the benchmark: it builds into
