@@ -1,7 +1,9 @@
 #include "sim/sharded.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "common/log.hh"
@@ -9,6 +11,8 @@
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "trace/batch_reader.hh"
+#include "trace/file_trace.hh"
+#include "trace/wire.hh"
 
 namespace ccm
 {
@@ -57,81 +61,134 @@ struct Bucket
 };
 
 /**
- * A trace split by set: bucket k holds the references whose set
- * satisfies set % K == k, and each interval-window boundary records
- * where every bucket stood when the global reference count reached it.
+ * One chunk of the input, split by set: bucket k holds the chunk's
+ * references whose set satisfies set % K == k, in stream order, and
+ * each global window the chunk closes records where its buckets stood.
  */
-struct Partition
+struct Chunk
 {
     std::vector<Bucket> buckets;
-    /** Global reference index that closes window w. */
+    /** Global reference index of each window this chunk closes. */
     std::vector<Count> windowEnds;
-    /** cuts[w * K + k]: size of bucket k when window w closed. */
+    /** cuts[j * K + k]: size of bucket k when window j closed. */
     std::vector<std::size_t> cuts;
     Count records = 0;    ///< trace records read, non-memory included
     Count references = 0; ///< memory references among them
 };
 
 /**
- * Builds a Partition in one streaming pass: non-memory records are
+ * A trace split into C chunks x K buckets.  Shard k consumes buckets
+ * (0, k) ... (C-1, k) in chunk order, which is its references in
+ * stream order, and window w closes when its running position reaches
+ * cuts[w * K + k].
+ */
+struct Partition
+{
+    std::vector<Chunk> chunks;
+    std::size_t shards = 1; ///< K, buckets per chunk
+    /** Global reference index that closes window w. */
+    std::vector<Count> windowEnds;
+    /** cuts[w * K + k]: shard k's position when window w closed. */
+    std::vector<std::size_t> cuts;
+    Count records = 0;    ///< trace records read, non-memory included
+    Count references = 0; ///< memory references among them
+};
+
+/**
+ * Builds one Chunk in one streaming pass: non-memory records are
  * dropped, each memory reference goes to its set's bucket, and window
  * boundaries are stamped as the global reference count crosses them.
+ * The chunk starts @p firstRef references into the trace.
  */
 class Partitioner
 {
   public:
-    /** Fatal on an invalid @p cfg; callers validate() first. */
-    explicit Partitioner(const ShardedClassifyConfig &cfg)
-        : geom_(cfg.cacheBytes, cfg.assoc, cfg.lineBytes),
-          interval_(cfg.interval),
-          nextBoundary_(cfg.interval != 0 ? cfg.interval
-                                          : ~Count{0})
+    Partitioner(const CacheGeometry &geom, std::size_t shards,
+                Count interval, Count firstRef)
+        : geom_(geom), interval_(interval), firstRef_(firstRef),
+          refs_(firstRef),
+          nextBoundary_(interval != 0
+                            ? (firstRef / interval + 1) * interval
+                            : ~Count{0})
     {
-        part_.buckets.resize(cfg.shards == 0 ? 1 : cfg.shards);
+        chunk_.buckets.resize(shards);
     }
 
+    /** Add records at(0) ... at(count - 1). */
+    template <typename RecordAt>
     void
-    add(const MemRecord *records, std::size_t count)
+    add(std::size_t count, RecordAt at)
     {
-        const std::size_t shards = part_.buckets.size();
+        const std::size_t shards = chunk_.buckets.size();
         for (std::size_t i = 0; i < count; ++i) {
-            const MemRecord &r = records[i];
+            const MemRecord r = at(i);
             if (!r.isMem())
                 continue;
             const std::size_t set = geom_.setOf(r.dataAddr()).value();
-            part_.buckets[set % shards].push(r.addr, r.isStore());
-            if (++part_.references == nextBoundary_)
+            chunk_.buckets[set % shards].push(r.addr, r.isStore());
+            if (++refs_ == nextBoundary_)
                 closeWindow();
         }
-        part_.records += count;
+        chunk_.records += count;
     }
 
-    /** Close the trailing partial window, if any, and hand over. */
-    Partition
+    Chunk
     finish()
     {
-        const Count last =
-            part_.windowEnds.empty() ? 0 : part_.windowEnds.back();
-        if (interval_ != 0 && part_.references > last)
-            closeWindow();
-        return std::move(part_);
+        chunk_.references = refs_ - firstRef_;
+        return std::move(chunk_);
     }
 
   private:
     void
     closeWindow()
     {
-        part_.windowEnds.push_back(part_.references);
-        for (const Bucket &b : part_.buckets)
-            part_.cuts.push_back(b.addrs.size());
+        chunk_.windowEnds.push_back(refs_);
+        for (const Bucket &b : chunk_.buckets)
+            chunk_.cuts.push_back(b.addrs.size());
         nextBoundary_ += interval_;
     }
 
     CacheGeometry geom_;
     Count interval_;
+    Count firstRef_;
+    Count refs_;
     Count nextBoundary_;
-    Partition part_;
+    Chunk chunk_;
 };
+
+/**
+ * Join @p chunks, in stream order, into one Partition: each chunk's
+ * cuts become per-shard positions by adding the sizes of the earlier
+ * chunks' buckets, and the trailing partial window, if any, closes.
+ */
+Partition
+joinChunks(std::vector<Chunk> chunks, Count interval)
+{
+    Partition part;
+    part.shards = chunks.front().buckets.size();
+    std::vector<std::size_t> base(part.shards, 0);
+    for (const Chunk &c : chunks) {
+        for (std::size_t j = 0; j < c.windowEnds.size(); ++j) {
+            part.windowEnds.push_back(c.windowEnds[j]);
+            for (std::size_t k = 0; k < part.shards; ++k)
+                part.cuts.push_back(base[k] +
+                                    c.cuts[j * part.shards + k]);
+        }
+        for (std::size_t k = 0; k < part.shards; ++k)
+            base[k] += c.buckets[k].addrs.size();
+        part.records += c.records;
+        part.references += c.references;
+    }
+    const Count last =
+        part.windowEnds.empty() ? 0 : part.windowEnds.back();
+    if (interval != 0 && part.references > last) {
+        part.windowEnds.push_back(part.references);
+        part.cuts.insert(part.cuts.end(), base.begin(), base.end());
+    }
+    part.chunks = std::move(chunks);
+    return part;
+}
 
 /** One shard's private output, prior to the merge. */
 struct ShardState
@@ -148,27 +205,37 @@ struct ShardState
  */
 ShardState
 runShard(const Partition &part, const ShardedClassifyConfig &cfg,
-         unsigned shard)
+         std::size_t shard)
 {
     ClassifyKernel kernel(cfg);
     const CacheGeometry &geom = kernel.geometry();
-    const Bucket &bucket = part.buckets[shard];
-    const std::size_t shards = part.buckets.size();
 
     ShardState out;
     MemStats cur;      // running shard-local counters
     MemStats lastSnap; // counters at the last window boundary
     Count lastBoundary = 0;
-    std::size_t i = 0;
+    std::size_t pos = 0;  // shard position across all chunks
+    std::size_t c = 0;    // current chunk
+    std::size_t base = 0; // shard position at chunk c's start
 
     auto runTo = [&](std::size_t end) {
-        for (; i < end; ++i)
-            classifyCounted(kernel, ByteAddr{bucket.addrs[i]},
-                            bucket.isStore(i), cur);
+        while (pos < end) {
+            const Bucket &bucket = part.chunks[c].buckets[shard];
+            const std::size_t stop =
+                std::min(end, base + bucket.addrs.size());
+            for (std::size_t i = pos - base; i < stop - base; ++i)
+                classifyCounted(kernel, ByteAddr{bucket.addrs[i]},
+                                bucket.isStore(i), cur);
+            pos = stop;
+            if (pos == base + bucket.addrs.size() && pos < end) {
+                base = pos;
+                ++c;
+            }
+        }
     };
 
     for (std::size_t w = 0; w < part.windowEnds.size(); ++w) {
-        runTo(part.cuts[w * shards + shard]);
+        runTo(part.cuts[w * part.shards + shard]);
         obs::IntervalSample s;
         s.firstRef = lastBoundary + 1;
         s.lastRef = part.windowEnds[w];
@@ -177,7 +244,10 @@ runShard(const Partition &part, const ShardedClassifyConfig &cfg,
         lastSnap = cur;
         lastBoundary = s.lastRef;
     }
-    runTo(bucket.addrs.size());
+    std::size_t total = 0;
+    for (const Chunk &chunk : part.chunks)
+        total += chunk.buckets[shard].addrs.size();
+    runTo(total);
 
     out.mem = cur;
     out.heat.sets = geom.numSets();
@@ -240,60 +310,167 @@ mergeShard(ShardedClassifyResult &res, ShardState &&s)
     }
 }
 
-/** Run every shard over its bucket and merge the results. */
-ShardedClassifyResult
-classifyPartition(const Partition &part,
-                  const ShardedClassifyConfig &cfg)
+/**
+ * Where one run executes.  K shards own min(K, sets) buckets (set %
+ * K is the same partition either way: surplus shards own no set and
+ * would contribute zero), run on min(buckets, hardware threads) pool
+ * workers, and a random-access input is partitioned as one chunk per
+ * worker on that same pool.  One bucket runs inline, with no pool.
+ */
+class ShardPlan
 {
-    const auto shards = static_cast<unsigned>(part.buckets.size());
-    ShardedClassifyResult res;
-    res.shards = shards;
-    res.interval = cfg.interval;
-    res.records = part.records;
+  public:
+    /**
+     * Validation runs here, on the calling thread, so a bad config
+     * dies once rather than in every shard's kernel constructor at
+     * the same time.
+     */
+    explicit ShardPlan(const ShardedClassifyConfig &cfg)
+        : cfg_(cfg), geom_(checkedGeometry(cfg)),
+          shards_(std::max(cfg.shards, 1U)),
+          buckets_(std::min<std::size_t>(shards_, geom_.numSets()))
+    {
+        if (buckets_ > 1)
+            pool_.emplace(std::min(buckets_, resolveJobCount(0)));
+    }
 
-    if (shards == 1) {
+    /** Chunks a random-access input is partitioned in. */
+    std::size_t chunks() const { return pool_ ? pool_->workers() : 1; }
+
+    /** A partitioner for a chunk @p firstRef references in. */
+    Partitioner
+    partitioner(Count firstRef = 0) const
+    {
+        return Partitioner(geom_, buckets_, cfg_.interval, firstRef);
+    }
+
+    /** Run @p task(0) ... @p task(n - 1) on the pool, or inline. */
+    template <typename Task>
+    void
+    forEach(std::size_t n, Task task)
+    {
+        if (!pool_) {
+            for (std::size_t i = 0; i < n; ++i)
+                task(i);
+            return;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            pool_->submit([&task, i] { task(i); });
+        pool_->waitIdle();
+    }
+
+    /** Run every shard over its buckets and merge the results. */
+    ShardedClassifyResult
+    classify(const Partition &part)
+    {
+        ShardedClassifyResult res;
+        res.shards = shards_;
+        res.interval = cfg_.interval;
+        res.records = part.records;
+
         // The inline path runs the identical worker body, so K > 1
         // has a bit-exact sequential reference by construction.
-        mergeShard(res, runShard(part, cfg, 0));
-    } else {
         Mutex mergeMu(LockRank::ShardMerge, "shard-merge");
         obs::Histogram &mergeUs = shardMergeHistogram();
-
-        ThreadPool pool(shards);
-        for (unsigned k = 0; k < shards; ++k) {
-            pool.submit([&, k] {
-                ShardState s = runShard(part, cfg, k);
-                const auto t0 = std::chrono::steady_clock::now();
-                {
-                    MutexLock lock(mergeMu);
-                    mergeShard(res, std::move(s));
-                }
+        forEach(part.shards, [&](std::size_t k) {
+            ShardState s = runShard(part, cfg_, k);
+            const auto t0 = std::chrono::steady_clock::now();
+            {
+                MutexLock lock(mergeMu);
+                mergeShard(res, std::move(s));
+            }
+            if (pool_)
                 mergeUs.observe(static_cast<std::uint64_t>(
                     std::chrono::duration_cast<
                         std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count()));
-            });
-        }
-        pool.waitIdle();
+        });
+
+        res.references = res.mem.accesses;
+        res.misses = res.mem.l1Misses;
+        res.missRate = safeRatio(res.misses, res.references);
+        return res;
     }
 
-    res.references = res.mem.accesses;
-    res.misses = res.mem.l1Misses;
-    res.missRate = safeRatio(res.misses, res.references);
-    return res;
-}
+    const ShardedClassifyConfig &config() const { return cfg_; }
+
+  private:
+    static CacheGeometry
+    checkedGeometry(const ShardedClassifyConfig &cfg)
+    {
+        fatalIfError(cfg.validate().withContext("sharded classify"));
+        return CacheGeometry(cfg.cacheBytes, cfg.assoc, cfg.lineBytes);
+    }
+
+    const ShardedClassifyConfig &cfg_;
+    CacheGeometry geom_;
+    unsigned shards_;
+    std::size_t buckets_;
+    std::optional<ThreadPool> pool_;
+};
 
 /**
- * A partitioner for a validated @p cfg.  Validation runs here, on the
- * calling thread, so a bad config dies once rather than in every
- * shard's kernel constructor at the same time.
+ * Partition and classify a random-access input: @p spans hold its
+ * whole records in stream order, and @p recordAt(span, i) decodes
+ * record i of a span.  The records are cut into plan.chunks() equal
+ * ranges, each partitioned on its own pool worker.  Windows need each
+ * chunk's first global reference index, so with an interval a first
+ * parallel pass counts every chunk's references.
  */
-Partitioner
-makePartitioner(const ShardedClassifyConfig &cfg)
+template <typename Span, typename RecordAt>
+ShardedClassifyResult
+classifySpans(ShardPlan &plan, const std::vector<Span> &spans,
+              RecordAt recordAt)
 {
-    fatalIfError(cfg.validate().withContext("sharded classify"));
-    return Partitioner(cfg);
+    std::size_t total = 0;
+    for (const Span &s : spans)
+        total += s.records;
+    const std::size_t chunks = plan.chunks();
+
+    // Calls fn(span, first, n) for each stream-order piece of chunk c.
+    auto eachPiece = [&](std::size_t c, auto fn) {
+        const std::size_t lo = total * c / chunks;
+        const std::size_t hi = total * (c + 1) / chunks;
+        std::size_t base = 0;
+        for (const Span &s : spans) {
+            const std::size_t from = std::max(lo, base);
+            const std::size_t to = std::min(hi, base + s.records);
+            if (from < to)
+                fn(s, from - base, to - from);
+            base += s.records;
+        }
+    };
+
+    std::vector<Count> firstRef(chunks, 0);
+    if (plan.config().interval != 0 && chunks > 1) {
+        plan.forEach(chunks, [&](std::size_t c) {
+            Count refs = 0;
+            eachPiece(c, [&](const Span &s, std::size_t first,
+                             std::size_t n) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    if (recordAt(s, first + i).isMem())
+                        ++refs;
+                }
+            });
+            firstRef[c] = refs;
+        });
+        Count sum = 0;
+        for (Count &f : firstRef)
+            sum += std::exchange(f, sum);
+    }
+
+    std::vector<Chunk> parts(chunks);
+    plan.forEach(chunks, [&](std::size_t c) {
+        Partitioner p = plan.partitioner(firstRef[c]);
+        eachPiece(c, [&](const Span &s, std::size_t first,
+                         std::size_t n) {
+            p.add(n, [&](std::size_t i) { return recordAt(s, first + i); });
+        });
+        parts[c] = p.finish();
+    });
+    return plan.classify(
+        joinChunks(std::move(parts), plan.config().interval));
 }
 
 } // namespace
@@ -302,22 +479,44 @@ ShardedClassifyResult
 runShardedClassify(const MemRecord *records, std::size_t count,
                    const ShardedClassifyConfig &cfg)
 {
-    Partitioner parts = makePartitioner(cfg);
-    parts.add(records, count);
-    return classifyPartition(parts.finish(), cfg);
+    struct Span
+    {
+        const MemRecord *data;
+        std::size_t records;
+    };
+    ShardPlan plan(cfg);
+    return classifySpans(plan, std::vector<Span>{{records, count}},
+                         [](const Span &s, std::size_t i) {
+                             return s.data[i];
+                         });
 }
 
 ShardedClassifyResult
 runShardedClassify(TraceSource &trace,
                    const ShardedClassifyConfig &cfg)
 {
-    Partitioner parts = makePartitioner(cfg);
+    ShardPlan plan(cfg);
     trace.reset();
+    const auto *file = dynamic_cast<const TraceFileReader *>(&trace);
+    if (file && file->readStats().encoding == TraceEncoding::Packed) {
+        return classifySpans(
+            plan, file->packedRuns(),
+            [](const wire::RecordSpan &s, std::size_t i) {
+                return wire::unpackRecord(s.data +
+                                          i * wire::recordBytes);
+            });
+    }
+
+    // A streamed input is one chunk, partitioned as it is read.
+    Partitioner parts = plan.partitioner();
     MemRecord chunk[maxTraceBatch];
     std::size_t got;
     while ((got = trace.nextBatch(chunk, maxTraceBatch)) > 0)
-        parts.add(chunk, got);
-    return classifyPartition(parts.finish(), cfg);
+        parts.add(got, [&](std::size_t i) { return chunk[i]; });
+    std::vector<Chunk> one;
+    one.push_back(parts.finish());
+    return plan.classify(
+        joinChunks(std::move(one), plan.config().interval));
 }
 
 } // namespace ccm

@@ -9,13 +9,26 @@
  * set satisfies set % K == k, against a private Cache + MCT, and no
  * other shard can observe or perturb it.
  *
- * The input is read once, on the calling thread: one streaming pass
- * drops non-memory records, appends each memory reference (address
- * plus store bit) to its shard's bucket, and at every global
- * interval-window boundary records each bucket's size.  The K shards
- * then run over their own buckets only, and emit their windows at
- * those recorded offsets, so all shards agree on the global window
- * sequence without ever seeing each other's references.
+ * The input is read once, by a partition pass that drops non-memory
+ * records, appends each memory reference (address plus store bit) to
+ * its shard's bucket, and at every global interval-window boundary
+ * records each bucket's size.  A random-access input (a record span,
+ * or a packed trace file's checked runs) is cut into C record-aligned
+ * chunks, one per pool worker, each partitioned into its own K
+ * buckets on the pool that later runs the shards; with an interval, a
+ * first parallel pass counts each chunk's references so every chunk
+ * knows its global reference offset.  A streamed input (a delta
+ * trace, a generator) is one chunk, partitioned on the calling thread
+ * as it is read.  Shard k then runs over buckets (0, k) ... (C-1, k)
+ * in chunk order, which is its references in stream order, and emits
+ * its windows at the recorded per-shard positions, so all shards agree
+ * on the global window sequence without ever seeing each other's
+ * references.
+ *
+ * Threads: K shards own min(K, sets) buckets (surplus shards would own
+ * no set) and run on a pool of min(buckets, hardware threads) workers;
+ * C is that worker count.  With one bucket everything runs inline on
+ * the calling thread.
  *
  * Merge contract (mirrors the suite runner's delivery contract,
  * docs/PERFORMANCE.md "Sharded classification"):
@@ -59,8 +72,9 @@ struct ShardedClassifyConfig : ClassifyGeometry
 {
     /**
      * Shard count K.  0 and 1 both mean "run the worker inline on the
-     * calling thread"; K > number of sets is allowed (the surplus
-     * shards own no sets and contribute zero to every sum).
+     * calling thread"; any larger K is allowed (shards beyond the set
+     * count own no sets, contribute zero to every sum and are not
+     * run).
      */
     unsigned shards = 1;
 
@@ -99,7 +113,7 @@ struct ShardedClassifyResult
     /** Window length the series was sampled at (cfg.interval). */
     Count interval = 0;
 
-    unsigned shards = 1; ///< shard count actually used
+    unsigned shards = 1; ///< shard count K (0 reported as 1)
 };
 
 /**
@@ -124,8 +138,9 @@ classifyCounted(ClassifyKernel &kernel, ByteAddr addr, bool store,
 }
 
 /**
- * Classify @p count records on cfg.shards workers.  The span is read
- * once, by the partition pass, before any shard starts.  The config
+ * Classify @p count records on cfg.shards shards.  The span is read
+ * once, by the chunked partition pass, before any shard starts.  The
+ * config
  * is validated on the calling thread first; an invalid one is fatal,
  * so entry points that take user input check
  * ClassifyGeometry::validate() first.
@@ -135,10 +150,11 @@ ShardedClassifyResult runShardedClassify(
     const ShardedClassifyConfig &cfg);
 
 /**
- * The same run fed from @p trace, which is reset first and then
- * streamed batch by batch into the partition pass: no copy of the
- * trace is made, so a mapped trace is decoded once, straight into the
- * shards' buckets.
+ * The same run fed from @p trace, which is reset first.  A packed
+ * TraceFileReader is partitioned in chunks straight from its
+ * packedRuns(); any other source is streamed batch by batch into one
+ * chunk.  No copy of the trace is made either way, so a mapped trace
+ * is decoded once, straight into the shards' buckets.
  */
 ShardedClassifyResult runShardedClassify(
     TraceSource &trace, const ShardedClassifyConfig &cfg);

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/log.hh"
+#include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "trace/batch_reader.hh"
 #include "trace/delta.hh"
@@ -305,17 +306,100 @@ TraceFileReader::scan(const TraceReadOptions &opts)
                                                    : scanPacked(opts);
 }
 
+std::vector<std::size_t>
+packedCheckBounds(std::size_t records)
+{
+    // 64Ki records (1.5 MiB) per range at least: below that, starting
+    // a thread costs about what checking the range does.
+    constexpr std::size_t minRangeRecords = std::size_t{1} << 16;
+    const std::size_t ranges = std::max<std::size_t>(
+        1, std::min(resolveJobCount(0), records / minRangeRecords));
+    std::vector<std::size_t> bounds(ranges + 1);
+    for (std::size_t i = 0; i <= ranges; ++i)
+        bounds[i] = records * i / ranges;
+    return bounds;
+}
+
+namespace
+{
+
+/**
+ * True when all @p records whole records at @p body are plausible,
+ * checked in packedCheckBounds() ranges, one thread per range.
+ */
+bool
+allPlausible(const std::uint8_t *body, std::size_t records)
+{
+    const std::vector<std::size_t> bounds = packedCheckBounds(records);
+    const std::size_t ranges = bounds.size() - 1;
+    auto check = [&](std::size_t r) {
+        bool clean = true;
+        for (std::size_t i = bounds[r]; i < bounds[r + 1]; ++i)
+            clean &= plausibleRecord(body + i * recordBytes);
+        return clean;
+    };
+    if (ranges == 1)
+        return check(0);
+    std::vector<char> clean(ranges, 0);
+    ThreadPool pool(ranges);
+    for (std::size_t r = 0; r < ranges; ++r)
+        pool.submit([&, r] { clean[r] = check(r) ? 1 : 0; });
+    pool.waitIdle();
+    return std::all_of(clean.begin(), clean.end(),
+                       [](char c) { return c != 0; });
+}
+
+} // namespace
+
 Status
 TraceFileReader::scanPacked(const TraceReadOptions &opts)
 {
     const std::string &path = label_;
     const std::size_t size = validBytes_;
-    std::size_t off = 0;
+    const std::size_t whole = size / recordBytes;
+    std::size_t off = whole * recordBytes;
+    if (allPlausible(body_, whole)) {
+        // The common case: a clean body is one run.
+        if (whole != 0)
+            runs_.push_back({body_, whole});
+        stats_.recordsRead = whole;
+    } else {
+        Status s = resyncPacked(opts, off);
+        if (!s.isOk())
+            return s;
+    }
+
+    if (off < size) {
+        // Trailing bytes too short to form a record.
+        noteDefect(stats_, TraceDefect::PartialTail);
+        if (!opts.tolerateTruncatedTail) {
+            return Status::corruptTrace(
+                "trailing partial record in trace ", path);
+        }
+        stats_.truncatedTail = true;
+        stats_.bytesSkipped += size - off;
+        if (!opts.quiet) {
+            ccm_warn("trace ", path, ": truncated tail (", size - off,
+                     " bytes); treating as end of trace");
+        }
+    }
+    validBytes_ = off;
+    return Status::ok();
+}
+
+Status
+TraceFileReader::resyncPacked(const TraceReadOptions &opts,
+                              std::size_t &off)
+{
+    const std::string &path = label_;
+    const std::size_t size = validBytes_;
+    off = 0;
     std::size_t runStart = 0;
     Count records = 0;
     auto closeRun = [&] {
         if (off > runStart) {
-            runs_.push_back({runStart, (off - runStart) / recordBytes});
+            runs_.push_back(
+                {body_ + runStart, (off - runStart) / recordBytes});
             records += runs_.back().records;
         }
     };
@@ -353,22 +437,6 @@ TraceFileReader::scanPacked(const TraceReadOptions &opts)
     }
     closeRun();
     stats_.recordsRead = records;
-
-    if (off < size) {
-        // Trailing bytes too short to form a record.
-        noteDefect(stats_, TraceDefect::PartialTail);
-        if (!opts.tolerateTruncatedTail) {
-            return Status::corruptTrace(
-                "trailing partial record in trace ", path);
-        }
-        stats_.truncatedTail = true;
-        stats_.bytesSkipped += size - off;
-        if (!opts.quiet) {
-            ccm_warn("trace ", path, ": truncated tail (", size - off,
-                     " bytes); treating as end of trace");
-        }
-    }
-    validBytes_ = off;
     return Status::ok();
 }
 
@@ -480,11 +548,10 @@ TraceFileReader::nextBatch(MemRecord *out, std::size_t n)
     std::size_t got = 0;
     if (stats_.encoding == TraceEncoding::Packed) {
         while (got < n && run_ < runs_.size()) {
-            const Run &run = runs_[run_];
+            const wire::RecordSpan &run = runs_[run_];
             const std::size_t take =
                 std::min(n - got, run.records - runPos_);
-            const std::uint8_t *p =
-                body_ + run.offset + runPos_ * recordBytes;
+            const std::uint8_t *p = run.data + runPos_ * recordBytes;
             for (std::size_t i = 0; i < take; ++i) {
                 out[got + i] = unpackRecord(p);
                 p += recordBytes;

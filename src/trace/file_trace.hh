@@ -42,6 +42,7 @@
 #include "common/status.hh"
 #include "trace/delta.hh"
 #include "trace/source.hh"
+#include "trace/wire.hh"
 
 namespace ccm
 {
@@ -165,6 +166,15 @@ TraceDefect probeTraceFile(const std::string &path,
                            TraceReadStats *stats = nullptr);
 
 /**
+ * The record ranges the open-time check of a packed body with
+ * @p records whole records runs on: range i is records
+ * [bounds[i], bounds[i + 1]).  One range per hardware thread, but
+ * never one shorter than a fixed minimum, so a small trace is checked
+ * as one range on the calling thread.
+ */
+std::vector<std::size_t> packedCheckBounds(std::size_t records);
+
+/**
  * Replay a binary trace file of either encoding, zero-copy.
  *
  * open() maps the file read-only, or read()s it into one owned buffer
@@ -175,6 +185,12 @@ TraceDefect probeTraceFile(const std::string &path,
  * single run) and the end of the last whole record.  next() and
  * nextBatch() decode straight from the bytes along that map and
  * cannot fail.
+ *
+ * A packed body is first checked optimistically: its whole records
+ * are split into packedCheckBounds() ranges, checked on one thread
+ * each.  Only when a range holds an implausible record does the
+ * serial resync scan run, from byte 0, so every Status, byte offset,
+ * TraceReadStats field and warning is the serial scan's own.
  */
 class TraceFileReader : public TraceSource
 {
@@ -204,14 +220,17 @@ class TraceFileReader : public TraceSource
     /** Diagnostics from the scan (skips, resyncs, truncation). */
     const TraceReadStats &readStats() const { return stats_; }
 
-  private:
-    /** A run of back-to-back valid packed records in the body. */
-    struct Run
+    /**
+     * The packed defect map, for random access: one span of whole,
+     * checked records per run, in stream order.  Empty for a delta
+     * trace, whose records only decode in sequence.
+     */
+    const std::vector<wire::RecordSpan> &packedRuns() const
     {
-        std::size_t offset;  ///< body byte offset of the first record
-        std::size_t records; ///< record count
-    };
+        return runs_;
+    }
 
+  private:
     TraceFileReader() = default;
 
     /** Map or read() the whole file into the view. */
@@ -219,6 +238,8 @@ class TraceFileReader : public TraceSource
     /** Check the header, then scan the body into the defect map. */
     Status scan(const TraceReadOptions &opts);
     Status scanPacked(const TraceReadOptions &opts);
+    /** The resync scan: fills runs_, sets @p off past the last record. */
+    Status resyncPacked(const TraceReadOptions &opts, std::size_t &off);
     Status scanDelta(const TraceReadOptions &opts);
 
     void *map_ = nullptr; ///< whole-file mapping, if mapped
@@ -228,7 +249,7 @@ class TraceFileReader : public TraceSource
 
     const std::uint8_t *body_ = nullptr; ///< first byte after header
     std::size_t validBytes_ = 0; ///< body bytes up to the last record
-    std::vector<Run> runs_;      ///< packed defect map
+    std::vector<wire::RecordSpan> runs_; ///< packed defect map
 
     std::size_t run_ = 0;    ///< packed cursor: current run
     std::size_t runPos_ = 0; ///< packed cursor: record within the run

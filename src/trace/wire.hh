@@ -14,6 +14,7 @@
 #define CCM_TRACE_WIRE_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -86,6 +87,16 @@ packRecord(const MemRecord &r, std::uint8_t *buf)
     std::memset(buf + 18, 0, 6);
 }
 
+/**
+ * Whole packed records, back to back: @p records * recordBytes bytes
+ * at @p data, every one of them already checked plausible.
+ */
+struct RecordSpan
+{
+    const std::uint8_t *data = nullptr;
+    std::size_t records = 0;
+};
+
 /** Deserialize 24 bytes at @p buf (assumed plausible) into a record. */
 inline MemRecord
 unpackRecord(const std::uint8_t *buf)
@@ -103,19 +114,21 @@ unpackRecord(const std::uint8_t *buf)
  * RecordType, no unknown flag bits are set, and the padding is zero —
  * the invariants packRecord establishes.  Used to find the next
  * believable record boundary when resyncing past garbage.
+ *
+ * Bytes 16..23 (type, flags, padding) are one little-endian word:
+ * the type is its low byte, and every bit above it other than a
+ * known flag must be clear.
  */
 inline bool
 plausibleRecord(const std::uint8_t *buf)
 {
-    if (buf[16] > static_cast<std::uint8_t>(RecordType::Store))
-        return false;
-    if ((buf[17] & ~knownFlags) != 0)
-        return false;
-    for (int i = 18; i < 24; ++i) {
-        if (buf[i] != 0)
-            return false;
-    }
-    return true;
+    constexpr std::uint64_t typeMask = 0xff;
+    constexpr std::uint64_t allowed =
+        typeMask | std::uint64_t{knownFlags} << 8;
+    const std::uint64_t word = loadLe64(buf + 16);
+    return (word & typeMask) <=
+               static_cast<std::uint8_t>(RecordType::Store) &&
+           (word & ~allowed) == 0;
 }
 
 } // namespace ccm::wire

@@ -25,11 +25,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "hierarchy/memstats.hh"
 #include "mct/classify_run.hh"
 #include "sim/experiment.hh"
@@ -38,6 +41,7 @@
 #include "trace/file_trace.hh"
 #include "trace/mmap_trace.hh"
 #include "trace/vector_trace.hh"
+#include "trace/wire.hh"
 #include "workloads/registry.hh"
 
 namespace ccm
@@ -72,6 +76,7 @@ void
 expectSameResult(const ShardedClassifyResult &ref,
                  const ShardedClassifyResult &got)
 {
+    EXPECT_EQ(ref.records, got.records);
     EXPECT_EQ(ref.references, got.references);
     EXPECT_EQ(ref.misses, got.misses);
     EXPECT_DOUBLE_EQ(ref.missRate, got.missRate);
@@ -111,6 +116,25 @@ TEST(ShardedClassify, EveryShardCountMatchesSequential)
         EXPECT_EQ(got.shards, shards);
         expectSameResult(ref, got);
     }
+}
+
+TEST(ShardedClassify, MaxShardCountMatchesOne)
+{
+    // K = UINT_MAX runs as one bucket per set on one worker per
+    // hardware thread, never as 4 billion threads or buckets.
+    auto wl = makeWorkload("gcc", 20'000, 3);
+    VectorTrace trace = VectorTrace::capture(*wl);
+    const MemRecord *recs = trace.records().data();
+    const std::size_t n = trace.records().size();
+    const unsigned most = std::numeric_limits<unsigned>::max();
+
+    const ShardedClassifyResult ref =
+        runShardedClassify(recs, n, smallConfig(1, 997));
+    const ShardedClassifyResult got =
+        runShardedClassify(recs, n, smallConfig(most, 997));
+    EXPECT_EQ(got.shards, most);
+    expectSameResult(ref, got);
+    expectSameResult(ref, runShardedClassify(trace, smallConfig(most, 997)));
 }
 
 TEST(ShardedClassify, IntervalWindowsUseGlobalBoundaries)
@@ -359,23 +383,60 @@ class MappedTraceTest : public ::testing::Test
         ASSERT_TRUE(writer.value()->close().isOk());
     }
 
+    /** The file's bytes. */
+    std::vector<std::uint8_t>
+    readFile() const
+    {
+        std::vector<std::uint8_t> all;
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        if (!f)
+            return all;
+        std::uint8_t chunk[65536];
+        std::size_t n;
+        while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0)
+            all.insert(all.end(), chunk, chunk + n);
+        std::fclose(f);
+        return all;
+    }
+
+    /** Replace the file with @p bytes. */
+    void
+    writeFile(const std::vector<std::uint8_t> &bytes)
+    {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        if (!bytes.empty()) {
+            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                      bytes.size());
+        }
+        std::fclose(f);
+    }
+
     void
     truncateTo(std::size_t bytes)
     {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        std::vector<unsigned char> all;
-        int c;
-        while ((c = std::fgetc(f)) != EOF)
-            all.push_back(static_cast<unsigned char>(c));
-        std::fclose(f);
+        std::vector<std::uint8_t> all = readFile();
         ASSERT_LE(bytes, all.size());
-        f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        if (bytes > 0) {
-            ASSERT_EQ(std::fwrite(all.data(), 1, bytes, f), bytes);
-        }
-        std::fclose(f);
+        all.resize(bytes);
+        writeFile(all);
+    }
+
+    /** Overwrite packed record @p record with 24 0xff bytes. */
+    void
+    stampGarbage(std::size_t record)
+    {
+        std::vector<std::uint8_t> all = readFile();
+        ASSERT_LE(16 + 24 * (record + 1), all.size());
+        stamp(all, record);
+        writeFile(all);
+    }
+
+    static void
+    stamp(std::vector<std::uint8_t> &file, std::size_t record)
+    {
+        std::fill_n(file.begin() +
+                        static_cast<std::ptrdiff_t>(16 + 24 * record),
+                    24, std::uint8_t{0xff});
     }
 
     std::string path;
@@ -464,16 +525,7 @@ TEST_F(MappedTraceTest, CorruptBodyIsRejectedAtOpen)
 {
     writeWorkload("compress", 1'000);
     // Stamp garbage over a record in the middle of the body.
-    std::FILE *f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 16 + 24 * 50, SEEK_SET), 0);
-    const unsigned char junk[24] = {0xff, 0xff, 0xff, 0xff, 0xff,
-                                    0xff, 0xff, 0xff, 0xff, 0xff,
-                                    0xff, 0xff, 0xff, 0xff, 0xff,
-                                    0xff, 0xff, 0xff, 0xff, 0xff,
-                                    0xff, 0xff, 0xff, 0xff};
-    ASSERT_EQ(std::fwrite(junk, 1, sizeof junk, f), sizeof junk);
-    std::fclose(f);
+    stampGarbage(50);
 
     auto mapped = TraceFileReader::open(path);
     ASSERT_FALSE(mapped.ok());
@@ -565,6 +617,198 @@ TEST_F(MappedTraceTest, TraceSourceOverloadResetsTheReader)
         runShardedClassify(*mapped.value(), cfg);
     expectSameResult(first, second);
     EXPECT_EQ(second.records, first.records);
+}
+
+/**
+ * The documented packed resync rule, one byte at a time: a plausible
+ * 24-byte window is a record, anything else is skipped byte by byte,
+ * and each maximal skipped stretch is one resync event.  Bytes short
+ * of a whole record at the end are the (tolerated) tail.
+ */
+TraceReadStats
+naivePackedScan(const std::vector<std::uint8_t> &file)
+{
+    TraceReadStats st;
+    std::size_t off = 16;
+    bool skipping = false;
+    while (off + 24 <= file.size()) {
+        if (wire::plausibleRecord(&file[off])) {
+            ++st.recordsRead;
+            off += 24;
+            skipping = false;
+            continue;
+        }
+        if (!skipping) {
+            ++st.resyncEvents;
+            if (st.firstDefect == TraceDefect::None)
+                st.firstDefect = TraceDefect::MidFileGarbage;
+        }
+        skipping = true;
+        ++st.bytesSkipped;
+        ++off;
+    }
+    if (off < file.size()) {
+        st.truncatedTail = true;
+        st.bytesSkipped += file.size() - off;
+        if (st.firstDefect == TraceDefect::None)
+            st.firstDefect = TraceDefect::PartialTail;
+    }
+    return st;
+}
+
+void
+expectSameReadStats(const TraceReadStats &want, const TraceReadStats &got)
+{
+    EXPECT_EQ(want.recordsRead, got.recordsRead);
+    EXPECT_EQ(want.resyncEvents, got.resyncEvents);
+    EXPECT_EQ(want.bytesSkipped, got.bytesSkipped);
+    EXPECT_EQ(want.truncatedTail, got.truncatedTail);
+    EXPECT_EQ(want.encoding, got.encoding);
+    EXPECT_EQ(want.firstDefect, got.firstDefect);
+}
+
+TEST_F(MappedTraceTest, GarbageInAnyCheckRangeGivesTheSerialResult)
+{
+    // Big enough for the open-time check to split into several ranges
+    // on a multi-core host; garbage in the first range, on both sides
+    // of a range boundary and in the last range must each fall back to
+    // the serial scan and report exactly what it reports.
+    writeWorkload("gcc", 40'000);
+    const std::size_t n = written.size();
+    const std::vector<std::size_t> bounds = packedCheckBounds(n);
+    ASSERT_EQ(bounds.front(), 0u);
+    ASSERT_EQ(bounds.back(), n);
+    if (resolveJobCount(0) > 1) {
+        EXPECT_GT(bounds.size(), 2u);
+    }
+    const std::size_t edge = bounds.size() > 2 ? bounds[1] : n / 2;
+    const std::vector<std::uint8_t> pristine = readFile();
+
+    for (const std::size_t at : {std::size_t{0}, edge - 1, edge, n - 1}) {
+        SCOPED_TRACE("garbage at record " + std::to_string(at));
+        writeFile(pristine);
+        stampGarbage(at);
+
+        TraceReadStats strictStats;
+        auto strict = TraceFileReader::open(path, {}, &strictStats);
+        ASSERT_FALSE(strict.ok());
+        EXPECT_EQ(strict.status().toString(),
+                  "corrupt-trace: mid-file garbage in trace " + path +
+                      " at byte " + std::to_string(16 + 24 * at));
+        TraceReadStats strictWant;
+        strictWant.recordsRead = at;
+        strictWant.firstDefect = TraceDefect::MidFileGarbage;
+        expectSameReadStats(strictWant, strictStats);
+
+        // Resync may land inside a later record (a non-memory record's
+        // zero address reads as a plausible type, flags and padding),
+        // so the budget is unlimited and the naive scan says how many
+        // resyncs the serial rule takes.
+        TraceReadOptions tolerant;
+        tolerant.corruptionBudget = ~std::size_t{0};
+        tolerant.tolerateTruncatedTail = true;
+        tolerant.quiet = true;
+        TraceReadStats tolerantStats;
+        auto rd = TraceFileReader::open(path, tolerant, &tolerantStats);
+        ASSERT_TRUE(rd.ok()) << rd.status().toString();
+        expectSameReadStats(naivePackedScan(readFile()), tolerantStats);
+        EXPECT_EQ(rd.value()->size(), tolerantStats.recordsRead);
+    }
+}
+
+TEST_F(MappedTraceTest, EveryInputPathAgreesAtEveryShardCount)
+{
+    // The chunked paths (the span overload, a packed reader's runs)
+    // and the streamed ones (VectorTrace, a delta reader) must agree
+    // field for field, windows and heat included.  The prime interval
+    // puts window boundaries off every chunk boundary.
+    writeWorkload("gcc", 70'000);
+    const std::vector<MemRecord> recs = written;
+    VectorTrace vec("gcc", recs);
+    auto packed = TraceFileReader::open(path);
+    ASSERT_TRUE(packed.ok()) << packed.status().toString();
+    ASSERT_EQ(packed.value()->packedRuns().size(), 1u);
+
+    const std::string deltaPath = path + ".delta";
+    {
+        auto w = TraceFileWriter::create(deltaPath, TraceEncoding::Delta);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
+        ASSERT_TRUE(w.value()->writeAll(vec).ok());
+        ASSERT_TRUE(w.value()->close().isOk());
+    }
+    auto delta = TraceFileReader::open(deltaPath);
+    ASSERT_TRUE(delta.ok()) << delta.status().toString();
+    EXPECT_TRUE(delta.value()->packedRuns().empty());
+
+    const ShardedClassifyResult ref =
+        runShardedClassify(recs.data(), recs.size(), smallConfig(1, 997));
+    ASSERT_GT(ref.intervals.size(), 50u);
+    for (unsigned k : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE("shards=" + std::to_string(k));
+        const ShardedClassifyConfig cfg = smallConfig(k, 997);
+        expectSameResult(
+            ref, runShardedClassify(recs.data(), recs.size(), cfg));
+        expectSameResult(ref, runShardedClassify(*packed.value(), cfg));
+        expectSameResult(ref, runShardedClassify(vec, cfg));
+        expectSameResult(ref, runShardedClassify(*delta.value(), cfg));
+    }
+    delta = Status::ioError("closed");
+    std::remove(deltaPath.c_str());
+}
+
+TEST_F(MappedTraceTest, TolerantReadWithSeveralRunsAgreesAcrossShards)
+{
+    // Two garbage runs and a 7-byte partial tail: a three-run defect
+    // map, whose runs the chunks must cross in stream order.
+    writeWorkload("gcc", 40'000);
+    const std::size_t n = written.size();
+    std::vector<std::uint8_t> file = readFile();
+    // Sites where resync lands on the very next record: then the map
+    // is exactly one run per stretch between the stamps.
+    auto stampCleanSite = [&](std::size_t from, Count stamps) {
+        for (std::size_t at = from; at + 1 < n; ++at) {
+            std::vector<std::uint8_t> probe = file;
+            stamp(probe, at);
+            const TraceReadStats st = naivePackedScan(probe);
+            if (st.resyncEvents == stamps &&
+                st.bytesSkipped == 24 * stamps) {
+                file = std::move(probe);
+                return;
+            }
+        }
+        FAIL() << "no clean garbage site after record " << from;
+    };
+    stampCleanSite(n / 3, 1);
+    stampCleanSite(2 * n / 3, 2);
+    file.resize(16 + 24 * (n - 1) + 7);
+    writeFile(file);
+
+    TraceReadOptions opts;
+    opts.corruptionBudget = 2;
+    opts.tolerateTruncatedTail = true;
+    opts.quiet = true;
+    TraceReadStats stats;
+    auto rd = TraceFileReader::open(path, opts, &stats);
+    ASSERT_TRUE(rd.ok()) << rd.status().toString();
+    EXPECT_EQ(stats.resyncEvents, 2u);
+    EXPECT_TRUE(stats.truncatedTail);
+    const std::vector<wire::RecordSpan> &runs = rd.value()->packedRuns();
+    ASSERT_EQ(runs.size(), 3u);
+    std::size_t inRuns = 0;
+    for (const wire::RecordSpan &r : runs)
+        inRuns += r.records;
+    EXPECT_EQ(inRuns, rd.value()->size());
+
+    // The reader's own record stream, as a span, is the reference.
+    const VectorTrace streamed = VectorTrace::capture(*rd.value());
+    const std::vector<MemRecord> &recs = streamed.records();
+    const ShardedClassifyResult ref =
+        runShardedClassify(recs.data(), recs.size(), smallConfig(1, 997));
+    for (unsigned k : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE("shards=" + std::to_string(k));
+        expectSameResult(
+            ref, runShardedClassify(*rd.value(), smallConfig(k, 997)));
+    }
 }
 
 // ---- delta codec --------------------------------------------------

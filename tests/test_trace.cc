@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -58,6 +59,60 @@ TEST(WireCodec, PackedRecordIsLittleEndianOnAnyHost)
         odd[i] = static_cast<std::uint8_t>(0xa0 + i);
     EXPECT_EQ(wire::loadLe64(odd + 1), 0xa8a7a6a5a4a3a2a1ULL);
     EXPECT_EQ(wire::loadLe32(odd + 9), 0xacabaaa9U);
+}
+
+/** The byte-wise plausibility test the one-word form replaced. */
+bool
+plausibleBytewise(const std::uint8_t *buf)
+{
+    if (buf[16] > static_cast<std::uint8_t>(RecordType::Store))
+        return false;
+    if ((buf[17] & ~wire::knownFlags) != 0)
+        return false;
+    for (int i = 18; i < 24; ++i) {
+        if (buf[i] != 0)
+            return false;
+    }
+    return true;
+}
+
+TEST(WireCodec, OneWordPlausibilityMatchesBytewise)
+{
+    // pc and addr bytes carry no invariant; a fixed pattern in them
+    // must not matter to either form.
+    std::uint8_t buf[wire::recordBytes];
+    for (std::size_t i = 0; i < 16; ++i)
+        buf[i] = static_cast<std::uint8_t>(0x5a + 37 * i);
+
+    // Every type byte and flags byte, padding zero.
+    std::memset(buf + 16, 0, 8);
+    for (unsigned type = 0; type < 256; ++type) {
+        for (unsigned flags = 0; flags < 256; ++flags) {
+            buf[16] = static_cast<std::uint8_t>(type);
+            buf[17] = static_cast<std::uint8_t>(flags);
+            ASSERT_EQ(wire::plausibleRecord(buf), plausibleBytewise(buf))
+                << "type " << type << " flags " << flags;
+        }
+    }
+
+    // Each padding byte nonzero on its own, under every plausible
+    // type and flags byte: always implausible, in both forms.
+    for (unsigned type = 0;
+         type <= static_cast<unsigned>(RecordType::Store); ++type) {
+        for (unsigned flags : {0u, unsigned{wire::knownFlags}}) {
+            for (int at = 18; at < 24; ++at) {
+                for (unsigned v = 1; v < 256; ++v) {
+                    std::memset(buf + 16, 0, 8);
+                    buf[16] = static_cast<std::uint8_t>(type);
+                    buf[17] = static_cast<std::uint8_t>(flags);
+                    buf[at] = static_cast<std::uint8_t>(v);
+                    ASSERT_FALSE(wire::plausibleRecord(buf))
+                        << "byte " << at << " = " << v;
+                    ASSERT_FALSE(plausibleBytewise(buf));
+                }
+            }
+        }
+    }
 }
 
 TEST(MemRecord, TypePredicates)

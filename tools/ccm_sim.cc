@@ -21,11 +21,13 @@
  * mode: one bad-config line and exit 1, before any suite row runs.
  */
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -477,6 +479,29 @@ runSuiteMode(const Options &o, const SystemConfig &cfg)
     return report.allOk() ? 0 : 2;
 }
 
+/**
+ * A --shards value: decimal digits only, at most UINT_MAX.  strtoul
+ * alone would read "abc" as 0 and wrap "-1" to ULONG_MAX.
+ */
+Expected<unsigned>
+parseShards(const std::string &text)
+{
+    const bool digits =
+        !text.empty() &&
+        text.find_first_not_of("0123456789") == std::string::npos;
+    errno = 0;
+    const unsigned long long v =
+        digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE ||
+        v > std::numeric_limits<unsigned>::max()) {
+        return Status::badConfig("--shards needs a shard count from 0 "
+                                 "to ",
+                                 std::numeric_limits<unsigned>::max(),
+                                 ", got '", text, "'");
+    }
+    return static_cast<unsigned>(v);
+}
+
 /** The classify config from @p o, or why it is invalid. */
 Expected<ShardedClassifyConfig>
 buildClassifyConfig(const Options &o)
@@ -583,7 +608,6 @@ runClassifyMode(const Options &o)
     if (o.suite)
         return runClassifySuiteMode(o, ccfg.value());
 
-    obs::ScopedSpan span("classify:" + o.workload, "sim");
     // records/sec: every trace record (non-memory included) over the
     // open-to-result wall time, the unit perfbench's Mrec/s uses.
     const auto start = std::chrono::steady_clock::now();
@@ -592,8 +616,10 @@ runClassifyMode(const Options &o)
         CCM_LOG_ERROR(trace.status().toString());
         return 1;
     }
-    ShardedClassifyResult res =
-        runShardedClassify(*trace.value(), ccfg.value());
+    ShardedClassifyResult res = [&] {
+        obs::ScopedSpan span("classify:" + trace.value()->name(), "sim");
+        return runShardedClassify(*trace.value(), ccfg.value());
+    }();
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -668,8 +694,12 @@ main(int argc, char **argv)
         } else if (a == "--classify") {
             o.classify = true;
         } else if (a == "--shards") {
-            o.shards = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            auto k = parseShards(val());
+            if (!k.ok()) {
+                CCM_LOG_ERROR(k.status().toString());
+                return 1;
+            }
+            o.shards = k.value();
         } else if (a == "--mct-depth") {
             o.mctDepth = static_cast<unsigned>(
                 std::strtoul(val().c_str(), nullptr, 10));

@@ -19,19 +19,21 @@
 #      stats document identical to --jobs 1 modulo wall-time fields;
 #      the sharded classify engine (--classify --suite --shards 4)
 #      must produce a stats document byte-identical to --shards 1,
-#      and so must a gcc trace file, packed and delta-encoded, read
-#      through the mapped reader at --shards 1 and 4;
-#      a bad geometry, MCT shape, --pref-kind or --refs 0 (ccm-sim
-#      single, --suite, --classify; ccm-sample; ccm-trace gen; a
-#      ccm-serve --config file) must give one bad-config line and exit
-#      1, never a fatal: exit, and ccm-trace gen to /dev/full one
-#      io-error line and exit 1;
+#      and so must a gcc trace file long enough for the parallel open
+#      check and partition to split it, packed and delta-encoded, at
+#      --interval 997 and --shards 1, 3 and 4;
+#      a bad geometry, MCT shape, --pref-kind, --shards or --refs 0
+#      (ccm-sim single, --suite, --classify; ccm-sample; ccm-trace
+#      gen; a ccm-serve --config file) must give one bad-config line
+#      and exit 1, never a fatal: exit, and ccm-trace gen to /dev/full
+#      one io-error line and exit 1;
 #      a damaged gcc trace (one garbage run, a 7-byte partial tail)
 #      must run under --budget 2 --tolerate-truncation in the single,
 #      --classify and --suite --trace-dir modes, classify exactly like
-#      its tracecheck repair, fail each mode with one error line and
-#      no fatal: without those options, and get tracecheck validate's
-#      documented exit code for each defect class;
+#      its tracecheck repair at --shards 1 and 4, fail each mode with
+#      one error line and no fatal: without those options, and get
+#      tracecheck validate's documented exit code for each defect
+#      class;
 #      sampling smoke: ccm-sample's kind:"sample" document must
 #      validate, render and be byte-deterministic run to run, and the
 #      sampling_accuracy gate must hold;
@@ -56,7 +58,8 @@
 #      within 1 s and leave a final document that validates
 #  11. telemetry smoke: suite stats must stay byte-identical with
 #      span tracing on (telemetry is strictly observational), the
-#      span file must be well-formed, and bench/telemetry_overhead
+#      span file must be well-formed, a classify run's span must be
+#      named after the trace it opened, and bench/telemetry_overhead
 #      must hold the classify hot-path overhead under its 2% budget
 #
 # Fails on the first nonzero step.  Steps that need a tool the
@@ -130,7 +133,7 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     --gtest_filter='ObsMetrics.*:ObsSpan.*'
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     build-tsan/tests/test_sharded \
-    --gtest_filter='ShardedClassify.*'
+    --gtest_filter='ShardedClassify.*:MappedTraceTest.*'
 
 step "static analysis (ccm-lint)"
 tools/ccm-lint --build-dir "$repo_root/build-tidy" -j "$jobs"
@@ -175,17 +178,20 @@ if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/classify_s1.jso
 fi
 build/tools/ccm-report --check "$obs_tmp/classify_s1.json"
 build/tools/ccm-report "$obs_tmp/classify_s1.json" > /dev/null
-# The file lanes: one gcc trace, packed and delta-encoded, through the
-# mapped reader at --shards 1 and 4.  All four documents must agree
-# once wall time and the trace path (the workload field) are stripped.
-build/tools/ccm-trace gen gcc "$obs_tmp/gcc.bin" --refs 20000 --seed 7 \
+# The file lanes: one gcc trace, packed and delta-encoded, at
+# --shards 1, 3 and 4.  At 70k refs (280k records) the packed open
+# check splits into several ranges and the partition into one chunk
+# per worker; the prime interval puts window boundaries off every
+# chunk boundary.  All six documents must agree once wall time and
+# the trace path (the workload field) are stripped.
+build/tools/ccm-trace gen gcc "$obs_tmp/gcc.bin" --refs 70000 --seed 7 \
     > /dev/null
 build/tools/ccm-trace pack "$obs_tmp/gcc.bin" "$obs_tmp/gcc.d.bin" \
     > /dev/null
 for enc in bin d.bin; do
-    for k in 1 4; do
+    for k in 1 3 4; do
         build/tools/ccm-sim --classify --trace "$obs_tmp/gcc.$enc" \
-            --interval 1000 --shards "$k" \
+            --interval 997 --shards "$k" \
             --stats-json "$obs_tmp/file_$enc.s$k.json" > /dev/null
         if ! diff <(grep -v -e wall_seconds -e records_per_sec \
                         -e '"workload"' "$obs_tmp/file_bin.s1.json") \
@@ -220,6 +226,9 @@ expect_code bad-config build/tools/ccm-sim --suite --l1-kb 3
 expect_code bad-config build/tools/ccm-sim --arch victim --buf-entries 0
 expect_code bad-config build/tools/ccm-sim --arch prefetch --pref-kind bogus
 expect_code bad-config build/tools/ccm-sim --refs 0
+expect_code bad-config build/tools/ccm-sim --classify --shards abc
+expect_code bad-config build/tools/ccm-sim --classify --shards -1
+expect_code bad-config build/tools/ccm-sim --classify --shards 4294967296
 expect_code bad-config build/tools/ccm-trace gen gcc "$obs_tmp/x.bin" --refs 0
 echo "l1-kb 3" > "$obs_tmp/bad.conf"
 # The timeout only matters if the daemon wrongly accepts the file.
@@ -281,6 +290,17 @@ if ! diff <(grep -v -e wall_seconds -e records_per_sec -e '"workload"' \
           <(grep -v -e wall_seconds -e records_per_sec -e '"workload"' \
                 "$obs_tmp/dmg_repaired.json"); then
     echo "FAIL: tolerant classify differs from classify of the repair" >&2
+    exit 1
+fi
+# The defect map's two runs, partitioned in chunks, classify the same.
+expect_rc 0 build/tools/ccm-sim --classify --trace "$dmg/gcc.bin" \
+    --interval 1000 "${tolerant[@]}" --shards 4 \
+    --stats-json "$obs_tmp/dmg_tolerant_s4.json"
+if ! diff <(grep -v -e wall_seconds -e records_per_sec \
+                "$obs_tmp/dmg_tolerant.json") \
+          <(grep -v -e wall_seconds -e records_per_sec \
+                "$obs_tmp/dmg_tolerant_s4.json"); then
+    echo "FAIL: tolerant classify differs at --shards 4" >&2
     exit 1
 fi
 # Strict: one error line each.  The suite still runs its 15 clean rows
@@ -489,6 +509,10 @@ diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/seq.json") \
 test -s "$obs_tmp/spans.json"
 grep -q '"traceEvents"' "$obs_tmp/spans.json"
 grep -q '"ph": "X"' "$obs_tmp/spans.json"
+# A classify run's span is named after the trace it opened.
+build/tools/ccm-sim --classify --trace "$obs_tmp/gcc.bin" \
+    --trace-spans "$obs_tmp/classify_spans.json" > /dev/null
+grep -q "\"classify:$obs_tmp/gcc.bin\"" "$obs_tmp/classify_spans.json"
 
 # The enforced < 2% classify hot-path budget: the bench exits 1 on a
 # breach, and the JSON record must land for baseline diffing.
