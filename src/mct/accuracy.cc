@@ -12,8 +12,6 @@ ClassifyResult
 classifyRun(TraceSource &trace, const ClassifyConfig &cfg)
 {
     ClassifyKernel kernel(cfg);
-    if (cfg.lookupHook)
-        kernel.setLookupHook(cfg.lookupHook);
     const CacheGeometry &geom = kernel.geometry();
     OracleClassifier oracle(geom.numLines());
 
@@ -32,20 +30,14 @@ classifyRun(TraceSource &trace, const ClassifyConfig &cfg)
 
             const ByteAddr addr = r.dataAddr();
             const bool hit = kernel.access(addr, r.isStore());
-            MissClass oracle_cls = oracle.observe(geom.lineOf(addr), !hit);
-            // Before the miss step, so the lookup hook sees this
-            // reference's index.
-            if (cfg.observer)
-                cfg.observer->onReference(!hit);
+            const MissClass oracle_cls =
+                oracle.observe(geom.lineOf(addr), !hit);
             if (hit)
                 continue;
 
             ++res.misses;
             const MissClass mct_cls = kernel.miss(addr, r.isStore());
             res.scorer.record(mct_cls, oracle_cls);
-            if (cfg.observer)
-                cfg.observer->onMiss(geom.setOf(addr), geom.tagOf(addr),
-                                     mct_cls, oracle_cls);
         }
     }
 

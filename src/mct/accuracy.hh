@@ -96,22 +96,6 @@ class AccuracyScorer
         compulsory += other.compulsory;
     }
 
-    /**
-     * Cell-wise this - prev (interval deltas; @p prev must be an
-     * earlier snapshot of the same tally).
-     */
-    AccuracyScorer
-    minus(const AccuracyScorer &prev) const
-    {
-        AccuracyScorer d;
-        d.confAsConf = confAsConf - prev.confAsConf;
-        d.confAsCap = confAsCap - prev.confAsCap;
-        d.capAsConf = capAsConf - prev.capAsConf;
-        d.capAsCap = capAsCap - prev.capAsCap;
-        d.compulsory = compulsory - prev.compulsory;
-        return d;
-    }
-
     // Raw confusion-matrix cells (serialization).
     std::uint64_t conflictAsConflict() const { return confAsConf; }
     std::uint64_t conflictAsCapacity() const { return confAsCap; }

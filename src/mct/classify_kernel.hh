@@ -3,10 +3,12 @@
  * The one cache + MCT classify step (paper §3): on a miss, classify
  * the incoming tag against the set's remembered evicted tags, fill
  * the line with that verdict as its conflict bit, and write the
- * victim's tag into the table.  classifyRun (oracle-bearing),
- * runShardedClassify (set-sharded), interval replay and the page
- * recoloring study all drive this kernel, so the protocol — and any
- * optimisation of it — lives here once.
+ * victim's tag into the table.  classifyRun (the one loop that also
+ * steps the three-C oracle), runShardedClassify (set-sharded),
+ * interval replay and the page recoloring study all drive this
+ * kernel, so the protocol — and any optimisation of it — lives here
+ * once.  The kernel carries no hooks: event tracing observes the
+ * timing lane's table (MissClassificationTable::setLookupHook).
  *
  * The kernel is header-inline: it sits in every classify hot loop.
  */
@@ -15,7 +17,6 @@
 #define CCM_MCT_CLASSIFY_KERNEL_HH
 
 #include <cstddef>
-#include <utility>
 
 #include "cache/cache.hh"
 #include "cache/geometry.hh"
@@ -57,10 +58,10 @@ struct ClassifyGeometry
 };
 
 /**
- * A private cache and MCT (of any depth) stepped
- * one memory reference at a time.  The hit test and the miss step
- * are separate calls so a caller can observe the cache outcome before
- * the classifier's lookup hook fires.
+ * A private cache and MCT (of any depth) stepped one memory reference
+ * at a time.  The hit test and the miss step are separate calls so a
+ * caller can count hits, or step an oracle on every reference, with
+ * no verdict to discard.
  */
 class ClassifyKernel
 {
@@ -94,13 +95,6 @@ class ClassifyKernel
         if (ev.valid)
             mct_.recordEviction(set, geom_.tagOf(ev.lineAddr));
         return cls;
-    }
-
-    /** Observe every classifier lookup (stored-tag event tracing). */
-    void
-    setLookupHook(MctLookupHook hook)
-    {
-        mct_.setLookupHook(std::move(hook));
     }
 
     const CacheGeometry &geometry() const { return geom_; }

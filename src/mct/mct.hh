@@ -40,9 +40,7 @@ namespace ccm
 
 /**
  * One MCT lookup, as seen by an attached classification event hook
- * (see MissClassificationTable::setLookupHook).  Oracle agreement is
- * not known at this layer; observers that also watch the oracle (the
- * obs-layer event trace) annotate it afterwards.
+ * (see MissClassificationTable::setLookupHook).
  */
 struct MctLookupEvent
 {

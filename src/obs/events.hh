@@ -1,14 +1,15 @@
 /**
  * @file
  * Classification event tracing: a rate-limitable recorder of
- * individual MCT lookups (set, stored tag, incoming tag, verdict,
- * oracle agreement when an oracle is present).  Off by default —
- * nothing in the hot path unless a trace is attached.
+ * individual MCT lookups (reference index, set, stored tag, incoming
+ * tag, verdict).  Off by default — nothing in the hot path unless a
+ * trace is attached.
  *
- * The recorder plugs into MissClassificationTable lookup hooks for
- * the table-side fields and (in classification runs) into a
- * ClassifyObserver for the oracle verdict, which is annotated onto
- * the most recently recorded event.
+ * The recorder plugs into a MissClassificationTable lookup hook for
+ * the table-side fields (ccm-sim --trace-events attaches it to the
+ * timing lane's table), and is told when each memory reference
+ * completes so every event carries the 1-based index of the
+ * reference whose miss raised it.
  */
 
 #ifndef CCM_OBS_EVENTS_HH
@@ -17,9 +18,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "mct/classify_run.hh"
 #include "mct/mct.hh"
-#include "obs/interval.hh"
 
 namespace ccm::obs
 {
@@ -36,23 +35,16 @@ struct EventTraceOptions
 /** One recorded classification event. */
 struct ClassifyEvent
 {
-    /** 1-based reference index when known, 0 otherwise. */
+    /**
+     * 1-based index of the memory reference whose MCT lookup raised
+     * the event: references completed before it, plus one.
+     */
     Count ref = 0;
     std::size_t set = 0;
     Addr storedTag = 0;
     bool storedValid = false;
     Addr incomingTag = 0;
     MissClass verdict = MissClass::Capacity;
-    /** Oracle verdict, when an oracle was watching. */
-    bool oracleKnown = false;
-    MissClass oracle = MissClass::Capacity;
-
-    /** MCT/oracle agreement; meaningless unless oracleKnown. */
-    bool
-    agrees() const
-    {
-        return isConflict(verdict) == isConflict(oracle);
-    }
 };
 
 /** Bounded, rate-limited recorder of MCT lookup events. */
@@ -73,18 +65,11 @@ class ClassifyEventTrace
         return [this](const MctLookupEvent &e) { onLookup(e); };
     }
 
-    /** Advance the reference index events are stamped with. */
-    void noteReference() { ++refIndex; }
-
-    /** Attach the oracle verdict to the most recent recorded event. */
-    void
-    annotateOracle(MissClass oracle)
-    {
-        if (lastRecorded && !events_.empty()) {
-            events_.back().oracleKnown = true;
-            events_.back().oracle = oracle;
-        }
-    }
+    /**
+     * Count one completed memory reference (call it after every
+     * reference, e.g. from MemorySystem's access hook).
+     */
+    void noteReference() { ++completedRefs; }
 
     const std::vector<ClassifyEvent> &events() const { return events_; }
 
@@ -103,13 +88,12 @@ class ClassifyEventTrace
     onLookup(const MctLookupEvent &e)
     {
         ++seen_;
-        lastRecorded = false;
         if ((seen_ - 1) % opts.sampleEvery != 0)
             return;
         if (events_.size() >= opts.maxEvents)
             return;
         ClassifyEvent ev;
-        ev.ref = refIndex;
+        ev.ref = completedRefs + 1;
         ev.set = e.set.value();
         ev.storedTag = e.storedTag;
         ev.storedValid = e.storedValid;
@@ -117,62 +101,13 @@ class ClassifyEventTrace
         ev.verdict = e.verdict;
         events_.push_back(ev);
         ++recorded_;
-        lastRecorded = true;
     }
 
     EventTraceOptions opts;
     Count seen_ = 0;
     Count recorded_ = 0;
-    Count refIndex = 0;
-    bool lastRecorded = false;
+    Count completedRefs = 0;
     std::vector<ClassifyEvent> events_;
-};
-
-/**
- * Ready-made ClassifyObserver wiring an IntervalSampler and/or an
- * event trace into classifyRun (either may be null):
- *
- *   IntervalSampler sampler(10'000);
- *   ClassifyEventTrace trace;
- *   ClassifyObservation watch(&sampler, &trace);
- *   cfg.observer = &watch;
- *   cfg.lookupHook = trace.hook();
- *   auto res = classifyRun(src, cfg);
- *   sampler.finishClassify();
- */
-class ClassifyObservation : public ClassifyObserver
-{
-  public:
-    ClassifyObservation(IntervalSampler *sampler,
-                        ClassifyEventTrace *trace)
-        : sampler_(sampler), trace_(trace)
-    {
-    }
-
-    void
-    onReference(bool miss) override
-    {
-        if (trace_)
-            trace_->noteReference();
-        if (sampler_) {
-            sampler_->onClassifiedReference(miss);
-            if (!miss)
-                sampler_->onClassifiedTick();
-        }
-    }
-
-    void
-    onMiss(SetIndex, Tag, MissClass mct, MissClass oracle) override
-    {
-        if (sampler_)
-            sampler_->onClassifiedMiss(mct, oracle);
-        if (trace_)
-            trace_->annotateOracle(oracle);
-    }
-
-  private:
-    IntervalSampler *sampler_;
-    ClassifyEventTrace *trace_;
 };
 
 } // namespace ccm::obs

@@ -1,23 +1,19 @@
 /**
  * @file
  * Interval time-series sampling: snapshot delta-counters every N
- * memory references during a run, producing miss-rate /
- * conflict-fraction / MCT-accuracy series instead of one end-of-run
- * aggregate.  Interval-resolved statistics are what make cache
- * studies analyzable (Byrne 2018; Bueno et al. 2024) — conflict
- * misses cluster in phases, and aggregates hide that.
+ * memory references during a run, producing miss-rate and
+ * conflict-fraction series instead of one end-of-run aggregate.
+ * Interval-resolved statistics are what make cache studies
+ * analyzable (Byrne 2018; Bueno et al. 2024) — conflict misses
+ * cluster in phases, and aggregates hide that.
  *
- * Two feeding modes share one sampler:
- *  - timing runs: attach via MemorySystem::setAccessHook and call
- *    onAccess() with the live MemStats; finish(finalStats) flushes
- *    the residual window.
- *  - classification runs: feed onClassifiedReference()/onClassifiedMiss()
- *    (e.g. from a ClassifyObserver) and call finishClassify(); the
- *    sampler synthesizes the reference/miss counters internally and
- *    additionally tracks per-interval oracle agreement.
+ * Timing runs attach the sampler via MemorySystem::setAccessHook and
+ * call onAccess() with the live MemStats; finish(finalStats) flushes
+ * the residual window.  runShardedClassify cuts the same
+ * IntervalSample windows itself, per shard.
  *
- * Invariant either way: the counter-wise sum of every sample's delta
- * equals the final aggregate counters (tested in test_obs).
+ * Invariant: the counter-wise sum of every sample's delta equals the
+ * final aggregate counters (tested in test_obs).
  */
 
 #ifndef CCM_OBS_INTERVAL_HH
@@ -26,8 +22,6 @@
 #include <vector>
 
 #include "hierarchy/memstats.hh"
-#include "mct/accuracy.hh"
-#include "mct/miss_class.hh"
 
 namespace ccm::obs
 {
@@ -39,8 +33,6 @@ struct IntervalSample
     Count lastRef = 0;    ///< 1-based, inclusive
     /** Counter deltas over the window (derived ratios apply). */
     MemStats delta;
-    /** Oracle-agreement deltas (classification runs; else empty). */
-    AccuracyScorer accuracy;
 };
 
 /** Snapshots delta-counters every N references. */
@@ -77,8 +69,6 @@ class IntervalSampler
     /** Samples discarded off the front of the rolling window. */
     Count droppedSamples() const { return dropped; }
 
-    // ---- Timing-run channel ----------------------------------------
-
     /**
      * Observe the live counters after one access (wire to
      * MemorySystem::setAccessHook).  Emits a sample whenever
@@ -99,48 +89,6 @@ class IntervalSampler
             emit(final_stats);
     }
 
-    // ---- Classification-run channel --------------------------------
-
-    /** One memory reference; @p miss is the real cache's outcome. */
-    void
-    onClassifiedReference(bool miss)
-    {
-        ++internal.accesses;
-        if (miss)
-            ++internal.l1Misses;
-    }
-
-    /** One classified miss, with both verdicts. */
-    void
-    onClassifiedMiss(MissClass mct, MissClass oracle)
-    {
-        if (isConflict(mct))
-            ++internal.conflictMisses;
-        else
-            ++internal.capacityMisses;
-        acc.record(mct, oracle);
-        // Boundary check here (not onClassifiedReference) so a miss's
-        // accuracy lands in the same window as the miss itself.
-        if (internal.accesses >= nextBoundary)
-            emit(internal);
-    }
-
-    /** Hit-path boundary check; call after onClassifiedReference. */
-    void
-    onClassifiedTick()
-    {
-        if (internal.accesses >= nextBoundary)
-            emit(internal);
-    }
-
-    /** Flush the final partial window of a classification run. */
-    void
-    finishClassify()
-    {
-        if (internal.accesses > lastSnap.accesses)
-            emit(internal);
-    }
-
     const std::vector<IntervalSample> &samples() const
     {
         return samples_;
@@ -154,11 +102,9 @@ class IntervalSampler
         s.firstRef = lastSnap.accesses + 1;
         s.lastRef = cur.accesses;
         s.delta = cur.minus(lastSnap);
-        s.accuracy = acc.minus(lastAcc);
         samples_.push_back(s);
         trimToCap();
         lastSnap = cur;
-        lastAcc = acc;
         nextBoundary = cur.accesses + every_;
     }
 
@@ -178,9 +124,6 @@ class IntervalSampler
     Count dropped = 0;          ///< samples evicted by the cap
     Count nextBoundary;       ///< next emit at or after this many refs
     MemStats lastSnap;        ///< counters at the last boundary
-    MemStats internal;        ///< classification-channel counters
-    AccuracyScorer acc;       ///< running oracle agreement
-    AccuracyScorer lastAcc;   ///< agreement at the last boundary
     std::vector<IntervalSample> samples_;
 };
 

@@ -81,34 +81,6 @@ simResultToJson(const SimResult &sim)
     return v;
 }
 
-JsonValue
-accuracyToJson(const AccuracyScorer &scorer)
-{
-    JsonValue v = JsonValue::object();
-    JsonValue matrix = JsonValue::object();
-    matrix.set("conflict_as_conflict",
-               JsonValue::uint(scorer.conflictAsConflict()));
-    matrix.set("conflict_as_capacity",
-               JsonValue::uint(scorer.conflictAsCapacity()));
-    matrix.set("capacity_as_conflict",
-               JsonValue::uint(scorer.capacityAsConflict()));
-    matrix.set("capacity_as_capacity",
-               JsonValue::uint(scorer.capacityAsCapacity()));
-    v.set("matrix", std::move(matrix));
-    v.set("total_misses", JsonValue::uint(scorer.totalMisses()));
-    v.set("compulsory_misses",
-          JsonValue::uint(scorer.compulsoryMisses()));
-    v.set("conflict_accuracy_pct",
-          JsonValue::real(scorer.conflictAccuracy()));
-    v.set("capacity_accuracy_pct",
-          JsonValue::real(scorer.capacityAccuracy()));
-    v.set("overall_accuracy_pct",
-          JsonValue::real(scorer.overallAccuracy()));
-    v.set("conflict_fraction",
-          JsonValue::real(scorer.conflictFraction()));
-    return v;
-}
-
 namespace
 {
 
@@ -183,8 +155,6 @@ intervalSampleRows(const std::vector<IntervalSample> &samples)
         row.set("last_ref", JsonValue::uint(s.lastRef));
         row.set("counters", countersJson(s.delta));
         row.set("derived", derivedJson(s.delta));
-        if (s.accuracy.totalMisses() > 0)
-            row.set("accuracy", accuracyToJson(s.accuracy));
         out.push(std::move(row));
     }
     return out;
@@ -227,8 +197,6 @@ eventsToJson(const ClassifyEventTrace &trace)
     v.set("recorded", JsonValue::uint(trace.recorded()));
     v.set("dropped", JsonValue::uint(trace.dropped()));
 
-    Count known = 0;
-    Count agree = 0;
     JsonValue list = JsonValue::array();
     for (const ClassifyEvent &e : trace.events()) {
         JsonValue row = JsonValue::object();
@@ -238,19 +206,8 @@ eventsToJson(const ClassifyEventTrace &trace)
         row.set("stored_tag", JsonValue::uint(e.storedTag));
         row.set("incoming_tag", JsonValue::uint(e.incomingTag));
         row.set("verdict", JsonValue::str(toString(e.verdict)));
-        if (e.oracleKnown) {
-            row.set("oracle", JsonValue::str(toString(e.oracle)));
-            row.set("agree", JsonValue::boolean(e.agrees()));
-            ++known;
-            if (e.agrees())
-                ++agree;
-        }
         list.push(std::move(row));
     }
-    JsonValue agreement = JsonValue::object();
-    agreement.set("with_oracle", JsonValue::uint(known));
-    agreement.set("agreeing", JsonValue::uint(agree));
-    v.set("agreement", std::move(agreement));
     v.set("events", std::move(list));
     return v;
 }

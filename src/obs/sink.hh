@@ -1,8 +1,8 @@
 /**
  * @file
  * Stats sink: one schema-versioned document path from simulation
- * results (MemStats, SimResult, MCT accuracy, per-set heatmaps,
- * interval series, event traces) to text, JSON, or CSV output.
+ * results (MemStats, SimResult, per-set heatmaps, interval series,
+ * event traces) to text, JSON, or CSV output.
  *
  * Everything serializes through a JsonValue document built by the
  * builders below; the text and CSV writers are flattenings of that
@@ -27,7 +27,6 @@
 
 #include "common/status.hh"
 #include "common/table.hh"
-#include "mct/accuracy.hh"
 #include "obs/events.hh"
 #include "obs/interval.hh"
 #include "obs/json.hh"
@@ -66,9 +65,6 @@ JsonValue memStatsToJson(const MemStats &stats);
 
 /** {"cycles", "instructions", "mem_refs", "ipc"}. */
 JsonValue simResultToJson(const SimResult &sim);
-
-/** Confusion matrix + accuracy percentages. */
-JsonValue accuracyToJson(const AccuracyScorer &scorer);
 
 /**
  * Heatmap section: per-set arrays plus a "top_sets" digest of the

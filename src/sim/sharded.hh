@@ -104,10 +104,7 @@ struct ShardedClassifyResult
     /** Per-set activity, summed across shards (disjoint by design). */
     SetHistograms heat;
 
-    /**
-     * Interval series (empty when cfg.interval == 0).  Oracle
-     * agreement is empty: the sharded path runs no oracle.
-     */
+    /** Interval series (empty when cfg.interval == 0). */
     std::vector<obs::IntervalSample> intervals;
 
     /** Window length the series was sampled at (cfg.interval). */

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "hierarchy/memsys.hh"
-#include "mct/classify_run.hh"
 #include "obs/events.hh"
 #include "obs/interval.hh"
 #include "obs/json.hh"
@@ -39,15 +38,12 @@ using obs::JsonValue;
 namespace
 {
 
-/** A small real timing run with observers attached. */
+/** A timing run of @p trace with observers attached, as ccm-sim does. */
 RunOutput
-observedRun(obs::IntervalSampler *sampler,
+observedRun(TraceSource &trace, obs::IntervalSampler *sampler,
             obs::ClassifyEventTrace *events,
-            const SystemConfig &cfg = baselineConfig(),
-            std::size_t refs = 5000)
+            const SystemConfig &cfg = baselineConfig())
 {
-    auto wl = makeWorkload("go", refs, 7);
-    VectorTrace trace = VectorTrace::capture(*wl);
     RunOutput r = runTiming(trace, cfg, [&](MemorySystem &mem) {
         mem.setAccessHook(
             [sampler, events](const AccessResult &, const MemStats &st) {
@@ -62,6 +58,16 @@ observedRun(obs::IntervalSampler *sampler,
     if (sampler)
         sampler->finish(r.mem);
     return r;
+}
+
+/** A small real timing run (5000 go references) with observers. */
+RunOutput
+observedRun(obs::IntervalSampler *sampler,
+            obs::ClassifyEventTrace *events,
+            const SystemConfig &cfg = baselineConfig())
+{
+    VectorTrace trace = VectorTrace::capture(*makeWorkload("go", 5000, 7));
+    return observedRun(trace, sampler, events, cfg);
 }
 
 /**
@@ -566,27 +572,6 @@ TEST(ObsInterval, RollingWindowBoundsSamplesAndValidates)
     EXPECT_TRUE(s.isOk()) << s.toString();
 }
 
-TEST(ObsInterval, ClassifyChannelTracksAccuracy)
-{
-    VectorTrace trace = pingPongTrace(50);
-    obs::IntervalSampler sampler(13);
-    obs::ClassifyObservation watch(&sampler, nullptr);
-    ClassifyConfig cfg;
-    cfg.observer = &watch;
-    ClassifyResult res = classifyRun(trace, cfg);
-    sampler.finishClassify();
-
-    Count refs = 0, misses = 0, scored = 0;
-    for (const auto &s : sampler.samples()) {
-        refs += s.delta.accesses;
-        misses += s.delta.l1Misses;
-        scored += s.accuracy.totalMisses();
-    }
-    EXPECT_EQ(refs, res.references);
-    EXPECT_EQ(misses, res.misses);
-    EXPECT_EQ(scored, res.scorer.totalMisses());
-}
-
 // ---- Per-set heatmaps ----------------------------------------------
 
 TEST(ObsHeatmap, HistogramTotalsMatchAggregates)
@@ -630,16 +615,13 @@ TEST(ObsEvents, CountsAndVerdictsUnderKnownConflictTrace)
     constexpr std::size_t pairs = 10;
     VectorTrace trace = pingPongTrace(pairs);
     obs::ClassifyEventTrace events;
-    obs::ClassifyObservation watch(nullptr, &events);
-    ClassifyConfig cfg;
-    cfg.observer = &watch;
-    cfg.lookupHook = events.hook();
-    ClassifyResult res = classifyRun(trace, cfg);
+    RunOutput r = observedRun(trace, nullptr, &events);
 
     // Every access misses, every miss is one MCT lookup.
-    ASSERT_EQ(res.misses, 2 * pairs);
-    EXPECT_EQ(events.seen(), res.misses);
-    EXPECT_EQ(events.recorded(), res.misses);
+    ASSERT_EQ(r.mem.accesses, 2 * pairs);
+    ASSERT_EQ(r.mem.l1Misses, 2 * pairs);
+    EXPECT_EQ(events.seen(), r.mem.l1Misses);
+    EXPECT_EQ(events.recorded(), r.mem.l1Misses);
     EXPECT_EQ(events.dropped(), 0u);
 
     // First two lookups find an empty table; after that the evicted
@@ -654,11 +636,11 @@ TEST(ObsEvents, CountsAndVerdictsUnderKnownConflictTrace)
         EXPECT_EQ(evs[i].verdict, MissClass::Conflict) << i;
         EXPECT_EQ(evs[i].set, 0u);
         EXPECT_EQ(evs[i].storedTag, evs[i].incomingTag) << i;
-        // classifyRun wires the oracle verdict back onto the event.
-        EXPECT_TRUE(evs[i].oracleKnown) << i;
-        EXPECT_TRUE(evs[i].agrees()) << i;
     }
-    // Events are stamped with their 1-based reference index.
+    // Events are stamped with the 1-based index of the reference
+    // that raised them: here every reference raises exactly one.
+    for (std::size_t i = 0; i < evs.size(); ++i)
+        EXPECT_EQ(evs[i].ref, i + 1) << i;
     EXPECT_EQ(evs[0].ref, 1u);
     EXPECT_EQ(evs.back().ref, 2 * pairs);
 }
@@ -670,14 +652,15 @@ TEST(ObsEvents, RateLimitAndCap)
     opt.sampleEvery = 3;
     opt.maxEvents = 5;
     obs::ClassifyEventTrace events(opt);
-    ClassifyConfig cfg;
-    cfg.lookupHook = events.hook();
-    classifyRun(trace, cfg);
+    observedRun(trace, nullptr, &events);
 
     EXPECT_EQ(events.seen(), 60u);
     EXPECT_EQ(events.recorded(), 5u);
     EXPECT_EQ(events.dropped(), 55u);
     EXPECT_EQ(events.events().size(), 5u);
+    // Every third lookup is kept: references 1, 4, 7, 10, 13.
+    for (std::size_t i = 0; i < events.events().size(); ++i)
+        EXPECT_EQ(events.events()[i].ref, 3 * i + 1) << i;
 }
 
 // ---- Writers -------------------------------------------------------

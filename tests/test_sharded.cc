@@ -183,8 +183,7 @@ TEST(ShardedClassify, AgreesWithOracleBearingClassifyRun)
                 cfg.mctDepth = depth;
                 cfg.mctTagBits = tag_bits;
 
-                ClassifyConfig seq;
-                static_cast<ClassifyGeometry &>(seq) = cfg;
+                const ClassifyConfig seq = cfg;
                 ClassifyResult expect = classifyRun(trace, seq);
 
                 const ShardedClassifyResult got = runShardedClassify(
@@ -245,8 +244,7 @@ TEST(ShardedClassify, OneByteLinesKeepEveryAddressBit)
     cfg.cacheBytes = 32;
     cfg.assoc = 2;
     cfg.lineBytes = 1;
-    ClassifyConfig seq;
-    static_cast<ClassifyGeometry &>(seq) = cfg;
+    const ClassifyConfig seq = cfg;
     const ClassifyResult expect = classifyRun(trace, seq);
     ASSERT_GT(expect.misses, Count{0});
 

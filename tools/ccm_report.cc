@@ -121,7 +121,7 @@ renderRunBody(const JsonValue &doc, std::size_t top_n)
         std::cout << "\n-- phases (every "
                   << intervals->at("every").asU64() << " refs, "
                   << samples.size() << " windows) --\n";
-        TextTable t({"window", "refs", "miss%", "conflict%", "mct acc%"});
+        TextTable t({"window", "refs", "miss%", "conflict%"});
         for (const JsonValue &s : samples.elements()) {
             const std::uint64_t first = s.at("first_ref").asU64();
             const std::uint64_t last = s.at("last_ref").asU64();
@@ -134,10 +134,6 @@ renderRunBody(const JsonValue &doc, std::size_t top_n)
                   num(s.at("derived")
                           .at("conflict_share_pct")
                           .asDouble()));
-            const JsonValue *acc = s.get("accuracy");
-            t.set(r, 4,
-                  acc ? num(acc->at("overall_accuracy_pct").asDouble())
-                      : std::string("-"));
         }
         t.print(std::cout);
     }
@@ -150,14 +146,6 @@ renderRunBody(const JsonValue &doc, std::size_t top_n)
                   << " (sampling 1/"
                   << events->at("sample_every").asU64() << ", cap "
                   << events->at("max_events").asU64() << ")\n";
-        const JsonValue &agreement = events->at("agreement");
-        const std::uint64_t known =
-            agreement.at("with_oracle").asU64();
-        if (known > 0) {
-            std::cout << "oracle agreement  "
-                      << agreement.at("agreeing").asU64() << "/"
-                      << known << "\n";
-        }
     }
 }
 

@@ -129,9 +129,8 @@ struct RunObservers
         if (sp || ev) {
             mem.setAccessHook(
                 [sp, ev](const AccessResult &, const MemStats &st) {
-                    // Fires after each completed access, so an event
-                    // raised during reference k carries ref k-1 (the
-                    // count of references completed before it).
+                    // Fires after each completed access; an event
+                    // raised during reference k is stamped k.
                     if (ev)
                         ev->noteReference();
                     if (sp)
