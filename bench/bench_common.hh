@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/thread_pool.hh"
 #include "obs/sink.hh"
 #include "trace/vector_trace.hh"
@@ -86,12 +87,15 @@ inline std::size_t
 parseJobs(int argc, char **argv)
 {
     std::size_t jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--jobs" && i + 1 < argc) {
-            jobs = std::strtoull(argv[++i], nullptr, 10);
-        } else {
+    ArgCursor args(argc, argv);
+    while (args.next()) {
+        if (args.flag() != "--jobs") {
             std::cerr << "usage: " << argv[0] << " [--jobs N]\n";
+            std::exit(1);
+        }
+        Status s = args.number(jobs);
+        if (!s.isOk()) {
+            std::cerr << s.toString() << "\n";
             std::exit(1);
         }
     }

@@ -39,8 +39,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -185,14 +183,20 @@ main(int argc, char **argv)
 {
     std::size_t jobs = 1;
     bool gate_only = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(argv[i], "--gate-only") == 0) {
+    ccm::ArgCursor args(argc, argv);
+    while (args.next()) {
+        ccm::Status s;
+        if (args.flag() == "--jobs") {
+            s = args.number(jobs);
+        } else if (args.flag() == "--gate-only") {
             gate_only = true;
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--jobs N] [--gate-only]\n";
+            return 1;
+        }
+        if (!s.isOk()) {
+            std::cerr << s.toString() << "\n";
             return 1;
         }
     }

@@ -7,7 +7,7 @@
  * Two machine-checked contracts ride on these wrappers:
  *
  *  1. **Clang Thread Safety Analysis.**  ccm::Mutex is a CAPABILITY,
- *     ccm::MutexLock / ccm::ReaderLock are SCOPED_CAPABILITYs, and the
+ *     ccm::MutexLock is a SCOPED_CAPABILITY, and the
  *     CCM_GUARDED_BY / CCM_REQUIRES / CCM_EXCLUDES macros below put
  *     locking preconditions into function signatures.  Under Clang the
  *     strict build compiles with `-Werror=thread-safety-analysis`, so
@@ -36,14 +36,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // ---- Clang Thread Safety Analysis attribute macros -----------------
 //
-// The canonical macro set from the Clang thread-safety documentation,
-// CCM_-prefixed.  GNU-style attributes so they can annotate lambdas
-// (predicates passed to CondVar::wait are annotated
-// `[&]() CCM_REQUIRES(mu) { ... }`).
+// The part of the Clang thread-safety documentation's canonical macro
+// set this repository uses, CCM_-prefixed.  GNU-style attributes so
+// they can annotate lambdas (predicates passed to CondVar::wait are
+// annotated `[&]() CCM_REQUIRES(mu) { ... }`).
 
 #if defined(__clang__) && !defined(SWIG)
 #define CCM_THREAD_ANNOTATION(x) __attribute__((x))
@@ -60,32 +59,17 @@
 /** Field may only be touched while holding @p x. */
 #define CCM_GUARDED_BY(x) CCM_THREAD_ANNOTATION(guarded_by(x))
 
-/** Pointee may only be touched while holding @p x. */
-#define CCM_PT_GUARDED_BY(x) CCM_THREAD_ANNOTATION(pt_guarded_by(x))
-
-/** Declares static acquisition order between capabilities. */
-#define CCM_ACQUIRED_BEFORE(...) \
-    CCM_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-#define CCM_ACQUIRED_AFTER(...) \
-    CCM_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
-
-/** Caller must hold the capability (exclusively / shared). */
+/** Caller must hold the capability. */
 #define CCM_REQUIRES(...) \
     CCM_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define CCM_REQUIRES_SHARED(...) \
-    CCM_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /** Function acquires the capability and holds it on return. */
 #define CCM_ACQUIRE(...) \
     CCM_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define CCM_ACQUIRE_SHARED(...) \
-    CCM_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 /** Function releases the capability (held on entry). */
 #define CCM_RELEASE(...) \
     CCM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define CCM_RELEASE_SHARED(...) \
-    CCM_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /** Function acquires the capability iff it returns @p ... (bool). */
 #define CCM_TRY_ACQUIRE(...) \
@@ -94,13 +78,6 @@
 /** Caller must NOT hold the capability (deadlock prevention). */
 #define CCM_EXCLUDES(...) \
     CCM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/** Runtime assertion that the capability is held (trust-me edge). */
-#define CCM_ASSERT_CAPABILITY(x) \
-    CCM_THREAD_ANNOTATION(assert_capability(x))
-
-/** Function returns a reference to the named capability. */
-#define CCM_RETURN_CAPABILITY(x) CCM_THREAD_ANNOTATION(lock_returned(x))
 
 /** Opt a function body out of the analysis (rare; justify inline). */
 #define CCM_NO_THREAD_SAFETY_ANALYSIS \
@@ -128,7 +105,6 @@ enum class LockRank : int
     ObsLive = 40,           ///< obs::LiveStatsCell (live snapshots)
     ServeQueue = 50,        ///< serve::RecordQueue (ring + condvars)
     SuiteInstrumentGate = 60,   ///< runSuiteParallel instrument serializer
-    SuiteRowDone = 70,      ///< runSuiteParallel row-done handshake
     ShardMerge = 75,        ///< runShardedClassify result merge
     ThreadPool = 80,        ///< ThreadPool task queue (leaf)
     ObsMetrics = 90,        ///< obs::MetricsRegistry (register/render)
@@ -196,64 +172,10 @@ class CCM_CAPABILITY("mutex") Mutex
         return false;
     }
 
-    LockRank rank() const { return static_cast<LockRank>(rank_); }
-    const char *name() const { return name_; }
-
   private:
     friend class CondVar;
 
     std::mutex mu_;
-    const int rank_;
-    const char *name_;
-};
-
-/**
- * Reader/writer mutex capability for read-mostly state.  ReaderLock
- * takes it shared, MutexLock-style exclusive access goes through
- * lock()/unlock().
- */
-class CCM_CAPABILITY("shared_mutex") SharedMutex
-{
-  public:
-    explicit SharedMutex(LockRank rank = LockRank::Unranked,
-                         const char *name = "shared_mutex")
-        : rank_(static_cast<int>(rank)), name_(name)
-    {
-    }
-
-    SharedMutex(const SharedMutex &) = delete;
-    SharedMutex &operator=(const SharedMutex &) = delete;
-
-    void
-    lock() CCM_ACQUIRE()
-    {
-        detail::noteLockAcquired(rank_, name_);
-        mu_.lock();
-    }
-
-    void
-    unlock() CCM_RELEASE()
-    {
-        mu_.unlock();
-        detail::noteLockReleased(rank_);
-    }
-
-    void
-    lockShared() CCM_ACQUIRE_SHARED()
-    {
-        detail::noteLockAcquired(rank_, name_);
-        mu_.lock_shared();
-    }
-
-    void
-    unlockShared() CCM_RELEASE_SHARED()
-    {
-        mu_.unlock_shared();
-        detail::noteLockReleased(rank_);
-    }
-
-  private:
-    std::shared_mutex mu_;
     const int rank_;
     const char *name_;
 };
@@ -274,43 +196,6 @@ class CCM_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &mu_;
-};
-
-/** RAII shared (reader) lock over a ccm::SharedMutex. */
-class CCM_SCOPED_CAPABILITY ReaderLock
-{
-  public:
-    explicit ReaderLock(SharedMutex &mu) CCM_ACQUIRE_SHARED(mu)
-        : mu_(mu)
-    {
-        mu_.lockShared();
-    }
-
-    ~ReaderLock() CCM_RELEASE() { mu_.unlockShared(); }
-
-    ReaderLock(const ReaderLock &) = delete;
-    ReaderLock &operator=(const ReaderLock &) = delete;
-
-  private:
-    SharedMutex &mu_;
-};
-
-/** RAII exclusive (writer) lock over a ccm::SharedMutex. */
-class CCM_SCOPED_CAPABILITY WriterLock
-{
-  public:
-    explicit WriterLock(SharedMutex &mu) CCM_ACQUIRE(mu) : mu_(mu)
-    {
-        mu_.lock();
-    }
-
-    ~WriterLock() CCM_RELEASE() { mu_.unlock(); }
-
-    WriterLock(const WriterLock &) = delete;
-    WriterLock &operator=(const WriterLock &) = delete;
-
-  private:
-    SharedMutex &mu_;
 };
 
 /**

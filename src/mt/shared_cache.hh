@@ -39,11 +39,6 @@ struct ThreadShareStats
     Count crossThreadConflicts = 0;
 
     double missRate() const { return safeRatio(misses, references); }
-    double
-    crossConflictRate() const
-    {
-        return safeRatio(crossThreadConflicts, references);
-    }
 };
 
 /** Whole-run results. */

@@ -653,6 +653,39 @@ writeDocumentToFile(const std::string &path, const JsonValue &doc,
     return Status::ok();
 }
 
+bool
+StatsTarget::isFlag(std::string_view flag)
+{
+    return flag == "--stats-json" || flag == "--stats-out" ||
+           flag == "--stats-format";
+}
+
+Status
+StatsTarget::parseFlag(ArgCursor &args)
+{
+    const std::string &flag = args.flag();
+    std::string text;
+    Status s = args.value(text);
+    if (!s.isOk())
+        return s;
+    if (flag == "--stats-format") {
+        Expected<StatsFormat> f = parseStatsFormat(text);
+        if (!f.ok())
+            return f.status();
+        format = f.value();
+        return Status::ok();
+    }
+    if (!path.empty() && path != text)
+        return Status::badConfig("conflicting stats targets '", path,
+                                 "' and '", text,
+                                 "' (use one --stats-json/--stats-out "
+                                 "destination)");
+    path = text;
+    if (flag == "--stats-json")
+        format = StatsFormat::Json;
+    return Status::ok();
+}
+
 // ---- Validation ---------------------------------------------------
 
 namespace

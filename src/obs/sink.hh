@@ -25,6 +25,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/cli.hh"
 #include "common/status.hh"
 #include "common/table.hh"
 #include "obs/events.hh"
@@ -197,6 +198,30 @@ void writeDocument(std::ostream &os, const JsonValue &doc,
 /** writeDocument to @p path ("-" = stdout). */
 Status writeDocumentToFile(const std::string &path, const JsonValue &doc,
                            StatsFormat format);
+
+/**
+ * Where a tool's --stats-json / --stats-out / --stats-format send its
+ * document.  One target per invocation: naming two different files
+ * is a bad-config error, never a silently stale second file.
+ */
+struct StatsTarget
+{
+    std::string path; ///< empty = no document; "-" = stdout
+    StatsFormat format = StatsFormat::Json;
+
+    /** True for the three flags parseFlag takes. */
+    static bool isFlag(std::string_view flag);
+
+    /** Take the cursor's current stats flag and its value. */
+    Status parseFlag(ArgCursor &args);
+
+    /** writeDocumentToFile to this target. */
+    Status
+    write(const JsonValue &doc) const
+    {
+        return writeDocumentToFile(path, doc, format);
+    }
+};
 
 // ---- Validation ---------------------------------------------------
 

@@ -1,31 +1,12 @@
 #include "serve/config.hh"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/cli.hh"
+
 namespace ccm::serve
 {
-
-namespace
-{
-
-/** Strict unsigned parse: the whole token must be digits. */
-Expected<std::uint64_t>
-parseU64(const std::string &key, const std::string &value)
-{
-    if (value.empty())
-        return Status::badConfig("key '", key, "' needs a number");
-    for (char c : value) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return Status::badConfig("key '", key, "': '", value,
-                                     "' is not a number");
-    }
-    return std::strtoull(value.c_str(), nullptr, 10);
-}
-
-} // namespace
 
 Expected<ServeRuntimeConfig>
 parseServeConfig(std::string_view text)
@@ -77,33 +58,35 @@ parseServeConfig(std::string_view text)
             cfg.limits.policy = p.value();
             continue;
         }
-        auto n = parseU64(key, value);
-        if (!n.ok())
-            return n.status();
-        const std::uint64_t v = n.value();
-        if (key == "l1-kb") {
-            cfg.system.mem.l1Bytes = v * 1024;
+        const std::string what = "key '" + key + "'";
+        MemSysConfig &mem = cfg.system.mem;
+        StreamLimits &lim = cfg.limits;
+        Status s;
+        if (key == "l1-kb" || key == "l2-kb") {
+            std::size_t kb = 0;
+            s = parseNumber(what, value, kb, kMaxKb);
+            (key == "l1-kb" ? mem.l1Bytes : mem.l2Bytes) = kb * 1024;
         } else if (key == "l1-assoc") {
-            cfg.system.mem.l1Assoc = static_cast<unsigned>(v);
-        } else if (key == "l2-kb") {
-            cfg.system.mem.l2Bytes = v * 1024;
+            s = parseNumber(what, value, mem.l1Assoc);
         } else if (key == "buf-entries") {
-            cfg.system.mem.bufEntries = static_cast<unsigned>(v);
+            s = parseNumber(what, value, mem.bufEntries);
         } else if (key == "mct-bits") {
-            cfg.system.mem.mctTagBits = static_cast<unsigned>(v);
+            s = parseNumber(what, value, mem.mctTagBits);
         } else if (key == "queue-records") {
-            cfg.limits.queueRecords = v;
+            s = parseNumber(what, value, lim.queueRecords);
         } else if (key == "window-every") {
-            cfg.limits.windowEvery = v;
+            s = parseNumber(what, value, lim.windowEvery);
         } else if (key == "window-samples") {
-            cfg.limits.windowSamples = v;
+            s = parseNumber(what, value, lim.windowSamples);
         } else if (key == "snapshot-every") {
-            cfg.limits.snapshotEvery = v;
+            s = parseNumber(what, value, lim.snapshotEvery);
         } else if (key == "defect-budget") {
-            cfg.limits.defectBudget = v;
+            s = parseNumber(what, value, lim.defectBudget);
         } else {
             return Status::badConfig("unknown config key '", key, "'");
         }
+        if (!s.isOk())
+            return s;
     }
     // Reject a machine the simulator would die on here, so a broken
     // file never becomes the running configuration: reload() keeps the

@@ -25,8 +25,6 @@ runSequential(const std::vector<std::string> &names,
             opts.configFor ? opts.configFor(name, config) : config;
         report.rows.push_back(
             runSuiteCell(name, factory, cfg, opts.instrument));
-        if (opts.onRowDone)
-            opts.onRowDone(report.rows.back());
     }
     return report;
 }
@@ -57,13 +55,10 @@ runSuiteParallel(const std::vector<std::string> &names,
         };
     }
 
-    // Row slots are disjoint, so workers write them unlocked; the
-    // done-flag handshake under `mtx` publishes each slot to the
-    // calling thread before it reads the row.
-    Mutex mtx(LockRank::SuiteRowDone, "suite-row-done");
-    CondVar row_done;
-    std::vector<char> done(names.size(), 0);
-
+    // Row slots are disjoint, so workers write them unlocked.
+    // waitIdle() publishes every slot to the calling thread: each
+    // worker leaves its task by decrementing the pool's busy count
+    // under the pool mutex, which waitIdle() then takes.
     ThreadPool pool(jobs < names.size() ? jobs : names.size());
     for (std::size_t i = 0; i < names.size(); ++i) {
         pool.submit([&, i] {
@@ -83,24 +78,7 @@ runSuiteParallel(const std::vector<std::string> &names,
                                               e.what());
             }
             report.rows[i] = std::move(row);
-            {
-                MutexLock lock(mtx);
-                done[i] = 1;
-            }
-            row_done.notifyAll();
         });
-    }
-
-    // Contract point 3: completion delivery on the calling thread, in
-    // names order, as soon as each prefix row is finished.
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        {
-            MutexLock lock(mtx);
-            row_done.wait(
-                mtx, [&]() CCM_REQUIRES(mtx) { return done[i] != 0; });
-        }
-        if (opts.onRowDone)
-            opts.onRowDone(report.rows[i]);
     }
     pool.waitIdle();
     return report;

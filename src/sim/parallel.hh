@@ -31,9 +31,9 @@
  *     that row** — per-row observer state is single-threaded.
  *     Observers shared across rows are the one thing that would need
  *     their own synchronization; prefer per-row observers.
- *  3. `onRowDone` fires on the **calling thread**, in `names` order,
- *     as rows complete — the serialized completion channel for
- *     streaming output or cross-row aggregation.
+ *  3. Rows reach the caller only through the returned report, after
+ *     every worker has finished: cross-row aggregation reads the
+ *     report on the calling thread and needs no locking.
  */
 
 #ifndef CCM_SIM_PARALLEL_HH
@@ -63,13 +63,6 @@ struct ParallelSuiteOptions
     SuiteInstrument instrument;
 
     /**
-     * Row-completion callback, delivered on the calling thread in
-     * names order (contract point 3).  The row passed is the one
-     * that ends up in the report.
-     */
-    std::function<void(const SuiteRow &)> onRowDone;
-
-    /**
      * Per-workload configuration override: called once per row with
      * the workload name and the sweep's base config, returning the
      * config that row actually runs.  This is how --auto-size applies
@@ -84,9 +77,9 @@ struct ParallelSuiteOptions
 
 /**
  * runSuite over a worker pool.  With opts.jobs == 1 this is
- * byte-for-byte the sequential sweep (plus onRowDone delivery); with
- * more workers, rows compute concurrently and the report is
- * identical except for wallSeconds.
+ * byte-for-byte the sequential sweep; with more workers, rows
+ * compute concurrently and the report is identical except for
+ * wallSeconds.
  */
 SuiteReport runSuiteParallel(const std::vector<std::string> &names,
                              const SuiteTraceFactory &factory,

@@ -46,8 +46,9 @@
  * What sharding deliberately drops: the oracle (a global fully
  * associative LRU whose verdicts depend on the interleaved stream)
  * and the timing model (MSHR/bus contention couple sets).  Both stay
- * sequential-only; --shards composes with the suite-level --jobs
- * knob, not with --run timing mode.
+ * sequential-only: ccm-sim takes --shards with --classify only, and
+ * a classify suite runs its rows one after another, each sharded K
+ * ways; --jobs spreads the rows of a timing suite instead.
  */
 
 #ifndef CCM_SIM_SHARDED_HH

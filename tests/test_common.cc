@@ -15,7 +15,10 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +26,7 @@
 
 #include "common/addr_types.hh"
 #include "common/bitutil.hh"
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "common/random.hh"
 #include "common/sample_hash.hh"
@@ -340,44 +344,6 @@ TEST(Sync, CondVarWaitForTimesOutHonestly)
     EXPECT_FALSE(satisfied);
 }
 
-TEST(Sync, SharedMutexAdmitsConcurrentReaders)
-{
-    SharedMutex mu;
-    std::atomic<int> readers{0};
-
-    // Two readers must be able to hold the shared side at once; each
-    // waits until it has seen the other before releasing.
-    auto reader = [&] {
-        ReaderLock lock(mu);
-        ++readers;
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::seconds(10);
-        while (readers.load() < 2 &&
-               std::chrono::steady_clock::now() < deadline)
-            std::this_thread::yield();
-        EXPECT_EQ(readers.load(), 2);
-    };
-    std::thread a(reader), b(reader);
-    a.join();
-    b.join();
-
-    // And the writer side still excludes.
-    long value = 0;
-    std::vector<std::thread> writers;
-    writers.reserve(2);
-    for (int t = 0; t < 2; ++t) {
-        writers.emplace_back([&] {
-            for (int i = 0; i < 10'000; ++i) {
-                WriterLock lock(mu);
-                ++value;
-            }
-        });
-    }
-    for (auto &th : writers)
-        th.join();
-    EXPECT_EQ(value, 20'000);
-}
-
 // ---- runtime lock-rank checker -------------------------------------
 
 TEST(SyncLockRank, AscendingAcquisitionIsLegal)
@@ -620,6 +586,118 @@ TEST(Log, UptimeIsMonotonic)
     const double b = logUptimeSeconds();
     EXPECT_GE(a, 0.0);
     EXPECT_GE(b, a);
+}
+
+// ---- command-line number rule -------------------------------------
+
+TEST(Cli, MalformedNumbersAreBadConfigAndStoreNothing)
+{
+    for (const char *text :
+         {"", "abc", "-1", "+1", " 1", "1 ", "1x", "0x10", "1.5"}) {
+        std::uint64_t v = 7;
+        Status s = parseNumber("--refs", text, v);
+        EXPECT_EQ(s.code(), ErrorCode::BadConfig) << "'" << text << "'";
+        EXPECT_NE(s.message().find("--refs"), std::string::npos);
+        EXPECT_EQ(v, 7u) << "'" << text << "'";
+    }
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parseNumber("--refs", "0", v).isOk());
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseNumber("--refs", "007", v).isOk());
+    EXPECT_EQ(v, 7u);
+}
+
+/** T's max parses to itself; @p over (max + 1) is rejected. */
+template <typename T>
+void
+expectTakesMaxOnly(const std::string &over)
+{
+    const T max = std::numeric_limits<T>::max();
+    T v{};
+    EXPECT_TRUE(parseNumber("--n", std::to_string(max), v).isOk());
+    EXPECT_EQ(v, max);
+    EXPECT_EQ(parseNumber("--n", over, v).code(), ErrorCode::BadConfig)
+        << over;
+    EXPECT_EQ(v, max);
+}
+
+TEST(Cli, EachTypeTakesItsMaxAndRejectsOneMore)
+{
+    expectTakesMaxOnly<unsigned>("4294967296");
+    expectTakesMaxOnly<int>("2147483648");
+    expectTakesMaxOnly<std::int64_t>("9223372036854775808");
+    expectTakesMaxOnly<std::uint64_t>("18446744073709551616");
+    // Far past the range is an overflow, not a clamp.
+    unsigned u = 0;
+    EXPECT_FALSE(parseNumber("--n", "4294967298", u).isOk());
+    EXPECT_EQ(u, 0u);
+}
+
+TEST(Cli, KbLimitKeepsTheByteCountFromWrapping)
+{
+    std::size_t kb = 0;
+    ASSERT_TRUE(
+        parseNumber("--l1-kb", std::to_string(kMaxKb), kb, kMaxKb).isOk());
+    EXPECT_EQ(kb, kMaxKb);
+    EXPECT_EQ(kb * 1024 / 1024, kb);
+    EXPECT_FALSE(
+        parseNumber("--l1-kb", std::to_string(kMaxKb + 1), kb, kMaxKb)
+            .isOk());
+    // 2^54 + 1: times 1024 this wraps to 1024 on a 64-bit size_t.
+    EXPECT_FALSE(
+        parseNumber("--l1-kb", "18014398509481985", kb, kMaxKb).isOk());
+}
+
+TEST(Cli, RatesAreOneWholeFiniteNumber)
+{
+    double r = 0.0;
+    EXPECT_TRUE(parseRate("--rate", "0.01", r).isOk());
+    EXPECT_DOUBLE_EQ(r, 0.01);
+    EXPECT_TRUE(parseRate("--rate", "1e-3", r).isOk());
+    EXPECT_DOUBLE_EQ(r, 0.001);
+    for (const char *text :
+         {"", "abc", "0.5x", " 0.5", "+0.5", "inf", "nan", "1e999"}) {
+        r = 0.25;
+        Status s = parseRate("--rate", text, r);
+        EXPECT_EQ(s.code(), ErrorCode::BadConfig) << "'" << text << "'";
+        EXPECT_EQ(r, 0.25) << "'" << text << "'";
+    }
+}
+
+TEST(Cli, CursorTakesEachFlagsValueAndNamesTheFlag)
+{
+    std::vector<std::string> words = {"tool",  "--refs",  "12",
+                                      "--arch", "victim", "--l1-kb",
+                                      "18014398509481985", "--seed"};
+    std::vector<char *> argv;
+    for (std::string &w : words)
+        argv.push_back(w.data());
+    ArgCursor args(static_cast<int>(argv.size()), argv.data());
+
+    std::size_t refs = 0;
+    ASSERT_TRUE(args.next());
+    EXPECT_EQ(args.flag(), "--refs");
+    EXPECT_TRUE(args.number(refs).isOk());
+    EXPECT_EQ(refs, 12u);
+
+    std::string arch;
+    ASSERT_TRUE(args.next());
+    EXPECT_TRUE(args.value(arch).isOk());
+    EXPECT_EQ(arch, "victim");
+
+    std::size_t kb = 16;
+    ASSERT_TRUE(args.next());
+    Status s = args.number(kb, kMaxKb);
+    EXPECT_EQ(s.code(), ErrorCode::BadConfig);
+    EXPECT_NE(s.message().find("--l1-kb"), std::string::npos);
+    EXPECT_EQ(kb, 16u);
+
+    std::uint64_t seed = 42;
+    ASSERT_TRUE(args.next());
+    s = args.number(seed);
+    EXPECT_EQ(s.code(), ErrorCode::BadConfig);
+    EXPECT_EQ(s.message(), "--seed needs a value");
+    EXPECT_FALSE(args.next());
 }
 
 // ---- sample hash / sampling predicate -----------------------------

@@ -686,6 +686,49 @@ TEST(ObsSink, TextAndCsvAreFlattenedViews)
               std::string::npos);
 }
 
+/** Feed @p words (argv[1..]) through StatsTarget; the first error. */
+Status
+parseStatsFlags(obs::StatsTarget &t, std::vector<std::string> words)
+{
+    words.insert(words.begin(), "tool");
+    std::vector<char *> argv;
+    for (std::string &w : words)
+        argv.push_back(w.data());
+    ArgCursor args(static_cast<int>(argv.size()), argv.data());
+    while (args.next()) {
+        EXPECT_TRUE(obs::StatsTarget::isFlag(args.flag()));
+        Status s = t.parseFlag(args);
+        if (!s.isOk())
+            return s;
+    }
+    return Status::ok();
+}
+
+TEST(ObsSink, StatsTargetTakesOneDestination)
+{
+    obs::StatsTarget t;
+    ASSERT_TRUE(parseStatsFlags(t, {"--stats-out", "a.txt",
+                                    "--stats-format", "csv"})
+                    .isOk());
+    EXPECT_EQ(t.path, "a.txt");
+    EXPECT_EQ(t.format, obs::StatsFormat::Csv);
+    // Naming the same file again is harmless; --stats-json means JSON.
+    ASSERT_TRUE(parseStatsFlags(t, {"--stats-json", "a.txt"}).isOk());
+    EXPECT_EQ(t.format, obs::StatsFormat::Json);
+
+    obs::StatsTarget two;
+    Status s =
+        parseStatsFlags(two, {"--stats-json", "a", "--stats-out", "b"});
+    EXPECT_EQ(s.code(), ErrorCode::BadConfig);
+    EXPECT_NE(s.message().find("conflicting stats targets"),
+              std::string::npos);
+    EXPECT_EQ(parseStatsFlags(two, {"--stats-format", "xml"}).code(),
+              ErrorCode::BadConfig);
+    EXPECT_EQ(parseStatsFlags(two, {"--stats-out"}).code(),
+              ErrorCode::BadConfig);
+    EXPECT_FALSE(obs::StatsTarget::isFlag("--stats"));
+}
+
 TEST(ObsSink, SuiteDocumentRecordsErrorRows)
 {
     SuiteReport report = runSuite(

@@ -15,7 +15,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -233,43 +232,14 @@ TEST(ParallelSuite, InstrumentCallsAreSerialized)
             << name;
 }
 
-TEST(ParallelSuite, OnRowDoneDeliversInNamesOrderOnCallerThread)
-{
-    const std::vector<std::string> names = workloadNames();
-    const std::thread::id caller = std::this_thread::get_id();
-    std::vector<std::string> delivered;
-
-    ParallelSuiteOptions opts;
-    opts.jobs = 8;
-    opts.onRowDone = [&](const SuiteRow &row) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        delivered.push_back(row.workload);
-    };
-    SuiteReport report = runSuiteParallel(
-        names,
-        [](const std::string &name) {
-            return makeWorkloadChecked(name, 1000, 3);
-        },
-        baselineConfig(), opts);
-
-    EXPECT_TRUE(report.allOk());
-    ASSERT_EQ(delivered.size(), names.size());
-    for (std::size_t i = 0; i < names.size(); ++i)
-        EXPECT_EQ(delivered[i], names[i]);
-}
-
 TEST(ParallelSuite, JobsOneMatchesSequentialIncludingCallbacks)
 {
     // jobs == 1 must be today's behaviour exactly, callbacks and all.
     std::vector<std::string> instrumented;
-    std::vector<std::string> delivered;
     ParallelSuiteOptions opts;
     opts.jobs = 1;
     opts.instrument = [&](const std::string &name, MemorySystem &) {
         instrumented.push_back(name);
-    };
-    opts.onRowDone = [&](const SuiteRow &row) {
-        delivered.push_back(row.workload);
     };
     const std::vector<std::string> names = {"go", "perl", "tomcatv"};
     SuiteReport report = runSuiteParallel(
@@ -280,7 +250,6 @@ TEST(ParallelSuite, JobsOneMatchesSequentialIncludingCallbacks)
         baselineConfig(), opts);
     EXPECT_TRUE(report.allOk());
     EXPECT_EQ(instrumented, names);
-    EXPECT_EQ(delivered, names);
 }
 
 } // namespace

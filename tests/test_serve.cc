@@ -446,6 +446,15 @@ TEST(ServeConfig, RejectsUnknownKeysAndBadValues)
     EXPECT_FALSE(serve::parseServeConfig("arch ternary\n").ok());
     EXPECT_FALSE(serve::parseServeConfig("l1-kb sixteen\n").ok());
     EXPECT_FALSE(serve::parseServeConfig("policy maybe\n").ok());
+    // The number rule: range-checked before the value is stored, so
+    // nothing truncates into an unsigned or wraps at x1024.
+    for (const char *text :
+         {"l1-assoc 4294967298\n", "l1-kb 18014398509481985\n",
+          "queue-records -1\n", "queue-records 18446744073709551616\n"}) {
+        auto cfg = serve::parseServeConfig(text);
+        ASSERT_FALSE(cfg.ok()) << text;
+        EXPECT_EQ(cfg.status().code(), ErrorCode::BadConfig) << text;
+    }
     Status s = serve::parseServeConfig("bogus 1\n").status();
     EXPECT_NE(s.message().find("bogus"), std::string::npos);
 }

@@ -16,13 +16,13 @@
  * that is not a valid ccm-stats document.
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "common/table.hh"
 #include "obs/json.hh"
@@ -456,8 +456,9 @@ main(int argc, char **argv)
     std::size_t top_n = 8;
     std::string path;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
+    ccm::ArgCursor args(argc, argv);
+    while (args.next()) {
+        const std::string &a = args.flag();
         if (a == "--help" || a == "-h") {
             usage();
             return 0;
@@ -466,11 +467,11 @@ main(int argc, char **argv)
         } else if (a == "--flat") {
             flat = true;
         } else if (a == "--top") {
-            if (i + 1 >= argc) {
-                CCM_LOG_ERROR("--top needs a value");
+            ccm::Status s = args.number(top_n);
+            if (!s.isOk()) {
+                CCM_LOG_ERROR(s.toString());
                 return 1;
             }
-            top_n = std::strtoull(argv[++i], nullptr, 10);
         } else if (!a.empty() && a[0] == '-' && a != "-") {
             CCM_LOG_ERROR("unknown option '", a, "'");
             usage();

@@ -15,10 +15,10 @@
  * success, 1 on usage/trace errors.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "obs/sink.hh"
 #include "sample/engine.hh"
@@ -54,8 +54,7 @@ struct Options
     unsigned mctDepth = 1;
     unsigned mctTagBits = 0;
 
-    std::string statsOut;
-    obs::StatsFormat statsFormat = obs::StatsFormat::Json;
+    obs::StatsTarget stats;
 };
 
 void
@@ -197,11 +196,9 @@ run(const Options &o)
                   << r.wallSecondsExact << "s\n";
     }
 
-    if (!o.statsOut.empty()) {
-        obs::JsonValue doc =
-            obs::sampleDocument(trace.value()->name(), r);
-        Status s = obs::writeDocumentToFile(o.statsOut, doc,
-                                            o.statsFormat);
+    if (!o.stats.path.empty()) {
+        Status s =
+            o.stats.write(obs::sampleDocument(trace.value()->name(), r));
         if (!s.isOk()) {
             CCM_LOG_ERROR(s.toString());
             return 1;
@@ -216,80 +213,60 @@ int
 main(int argc, char **argv)
 {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                CCM_LOG_ERROR(a, " needs a value");
-                std::exit(1);
-            }
-            return argv[++i];
-        };
+    ArgCursor args(argc, argv);
+    while (args.next()) {
+        const std::string &a = args.flag();
+        Status s;
         if (a == "--help" || a == "-h") {
             usage();
             return 0;
         } else if (a == "--workload") {
-            o.workload = val();
+            s = args.value(o.workload);
         } else if (a == "--trace") {
-            o.tracePath = val();
+            s = args.value(o.tracePath);
         } else if (a == "--refs") {
-            o.refs = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.refs);
         } else if (a == "--seed") {
-            o.seed = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.seed);
         } else if (a == "--rate") {
-            o.rate = std::strtod(val().c_str(), nullptr);
+            s = args.rate(o.rate);
         } else if (a == "--variant") {
-            o.variant = val();
-            if (o.variant != "fixed-rate" &&
-                o.variant != "fixed-size") {
-                CCM_LOG_ERROR("unknown variant '", o.variant,
-                              "' (fixed-rate | fixed-size)");
-                return 1;
-            }
+            s = args.value(o.variant);
+            if (s.isOk() && o.variant != "fixed-rate" &&
+                o.variant != "fixed-size")
+                s = Status::badConfig("unknown variant '", o.variant,
+                                      "' (fixed-rate | fixed-size)");
         } else if (a == "--max-lines") {
-            o.maxLines = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.maxLines);
         } else if (a == "--no-rate-correction") {
             o.noRateCorrection = true;
         } else if (a == "--intervals") {
-            o.intervals = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.intervals);
         } else if (a == "--window") {
-            o.windowRefs = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.windowRefs);
         } else if (a == "--warmup") {
-            o.warmupRefs = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.warmupRefs);
         } else if (a == "--exact") {
             o.exact = true;
         } else if (a == "--l1-kb") {
-            o.l1Kb = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.l1Kb, kMaxKb);
         } else if (a == "--l1-assoc") {
-            o.l1Assoc = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            s = args.number(o.l1Assoc);
         } else if (a == "--mct-depth") {
-            o.mctDepth = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            s = args.number(o.mctDepth);
         } else if (a == "--mct-bits") {
-            o.mctTagBits = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
-        } else if (a == "--stats-json" || a == "--stats-out") {
-            o.statsOut = val();
-            if (a == "--stats-json")
-                o.statsFormat = obs::StatsFormat::Json;
-        } else if (a == "--stats-format") {
-            auto f = obs::parseStatsFormat(val());
-            if (!f.ok()) {
-                CCM_LOG_ERROR(f.status().toString());
-                return 1;
-            }
-            o.statsFormat = f.value();
+            s = args.number(o.mctTagBits);
+        } else if (obs::StatsTarget::isFlag(a)) {
+            s = o.stats.parseFlag(args);
         } else if (a == "--log-level") {
-            auto lvl = parseLogLevel(val());
-            if (!lvl.ok()) {
-                CCM_LOG_ERROR(lvl.status().toString());
-                return 1;
-            }
-            setLogThreshold(lvl.value());
+            s = args.logLevel();
         } else {
             CCM_LOG_ERROR("unknown option '", a, "'");
             usage();
+            return 1;
+        }
+        if (!s.isOk()) {
+            CCM_LOG_ERROR(s.toString());
             return 1;
         }
     }

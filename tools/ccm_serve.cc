@@ -23,13 +23,12 @@
  */
 
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include <poll.h>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "common/shutdown.hh"
 #include "obs/sink.hh"
@@ -71,18 +70,6 @@ usage()
         "                         (default $CCM_LOG_LEVEL or info)\n";
 }
 
-std::uint64_t
-parseNum(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        CCM_LOG_ERROR(flag, " needs a number, got '", text, "'");
-        std::exit(1);
-    }
-    return v;
-}
-
 } // namespace
 
 int
@@ -93,67 +80,58 @@ main(int argc, char **argv)
     std::string traceSpans;
     std::string archOverride;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                CCM_LOG_ERROR(a, " needs a value");
-                std::exit(1);
-            }
-            return argv[++i];
-        };
+    ArgCursor args(argc, argv);
+    while (args.next()) {
+        const std::string &a = args.flag();
+        Status s;
         if (a == "--help" || a == "-h") {
             usage();
             return 0;
         } else if (a == "--socket") {
-            opts.socketPath = val();
+            s = args.value(opts.socketPath);
         } else if (a == "--control") {
-            opts.controlPath = val();
+            s = args.value(opts.controlPath);
         } else if (a == "--config") {
-            opts.configPath = val();
+            s = args.value(opts.configPath);
         } else if (a == "--arch") {
-            archOverride = val();
+            s = args.value(archOverride);
         } else if (a == "--max-streams") {
-            opts.maxStreams = parseNum("--max-streams", val());
+            s = args.number(opts.maxStreams);
         } else if (a == "--idle-ttl-ms") {
-            opts.idleTtlMs = static_cast<std::int64_t>(
-                parseNum("--idle-ttl-ms", val()));
+            s = args.number(opts.idleTtlMs);
         } else if (a == "--drain-grace-ms") {
-            opts.drainGraceMs = static_cast<std::int64_t>(
-                parseNum("--drain-grace-ms", val()));
+            s = args.number(opts.drainGraceMs);
         } else if (a == "--queue-records") {
-            opts.runtime.limits.queueRecords =
-                parseNum("--queue-records", val());
+            s = args.number(opts.runtime.limits.queueRecords);
         } else if (a == "--policy") {
-            auto p = serve::parseOverflowPolicy(val());
-            if (!p.ok()) {
-                CCM_LOG_ERROR(p.status().toString());
-                return 1;
+            std::string name;
+            s = args.value(name);
+            if (s.isOk()) {
+                auto p = serve::parseOverflowPolicy(name);
+                if (p.ok())
+                    opts.runtime.limits.policy = p.value();
+                else
+                    s = p.status();
             }
-            opts.runtime.limits.policy = p.value();
         } else if (a == "--window-every") {
-            opts.runtime.limits.windowEvery =
-                parseNum("--window-every", val());
+            s = args.number(opts.runtime.limits.windowEvery);
         } else if (a == "--window-samples") {
-            opts.runtime.limits.windowSamples =
-                parseNum("--window-samples", val());
+            s = args.number(opts.runtime.limits.windowSamples);
         } else if (a == "--defect-budget") {
-            opts.runtime.limits.defectBudget =
-                parseNum("--defect-budget", val());
+            s = args.number(opts.runtime.limits.defectBudget);
         } else if (a == "--stats-out") {
-            statsOut = val();
+            s = args.value(statsOut);
         } else if (a == "--trace-spans") {
-            traceSpans = val();
+            s = args.value(traceSpans);
         } else if (a == "--log-level") {
-            auto lvl = parseLogLevel(val());
-            if (!lvl.ok()) {
-                CCM_LOG_ERROR(lvl.status().toString());
-                return 1;
-            }
-            setLogThreshold(lvl.value());
+            s = args.logLevel();
         } else {
             CCM_LOG_ERROR("unknown option '", a, "'");
             usage();
+            return 1;
+        }
+        if (!s.isOk()) {
+            CCM_LOG_ERROR(s.toString());
             return 1;
         }
     }

@@ -21,18 +21,15 @@
  * mode: one bad-config line and exit 1, before any suite row runs.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
@@ -105,9 +102,8 @@ struct Options
     bool autoSize = false; ///< MRC-sized suite geometry
 
     // structured stats output
-    std::string statsOut;
+    obs::StatsTarget stats;
     std::string traceSpans;
-    obs::StatsFormat statsFormat = obs::StatsFormat::Json;
     std::size_t interval = 0;     ///< refs per sample; 0 = off
     std::size_t traceEvents = 0;  ///< max recorded events; 0 = off
 };
@@ -168,10 +164,9 @@ makeObservers(const Options &o)
 int
 emitStatsDoc(const Options &o, obs::JsonValue doc)
 {
-    if (o.statsOut.empty())
+    if (o.stats.path.empty())
         return 0;
-    Status s =
-        obs::writeDocumentToFile(o.statsOut, doc, o.statsFormat);
+    Status s = o.stats.write(doc);
     if (!s.isOk()) {
         CCM_LOG_ERROR(s.toString());
         return 1;
@@ -462,7 +457,7 @@ runSuiteMode(const Options &o, const SystemConfig &cfg)
               << report.rows.size() << " runs ok, "
               << report.failures() << " errored\n";
 
-    if (!o.statsOut.empty()) {
+    if (!o.stats.path.empty()) {
         obs::JsonValue doc = obs::suiteDocument(
             report,
             [&](const std::string &name) -> const obs::IntervalSampler * {
@@ -476,29 +471,6 @@ runSuiteMode(const Options &o, const SystemConfig &cfg)
             return rc;
     }
     return report.allOk() ? 0 : 2;
-}
-
-/**
- * A --shards value: decimal digits only, at most UINT_MAX.  strtoul
- * alone would read "abc" as 0 and wrap "-1" to ULONG_MAX.
- */
-Expected<unsigned>
-parseShards(const std::string &text)
-{
-    const bool digits =
-        !text.empty() &&
-        text.find_first_not_of("0123456789") == std::string::npos;
-    errno = 0;
-    const unsigned long long v =
-        digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
-    if (!digits || errno == ERANGE ||
-        v > std::numeric_limits<unsigned>::max()) {
-        return Status::badConfig("--shards needs a shard count from 0 "
-                                 "to ",
-                                 std::numeric_limits<unsigned>::max(),
-                                 ", got '", text, "'");
-    }
-    return static_cast<unsigned>(v);
 }
 
 /** The classify config from @p o, or why it is invalid. */
@@ -586,7 +558,7 @@ runClassifySuiteMode(const Options &o, const ShardedClassifyConfig &ccfg)
     std::cout << rows.size() - errored << "/" << rows.size()
               << " runs ok, " << errored << " errored\n";
 
-    if (!o.statsOut.empty()) {
+    if (!o.stats.path.empty()) {
         obs::JsonValue doc = obs::classifySuiteDocument(rows);
         doc.set("arch", obs::JsonValue::str(o.arch));
         int rc = emitStatsDoc(o, std::move(doc));
@@ -645,7 +617,7 @@ runClassifyMode(const Options &o)
         m.dump(std::cout);
     }
 
-    if (!o.statsOut.empty()) {
+    if (!o.stats.path.empty()) {
         obs::JsonValue doc =
             obs::classifyDocument(trace.value()->name(), res);
         doc.set("arch", obs::JsonValue::str(o.arch));
@@ -660,15 +632,10 @@ int
 main(int argc, char **argv)
 {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                CCM_LOG_ERROR(a, " needs a value");
-                std::exit(1);
-            }
-            return argv[++i];
-        };
+    ArgCursor args(argc, argv);
+    while (args.next()) {
+        const std::string &a = args.flag();
+        Status s;
         if (a == "--help" || a == "-h") {
             usage();
             return 0;
@@ -677,52 +644,43 @@ main(int argc, char **argv)
                 std::cout << n << "\n";
             return 0;
         } else if (a == "--workload") {
-            o.workload = val();
+            s = args.value(o.workload);
         } else if (a == "--trace") {
-            o.tracePath = val();
+            s = args.value(o.tracePath);
         } else if (a == "--suite") {
             o.suite = true;
         } else if (a == "--trace-dir") {
-            o.traceDir = val();
+            s = args.value(o.traceDir);
         } else if (a == "--budget") {
-            o.budget = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.budget);
         } else if (a == "--tolerate-truncation") {
             o.tolerateTruncation = true;
         } else if (a == "--jobs") {
-            o.jobs = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.jobs);
         } else if (a == "--classify") {
             o.classify = true;
         } else if (a == "--shards") {
-            auto k = parseShards(val());
-            if (!k.ok()) {
-                CCM_LOG_ERROR(k.status().toString());
-                return 1;
-            }
-            o.shards = k.value();
+            s = args.number(o.shards);
         } else if (a == "--mct-depth") {
-            o.mctDepth = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            s = args.number(o.mctDepth);
         } else if (a == "--refs") {
-            o.refs = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.refs);
         } else if (a == "--seed") {
-            o.seed = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.seed);
         } else if (a == "--arch") {
-            o.arch = val();
+            s = args.value(o.arch);
         } else if (a == "--l1-kb") {
-            o.l1Kb = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.l1Kb, kMaxKb);
         } else if (a == "--l1-assoc") {
-            o.l1Assoc = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            s = args.number(o.l1Assoc);
         } else if (a == "--l2-kb") {
-            o.l2Kb = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.l2Kb, kMaxKb);
         } else if (a == "--buf-entries") {
-            o.bufEntries = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            s = args.number(o.bufEntries);
         } else if (a == "--mct-bits") {
-            o.mctTagBits = static_cast<unsigned>(
-                std::strtoul(val().c_str(), nullptr, 10));
+            s = args.number(o.mctTagBits);
         } else if (a == "--filter") {
-            o.filter = val();
+            s = args.value(o.filter);
         } else if (a == "--filter-swaps") {
             o.filterSwaps = true;
         } else if (a == "--filter-fills") {
@@ -730,9 +688,9 @@ main(int argc, char **argv)
         } else if (a == "--pref-filtered") {
             o.prefFiltered = true;
         } else if (a == "--pref-kind") {
-            o.prefKind = val();
+            s = args.value(o.prefKind);
         } else if (a == "--exclude-algo") {
-            o.excludeAlgo = val();
+            s = args.value(o.excludeAlgo);
         } else if (a == "--victim") {
             o.ambVictim = true;
         } else if (a == "--prefetch") {
@@ -743,47 +701,23 @@ main(int argc, char **argv)
             o.dumpRaw = true;
         } else if (a == "--auto-size") {
             o.autoSize = true;
-        } else if (a == "--stats-json" || a == "--stats-out") {
-            // One stats document per invocation: silently honouring
-            // only the last of two different targets would leave the
-            // other file stale without anyone noticing.
-            const std::string target = val();
-            if (!o.statsOut.empty() && o.statsOut != target) {
-                CCM_LOG_ERROR(
-                    ccm::Status::badConfig(
-                        "conflicting stats targets '", o.statsOut,
-                        "' and '", target,
-                        "' (use one --stats-json/--stats-out "
-                        "destination)")
-                        .toString());
-                return 1;
-            }
-            o.statsOut = target;
-            if (a == "--stats-json")
-                o.statsFormat = ccm::obs::StatsFormat::Json;
-        } else if (a == "--stats-format") {
-            auto f = ccm::obs::parseStatsFormat(val());
-            if (!f.ok()) {
-                CCM_LOG_ERROR(f.status().toString());
-                return 1;
-            }
-            o.statsFormat = f.value();
+        } else if (obs::StatsTarget::isFlag(a)) {
+            s = o.stats.parseFlag(args);
         } else if (a == "--interval") {
-            o.interval = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.interval);
         } else if (a == "--trace-events") {
-            o.traceEvents = std::strtoull(val().c_str(), nullptr, 10);
+            s = args.number(o.traceEvents);
         } else if (a == "--trace-spans") {
-            o.traceSpans = val();
+            s = args.value(o.traceSpans);
         } else if (a == "--log-level") {
-            auto lvl = ccm::parseLogLevel(val());
-            if (!lvl.ok()) {
-                CCM_LOG_ERROR(lvl.status().toString());
-                return 1;
-            }
-            ccm::setLogThreshold(lvl.value());
+            s = args.logLevel();
         } else {
             CCM_LOG_ERROR("unknown option '", a, "'");
             usage();
+            return 1;
+        }
+        if (!s.isOk()) {
+            CCM_LOG_ERROR(s.toString());
             return 1;
         }
     }
@@ -897,7 +831,7 @@ main(int argc, char **argv)
     }
 
     int rc = 0;
-    if (!o.statsOut.empty()) {
+    if (!o.stats.path.empty()) {
         obs::JsonValue doc = obs::runDocument(
             src->name(), r, obsv.sampler.get(), obsv.events.get());
         doc.set("arch", obs::JsonValue::str(o.arch));

@@ -24,14 +24,13 @@
  * "error:" control reply.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "serve/client.hh"
 #include "serve/frame.hh"
@@ -70,30 +69,6 @@ usage()
         "  --retries N            connect attempts (default 5)\n"
         "  --backoff-ms N         initial backoff, doubles (default 10)\n"
         "  --timeout-ms N         per-send/reply timeout (default 5000)\n";
-}
-
-std::uint64_t
-parseNum(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        CCM_LOG_ERROR(flag, " needs a number, got '", text, "'");
-        std::exit(1);
-    }
-    return v;
-}
-
-double
-parseRate(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0') {
-        CCM_LOG_ERROR(flag, " needs a number, got '", text, "'");
-        std::exit(1);
-    }
-    return v; // the [0, 1] range is FaultPlan::validate()'s check
 }
 
 struct Options
@@ -266,67 +241,62 @@ int
 main(int argc, char **argv)
 {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                CCM_LOG_ERROR(a, " needs a value");
-                std::exit(1);
-            }
-            return argv[++i];
-        };
+    ArgCursor args(argc, argv);
+    while (args.next()) {
+        const std::string &a = args.flag();
+        Status s;
         if (a == "--help" || a == "-h") {
             usage();
             return 0;
         } else if (a == "--socket") {
-            o.socketPath = val();
+            s = args.value(o.socketPath);
         } else if (a == "--control") {
-            o.controlPath = val();
+            s = args.value(o.controlPath);
         } else if (a == "--cmd") {
-            o.command = val();
+            s = args.value(o.command);
         } else if (a == "--name") {
-            o.name = val();
+            s = args.value(o.name);
         } else if (a == "--workload") {
-            o.workload = val();
+            s = args.value(o.workload);
         } else if (a == "--trace") {
-            o.tracePath = val();
+            s = args.value(o.tracePath);
         } else if (a == "--frames-out") {
-            o.framesOut = val();
+            s = args.value(o.framesOut);
         } else if (a == "--refs") {
-            o.refs = parseNum("--refs", val());
+            s = args.number(o.refs);
         } else if (a == "--seed") {
-            o.seed = parseNum("--seed", val());
+            s = args.number(o.seed);
         } else if (a == "--chunk") {
-            o.chunk = parseNum("--chunk", val());
+            s = args.number(o.chunk);
         } else if (a == "--fault-bitflip") {
-            o.faults.bitFlipRate = parseRate("--fault-bitflip", val());
+            s = args.rate(o.faults.bitFlipRate);
         } else if (a == "--fault-drop") {
-            o.faults.dropRate = parseRate("--fault-drop", val());
+            s = args.rate(o.faults.dropRate);
         } else if (a == "--fault-dup") {
-            o.faults.duplicateRate = parseRate("--fault-dup", val());
+            s = args.rate(o.faults.duplicateRate);
         } else if (a == "--fault-truncate") {
-            o.faults.truncateAfter =
-                parseNum("--fault-truncate", val());
+            s = args.number(o.faults.truncateAfter);
         } else if (a == "--fault-seed") {
-            o.faults.seed = parseNum("--fault-seed", val());
+            s = args.number(o.faults.seed);
         } else if (a == "--corrupt-after") {
-            o.corruptAfter = parseNum("--corrupt-after", val());
+            s = args.number(o.corruptAfter);
         } else if (a == "--corrupt-bytes") {
-            o.corruptBytes = parseNum("--corrupt-bytes", val());
+            s = args.number(o.corruptBytes);
         } else if (a == "--disconnect-after") {
-            o.disconnectAfter = parseNum("--disconnect-after", val());
+            s = args.number(o.disconnectAfter);
         } else if (a == "--retries") {
-            o.client.connectRetries =
-                static_cast<int>(parseNum("--retries", val()));
+            s = args.number(o.client.connectRetries);
         } else if (a == "--backoff-ms") {
-            o.client.backoffInitialMs =
-                static_cast<int>(parseNum("--backoff-ms", val()));
+            s = args.number(o.client.backoffInitialMs);
         } else if (a == "--timeout-ms") {
-            o.client.ioTimeoutMs =
-                static_cast<int>(parseNum("--timeout-ms", val()));
+            s = args.number(o.client.ioTimeoutMs);
         } else {
             CCM_LOG_ERROR("unknown option '", a, "'");
             usage();
+            return 1;
+        }
+        if (!s.isOk()) {
+            CCM_LOG_ERROR(s.toString());
             return 1;
         }
     }

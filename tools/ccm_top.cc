@@ -26,13 +26,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "obs/json.hh"
 #include "serve/client.hh"
@@ -54,18 +53,6 @@ usage()
         "  --no-clear        do not clear the screen between frames\n"
         "  --timeout-ms N    per-request reply timeout (default 5000)\n"
         "  --log-level L     trace|debug|info|warn|error|off\n";
-}
-
-std::uint64_t
-parseNum(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        CCM_LOG_ERROR(flag, " needs a number, got '", text, "'");
-        std::exit(1);
-    }
-    return v;
 }
 
 struct Options
@@ -337,42 +324,34 @@ int
 main(int argc, char **argv)
 {
     Options o;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto val = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                CCM_LOG_ERROR(a, " needs a value");
-                std::exit(1);
-            }
-            return argv[++i];
-        };
+    ArgCursor args(argc, argv);
+    while (args.next()) {
+        const std::string &a = args.flag();
+        Status s;
         if (a == "--help" || a == "-h") {
             usage();
             return 0;
         } else if (a == "--control") {
-            o.controlPath = val();
+            s = args.value(o.controlPath);
         } else if (a == "--interval-ms") {
-            o.intervalMs = static_cast<std::int64_t>(
-                parseNum("--interval-ms", val()));
+            s = args.number(o.intervalMs);
         } else if (a == "--iterations") {
-            o.iterations = parseNum("--iterations", val());
+            s = args.number(o.iterations);
         } else if (a == "--once") {
             o.once = true;
         } else if (a == "--no-clear") {
             o.clearScreen = false;
         } else if (a == "--timeout-ms") {
-            o.client.ioTimeoutMs =
-                static_cast<int>(parseNum("--timeout-ms", val()));
+            s = args.number(o.client.ioTimeoutMs);
         } else if (a == "--log-level") {
-            auto lvl = parseLogLevel(val());
-            if (!lvl.ok()) {
-                CCM_LOG_ERROR(lvl.status().toString());
-                return 1;
-            }
-            setLogThreshold(lvl.value());
+            s = args.logLevel();
         } else {
             CCM_LOG_ERROR("unknown option '", a, "'");
             usage();
+            return 1;
+        }
+        if (!s.isOk()) {
+            CCM_LOG_ERROR(s.toString());
             return 1;
         }
     }

@@ -11,10 +11,10 @@
  *   ccm-trace info out.bin
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "trace/file_trace.hh"
 #include "workloads/registry.hh"
@@ -51,16 +51,22 @@ cmdGen(int argc, char **argv)
     std::size_t refs = 1'000'000;
     std::uint64_t seed = 42;
     TraceEncoding enc = TraceEncoding::Packed;
-    for (int i = 4; i < argc; ++i) {
-        std::string a = argv[i];
+    ArgCursor args(argc, argv, 4);
+    while (args.next()) {
+        const std::string &a = args.flag();
+        Status s;
         if (a == "--delta") {
             enc = TraceEncoding::Delta;
-        } else if (a == "--refs" && i + 1 < argc) {
-            refs = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
+        } else if (a == "--refs") {
+            s = args.number(refs);
+        } else if (a == "--seed") {
+            s = args.number(seed);
         } else {
             CCM_LOG_ERROR("unknown gen option '", a, "'");
+            return 1;
+        }
+        if (!s.isOk()) {
+            CCM_LOG_ERROR(s.toString());
             return 1;
         }
     }

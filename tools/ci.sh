@@ -24,9 +24,12 @@
 #      --interval 997 and --shards 1, 3 and 4;
 #      a bad geometry, MCT shape, --pref-kind, --shards or --refs 0
 #      (ccm-sim single, --suite, --classify; ccm-sample; ccm-trace
-#      gen; a ccm-serve --config file) must give one bad-config line
-#      and exit 1, never a fatal: exit, and ccm-trace gen to /dev/full
-#      one io-error line and exit 1;
+#      gen; a ccm-serve --config file), and a malformed number on
+#      every tool (sign, letters, trailing text, out of the field's
+#      range, two stats targets), must give one bad-config line and
+#      exit 1, never a fatal: exit, and ccm-trace gen to /dev/full
+#      one io-error line and exit 1; every stats document the smoke
+#      steps write passes ccm-report --check;
 #      a damaged gcc trace (one garbage run, a 7-byte partial tail)
 #      must run under --budget 2 --tolerate-truncation in the single,
 #      --classify and --suite --trace-dir modes, classify exactly like
@@ -159,6 +162,8 @@ build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 2 \
     --stats-json "$obs_tmp/par.json" > /dev/null
 diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/seq.json") \
      <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/par.json")
+build/tools/ccm-report --check "$obs_tmp/seq.json"
+build/tools/ccm-report --check "$obs_tmp/par.json"
 build/tools/ccm-sim --workload go --refs 5000 --arch baseline \
     --interval 1000 --trace-events 64 \
     --stats-json "$obs_tmp/run.json" > /dev/null
@@ -179,6 +184,7 @@ if ! diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/classify_s1.jso
     exit 1
 fi
 build/tools/ccm-report --check "$obs_tmp/classify_s1.json"
+build/tools/ccm-report --check "$obs_tmp/classify_s4.json"
 build/tools/ccm-report "$obs_tmp/classify_s1.json" > /dev/null
 # The file lanes: one gcc trace, packed and delta-encoded, at
 # --shards 1, 3 and 4.  At 70k refs (280k records) the packed open
@@ -202,6 +208,7 @@ for enc in bin d.bin; do
             echo "FAIL: classify of gcc.$enc at --shards $k differs" >&2
             exit 1
         fi
+        build/tools/ccm-report --check "$obs_tmp/file_$enc.s$k.json"
     done
 done
 
@@ -232,6 +239,28 @@ expect_code bad-config build/tools/ccm-sim --classify --shards abc
 expect_code bad-config build/tools/ccm-sim --classify --shards -1
 expect_code bad-config build/tools/ccm-sim --classify --shards 4294967296
 expect_code bad-config build/tools/ccm-trace gen gcc "$obs_tmp/x.bin" --refs 0
+# The number rule (README "Command-line numbers"): decimal digits only,
+# range-checked against the field before it is stored.  Each of these
+# used to run: abc read as 0, -1 wrapped, 4294967298 truncated to 2,
+# 18014398509481985 KB wrapped to 1 KB at x1024, trailing text ignored.
+expect_code bad-config build/tools/ccm-sim --suite --refs 1000 --jobs abc
+expect_code bad-config build/tools/ccm-sim --classify --refs 1000 \
+    --l1-assoc 4294967298
+expect_code bad-config build/tools/ccm-sim --classify --refs 1000 \
+    --l1-kb 18014398509481985
+expect_code bad-config build/tools/ccm-sample --refs 2000 --intervals abc
+expect_code bad-config build/tools/ccm-sample --refs 2000 \
+    --stats-json "$obs_tmp/two_a.json" --stats-out "$obs_tmp/two_b.json"
+expect_code bad-config build/tools/ccm-trace gen gcc "$obs_tmp/x.bin" --refs 1x
+expect_code bad-config build/tools/ccm-report --top abc "$obs_tmp/run.json"
+expect_code bad-config build/tools/ccm-stream --socket "$obs_tmp/none.sock" \
+    --name n --refs 10x
+expect_code bad-config build/tools/ccm-top --control "$obs_tmp/none.sock" \
+    --iterations -1
+expect_code bad-config build/tools/tracecheck repair "$obs_tmp/gcc.bin" \
+    "$obs_tmp/x_repaired.bin" --budget -1
+expect_code bad-config timeout 20 build/tools/ccm-serve \
+    --socket "$obs_tmp/bad.sock" --max-streams -1
 echo "l1-kb 3" > "$obs_tmp/bad.conf"
 # The timeout only matters if the daemon wrongly accepts the file.
 expect_code bad-config timeout 20 build/tools/ccm-serve \
@@ -294,6 +323,8 @@ if ! diff <(grep -v -e wall_seconds -e records_per_sec -e '"workload"' \
     echo "FAIL: tolerant classify differs from classify of the repair" >&2
     exit 1
 fi
+build/tools/ccm-report --check "$obs_tmp/dmg_tolerant.json"
+build/tools/ccm-report --check "$obs_tmp/dmg_repaired.json"
 # The defect map's two runs, partitioned in chunks, classify the same.
 expect_rc 0 build/tools/ccm-sim --classify --trace "$dmg/gcc.bin" \
     --interval 1000 "${tolerant[@]}" --shards 4 \
@@ -305,6 +336,7 @@ if ! diff <(grep -v -e wall_seconds -e records_per_sec \
     echo "FAIL: tolerant classify differs at --shards 4" >&2
     exit 1
 fi
+build/tools/ccm-report --check "$obs_tmp/dmg_tolerant_s4.json"
 # Strict: one error line each.  The suite still runs its 15 clean rows
 # and exits 2, its partial-failure code.
 expect_one_error 1 build/tools/ccm-sim --arch victim --trace "$dmg/gcc.bin"
@@ -468,6 +500,7 @@ grep -q '^sample_rate_ppm 0' "$obs_tmp/serve_top.txt"
 # must equal a batch ccm-sim run of the same trace exactly.
 build/tools/ccm-sim --workload tomcatv --refs 20000 \
     --stats-json "$obs_tmp/serve_batch.json" > /dev/null
+build/tools/ccm-report --check "$obs_tmp/serve_batch.json"
 build/tools/ccm-report --flat "$obs_tmp/serve_live.json" \
     > "$obs_tmp/serve_flat.txt"
 idx=$(awk '$2 == "clean-1" && $1 ~ /^streams\.[0-9]+\.name$/ \
@@ -520,6 +553,7 @@ build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
     --stats-json "$obs_tmp/traced.json" > /dev/null
 diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/seq.json") \
      <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/traced.json")
+build/tools/ccm-report --check "$obs_tmp/traced.json"
 test -s "$obs_tmp/spans.json"
 grep -q '"traceEvents"' "$obs_tmp/spans.json"
 grep -q '"ph": "X"' "$obs_tmp/spans.json"

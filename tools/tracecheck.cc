@@ -46,13 +46,13 @@
  * docs/TRACE_FORMAT.md.
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "serve/frame.hh"
 #include "trace/file_trace.hh"
@@ -169,16 +169,15 @@ cmdRepair(int argc, char **argv)
     TraceReadOptions opts;
     opts.corruptionBudget = ~std::size_t{0};
     opts.tolerateTruncatedTail = true;
-    for (int i = 4; i + 1 < argc; i += 2) {
-        if (std::strcmp(argv[i], "--budget") == 0) {
-            char *end = nullptr;
-            unsigned long v = std::strtoul(argv[i + 1], &end, 10);
-            if (end == argv[i + 1] || *end != '\0') {
-                CCM_LOG_ERROR("--budget needs a number, got '",
-                              argv[i + 1], "'");
-                return exitUsage;
-            }
-            opts.corruptionBudget = v;
+    ArgCursor args(argc, argv, 4);
+    while (args.next()) {
+        Status s = args.flag() == "--budget"
+                       ? args.number(opts.corruptionBudget)
+                       : Status::badConfig("unknown repair option '",
+                                           args.flag(), "'");
+        if (!s.isOk()) {
+            CCM_LOG_ERROR(s.toString());
+            return exitUsage;
         }
     }
 
