@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <vector>
+#include <utility>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -78,9 +78,8 @@ ServeClient::connect(const std::string &socket_path,
         return fd.status().withContext("stream '" + stream_name +
                                        "'");
     ServeClient client(fd.value(), opts);
-    std::vector<std::uint8_t> hello;
-    appendHelloFrame(hello, stream_name);
-    Status s = client.sendAllBytes(hello.data(), hello.size());
+    appendHelloFrame(client.sendBuf, stream_name);
+    Status s = client.sendBuffered();
     if (!s.isOk())
         return s.withContext("hello for stream '" + stream_name +
                              "'");
@@ -94,7 +93,7 @@ ServeClient::~ServeClient()
 }
 
 ServeClient::ServeClient(ServeClient &&other) noexcept
-    : fd(other.fd), opts(other.opts)
+    : fd(other.fd), opts(other.opts), sendBuf(std::move(other.sendBuf))
 {
     other.fd = -1;
 }
@@ -107,6 +106,7 @@ ServeClient::operator=(ServeClient &&other) noexcept
             ::close(fd);
         fd = other.fd;
         opts = other.opts;
+        sendBuf = std::move(other.sendBuf);
         other.fd = -1;
     }
     return *this;
@@ -145,19 +145,25 @@ ServeClient::sendAllBytes(const std::uint8_t *data, std::size_t n)
 }
 
 Status
+ServeClient::sendBuffered()
+{
+    Status s = sendAllBytes(sendBuf.data(), sendBuf.size());
+    sendBuf.clear();
+    return s;
+}
+
+Status
 ServeClient::sendRecords(const MemRecord *recs, std::size_t n)
 {
-    std::vector<std::uint8_t> bytes;
-    appendRecordsFrames(bytes, recs, n);
-    return sendAllBytes(bytes.data(), bytes.size());
+    appendRecordsFrames(sendBuf, recs, n);
+    return sendBuffered();
 }
 
 Status
 ServeClient::sendEnd()
 {
-    std::vector<std::uint8_t> bytes;
-    appendEndFrame(bytes);
-    return sendAllBytes(bytes.data(), bytes.size());
+    appendEndFrame(sendBuf);
+    return sendBuffered();
 }
 
 Status

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.hh"
 #include "serve/frame.hh"
@@ -96,8 +97,13 @@ class ServeClient
 
     Status sendAllBytes(const std::uint8_t *data, std::size_t n);
 
+    /** Send sendBuf's frames, then clear it for the next call. */
+    Status sendBuffered();
+
     int fd = -1;
     ClientOptions opts;
+    /** Frames being sent; reused so steady-state sends never allocate. */
+    std::vector<std::uint8_t> sendBuf;
 };
 
 /**

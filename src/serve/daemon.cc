@@ -540,6 +540,24 @@ ServeDaemon::serveConnection(int fd, std::atomic<bool> *done_flag)
                     ")"));
                 break;
             }
+        } else if (parser.stats().defects() > 0) {
+            // Not admitted yet, so the daemon's current budget applies:
+            // a peer that never completes a hello (garbage, a producer
+            // of another protocol version) must not hold this reader.
+            Count budget = 0;
+            {
+                MutexLock lock(mu);
+                budget = runtime.limits.defectBudget;
+            }
+            if (parser.stats().defects() > budget) {
+                CCM_LOG_WARN("connection dropped before its hello: ",
+                             parser.stats().defects(),
+                             " frame defects exceed budget ", budget,
+                             " (first: ",
+                             frameDefectName(parser.stats().firstDefect),
+                             ")");
+                break;
+            }
         }
     }
 

@@ -13,29 +13,92 @@ namespace
 
 constexpr std::uint8_t kMagic[4] = {'C', 'C', 'M', 'F'};
 
+/** CCMF v2 checksum constants (docs/SERVING.md "Checksum"). */
+constexpr std::uint64_t kSumSeeds[4] = {
+    0x9e3779b185ebca87ull, 0xc2b2ae3d27d4eb4full,
+    0x165667b19e3779f9ull, 0x85ebca77c2b2ae63ull};
+constexpr std::uint64_t kSumMul = 0x9e3779b97f4a7c15ull;
+constexpr int kSumShift = 29;
+
+/** One multiply-xor step: absorb word @p w into lane state @p h. */
+inline std::uint64_t
+sumMix(std::uint64_t h, std::uint64_t w)
+{
+    h ^= w;
+    h *= kSumMul;
+    return h ^ (h >> kSumShift);
+}
+
+/**
+ * The CCMF v2 checksum of the frame whose header is at @p hdr and
+ * whose @p len payload bytes are at @p payload.  Lane 0 absorbs the
+ * header bytes [4..7] as a zero-extended word; payload word k (8
+ * little-endian bytes, the last one zero-padded) goes to lane k mod 4;
+ * the four lanes, then the payload length, are folded into one word
+ * whose halves are xored to 32 bits.  The lanes are independent
+ * multiply chains, so a records frame costs about a cycle per word.
+ */
 std::uint32_t
-fnv1a(const std::uint8_t *data, std::size_t n,
-      std::uint32_t h = 2166136261u)
+frameChecksum(const std::uint8_t *hdr, const std::uint8_t *payload,
+              std::size_t len)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 16777619u;
+    std::uint64_t lane[4] = {kSumSeeds[0], kSumSeeds[1], kSumSeeds[2],
+                             kSumSeeds[3]};
+    lane[0] = sumMix(lane[0], wire::loadLe32(hdr + 4));
+    const std::size_t words = len / 8;
+    std::size_t k = 0;
+    for (; k + 4 <= words; k += 4)
+        for (std::size_t i = 0; i < 4; ++i)
+            lane[i] = sumMix(lane[i],
+                             wire::loadLe64(payload + 8 * (k + i)));
+    for (; k < words; ++k)
+        lane[k % 4] = sumMix(lane[k % 4], wire::loadLe64(payload + 8 * k));
+    if (len % 8 != 0) {
+        std::uint8_t tail[8] = {};
+        std::memcpy(tail, payload + 8 * k, len % 8);
+        lane[k % 4] = sumMix(lane[k % 4], wire::loadLe64(tail));
     }
-    return h;
+    std::uint64_t h = 0;
+    for (const std::uint64_t l : lane)
+        h = sumMix(h, l);
+    h = sumMix(h, len);
+    return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 
+/**
+ * Write the header of a @p type frame with a @p len byte payload at
+ * @p hdr; the payload follows at hdr + kFrameHeaderBytes and must be
+ * in place before sealFrame().
+ */
 void
-putU16(std::uint8_t *buf, std::uint16_t v)
+putHeader(std::uint8_t *hdr, FrameType type, std::size_t len)
 {
-    buf[0] = static_cast<std::uint8_t>(v & 0xff);
-    buf[1] = static_cast<std::uint8_t>(v >> 8);
+    std::memcpy(hdr, kMagic, 4);
+    hdr[4] = static_cast<std::uint8_t>(type);
+    hdr[5] = 0;
+    hdr[6] = static_cast<std::uint8_t>(len & 0xff);
+    hdr[7] = static_cast<std::uint8_t>(len >> 8);
 }
 
-void
-putU32(std::uint8_t *buf, std::uint32_t v)
+/**
+ * Grow @p out by one @p type frame of @p len payload bytes, write its
+ * header, and return the header's address in @p out.
+ */
+std::uint8_t *
+growFrame(std::vector<std::uint8_t> &out, FrameType type, std::size_t len)
 {
-    for (int i = 0; i < 4; ++i)
-        buf[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
+    const std::size_t base = out.size();
+    out.resize(base + kFrameHeaderBytes + len);
+    putHeader(out.data() + base, type, len);
+    return out.data() + base;
+}
+
+/** Checksum the frame at @p hdr (header and payload in place). */
+void
+sealFrame(std::uint8_t *hdr, std::size_t len)
+{
+    wire::storeLe32(frameChecksum(hdr, hdr + kFrameHeaderBytes, len),
+                    hdr + 8);
 }
 
 std::uint16_t
@@ -43,33 +106,6 @@ getU16(const std::uint8_t *buf)
 {
     return static_cast<std::uint16_t>(buf[0] |
                                       (std::uint16_t{buf[1]} << 8));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *buf)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{buf[i]} << (8 * i);
-    return v;
-}
-
-void
-appendFrame(std::vector<std::uint8_t> &out, FrameType type,
-            const std::uint8_t *payload, std::size_t len)
-{
-    const std::size_t base = out.size();
-    out.resize(base + kFrameHeaderBytes + len);
-    std::uint8_t *hdr = out.data() + base;
-    std::memcpy(hdr, kMagic, 4);
-    hdr[4] = static_cast<std::uint8_t>(type);
-    hdr[5] = 0;
-    putU16(hdr + 6, static_cast<std::uint16_t>(len));
-    if (len > 0)
-        std::memcpy(hdr + kFrameHeaderBytes, payload, len);
-    std::uint32_t sum = fnv1a(hdr + 4, 4);
-    sum = fnv1a(hdr + kFrameHeaderBytes, len, sum);
-    putU32(hdr + 8, sum);
 }
 
 /**
@@ -132,36 +168,42 @@ frameDefectName(FrameDefect d)
 void
 appendHelloFrame(std::vector<std::uint8_t> &out, const std::string &name)
 {
-    std::string clipped = name.substr(0, kMaxStreamName);
-    std::vector<std::uint8_t> payload(5 + clipped.size());
-    putU32(payload.data(), kFrameProtoVersion);
-    payload[4] = static_cast<std::uint8_t>(clipped.size());
-    std::memcpy(payload.data() + 5, clipped.data(), clipped.size());
-    appendFrame(out, FrameType::Hello, payload.data(), payload.size());
+    const std::size_t name_len = std::min(name.size(), kMaxStreamName);
+    const std::size_t len = 5 + name_len;
+    std::uint8_t *hdr = growFrame(out, FrameType::Hello, len);
+    std::uint8_t *payload = hdr + kFrameHeaderBytes;
+    wire::storeLe32(kFrameProtoVersion, payload);
+    payload[4] = static_cast<std::uint8_t>(name_len);
+    std::memcpy(payload + 5, name.data(), name_len);
+    sealFrame(hdr, len);
 }
 
 void
 appendRecordsFrames(std::vector<std::uint8_t> &out, const MemRecord *recs,
                     std::size_t n)
 {
-    std::uint8_t payload[kMaxFramePayload];
-    std::size_t off = 0;
-    while (off < n) {
-        const std::size_t take =
-            std::min(n - off, kMaxRecordsPerFrame);
+    const std::size_t frames =
+        (n + kMaxRecordsPerFrame - 1) / kMaxRecordsPerFrame;
+    std::size_t at = out.size();
+    out.resize(at + frames * kFrameHeaderBytes + n * wire::recordBytes);
+    for (std::size_t off = 0; off < n; off += kMaxRecordsPerFrame) {
+        const std::size_t take = std::min(n - off, kMaxRecordsPerFrame);
+        const std::size_t len = take * wire::recordBytes;
+        std::uint8_t *hdr = out.data() + at;
+        putHeader(hdr, FrameType::Records, len);
+        std::uint8_t *payload = hdr + kFrameHeaderBytes;
         for (std::size_t i = 0; i < take; ++i)
             wire::packRecord(recs[off + i],
                              payload + i * wire::recordBytes);
-        appendFrame(out, FrameType::Records, payload,
-                    take * wire::recordBytes);
-        off += take;
+        sealFrame(hdr, len);
+        at += kFrameHeaderBytes + len;
     }
 }
 
 void
 appendEndFrame(std::vector<std::uint8_t> &out)
 {
-    appendFrame(out, FrameType::End, nullptr, 0);
+    sealFrame(growFrame(out, FrameType::End, 0), 0);
 }
 
 // ---- Decoding -----------------------------------------------------
@@ -187,7 +229,7 @@ FrameParser::dispatchFrame(FrameType type, const std::uint8_t *payload,
 {
     switch (type) {
       case FrameType::Hello: {
-        const std::uint32_t version = getU32(payload);
+        const std::uint32_t version = wire::loadLe32(payload);
         const std::size_t name_len = payload[4];
         if (version != kFrameProtoVersion || name_len != len - 5) {
             ++stats_.malformedFrames;
@@ -254,9 +296,8 @@ FrameParser::parseBuffer(FrameSink &sink)
         const std::size_t len = getU16(hdr + 6);
         if (buf.size() - pos < kFrameHeaderBytes + len)
             break; // incomplete frame: wait for more bytes
-        std::uint32_t sum = fnv1a(hdr + 4, 4);
-        sum = fnv1a(hdr + kFrameHeaderBytes, len, sum);
-        if (sum != getU32(hdr + 8)) {
+        if (frameChecksum(hdr, hdr + kFrameHeaderBytes, len) !=
+            wire::loadLe32(hdr + 8)) {
             // The header looked right but the contents are damaged;
             // resync rather than trust the claimed length.
             skipGarbage(1, FrameDefect::BadChecksum, sink);

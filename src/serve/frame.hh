@@ -11,13 +11,30 @@
  *   [4]      u8  type      (1 = hello, 2 = records, 3 = end)
  *   [5]      u8  flags     (must be 0)
  *   [6..7]   u16 payload length   (<= kMaxFramePayload)
- *   [8..11]  u32 FNV-1a checksum over bytes [4..7] + payload
+ *   [8..11]  u32 checksum over bytes [4..7] + payload
  *   [12..]   payload
  *
  * Payloads: hello = u32 protocol version, u8 name length, name bytes;
  * records = N x 24-byte packed records; end = empty.  A stream is
  * hello, any number of records frames, end; a connection that closes
  * without the end frame was cut off mid-stream.
+ *
+ * The checksum (protocol version 2) is a 4-lane 64-bit multiply-xor
+ * over 8-byte little-endian words.  Each step absorbs a word w into
+ * a lane h as  h ^= w; h *= M; h ^= h >> 29  with
+ * M = 0x9e3779b97f4a7c15.  The lanes start at
+ *
+ *   0x9e3779b185ebca87  0xc2b2ae3d27d4eb4f
+ *   0x165667b19e3779f9  0x85ebca77c2b2ae63
+ *
+ * Lane 0 first absorbs header bytes [4..7] as one word (zero-extended
+ * u32).  Payload word k, bytes [8k..8k+7] of the payload, goes to lane
+ * k mod 4; a last partial word is zero-padded to 8 bytes.  Then
+ * h = 0 absorbs lanes 0, 1, 2, 3 and the payload length, in that
+ * order, and the checksum is the u32  (h ^ (h >> 32)) & 0xffffffff.
+ * Version 1 is not accepted: a v1 producer's frames fail the
+ * checksum and are skipped as bad-checksum garbage, and a hello
+ * carrying any version but 2 is bad-hello.
  *
  * The parser is incremental and never fails hard: malformed bytes are
  * skipped with resync to the next believable frame boundary (the same
@@ -42,7 +59,7 @@ namespace ccm::serve
 {
 
 /** Protocol version carried by the hello frame. */
-inline constexpr std::uint32_t kFrameProtoVersion = 1;
+inline constexpr std::uint32_t kFrameProtoVersion = 2;
 
 /** Frame header bytes preceding every payload. */
 inline constexpr std::size_t kFrameHeaderBytes = 12;

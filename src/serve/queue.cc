@@ -51,8 +51,10 @@ RecordQueue::push(const MemRecord *recs, std::size_t n)
                 stats_.shed += n - accepted;
                 break;
             }
-            canPush.wait(mu, [this]() CCM_REQUIRES(mu) {
-                return count < cap || inputClosed || aborted_;
+            const std::size_t room =
+                std::min(n - accepted, cap / 2 + 1);
+            canPush.wait(mu, [this, room]() CCM_REQUIRES(mu) {
+                return cap - count >= room || inputClosed || aborted_;
             });
             continue;
         }
@@ -76,12 +78,17 @@ RecordQueue::pop(MemRecord *out, std::size_t max)
     if (aborted_ || (count == 0 && inputClosed))
         return 0;
     const std::size_t take = std::min(max, count);
-    for (std::size_t i = 0; i < take; ++i)
-        out[i] = ring[(head + i) % cap];
-    head = (head + take) % cap;
+    const std::size_t first = std::min(take, cap - head);
+    const auto from = ring.begin() + static_cast<std::ptrdiff_t>(head);
+    std::copy(from, from + static_cast<std::ptrdiff_t>(first), out);
+    std::copy(ring.begin(),
+              ring.begin() + static_cast<std::ptrdiff_t>(take - first),
+              out + first);
+    head = take < cap - head ? head + take : take - first;
     count -= take;
     stats_.popped += take;
-    canPush.notifyOne();
+    if (cap - count > cap / 2)
+        canPush.notifyOne();
     return take;
 }
 

@@ -15,6 +15,13 @@
  *    gap (surfaced in the stream's stats; a stream with shed records
  *    can no longer be byte-identical to its batch run).
  *
+ * Wake-ups are batched so a producer that outruns the consumer is not
+ * woken for every pop.  A Block push that finds the ring full waits
+ * until it has room for min(remaining, capacity/2 + 1) records; pop()
+ * wakes a waiting producer only once more than half the ring is free,
+ * which always satisfies that wait.  Each push wakes the consumer, and
+ * pop() copies out in at most two contiguous runs.
+ *
  * Lifecycle: closeInput() marks the clean end of input (consumers
  * drain the remainder, then pop() returns 0); abort() additionally
  * discards everything queued and unblocks both sides immediately

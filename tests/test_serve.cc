@@ -15,9 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -212,6 +218,176 @@ TEST(ServeFrame, TruncatedTailIsDiagnosedAtFinish)
     EXPECT_TRUE(sink.records.empty());
 }
 
+namespace
+{
+
+/** What one feeding of a byte stream delivered. */
+struct ParseResult
+{
+    std::vector<MemRecord> records;
+    std::vector<std::string> hellos;
+    int ends = 0;
+    bool sawEnd = false;
+    serve::FrameStats stats;
+};
+
+/** Parse @p wire fed in @p chunk-byte pieces (0 = all at once). */
+ParseResult
+parseInChunks(const std::vector<std::uint8_t> &wire, std::size_t chunk)
+{
+    CollectSink sink;
+    serve::FrameParser parser;
+    const std::size_t step = chunk == 0 ? wire.size() : chunk;
+    for (std::size_t at = 0; at < wire.size(); at += step)
+        parser.feed(wire.data() + at, std::min(step, wire.size() - at),
+                    sink);
+    parser.finish(sink);
+    return {sink.records, sink.hellos, sink.ends, parser.sawEnd(),
+            parser.stats()};
+}
+
+/**
+ * The CCMF v2 test vector, computed from the docs/SERVING.md
+ * definition by an independent implementation: hello "v2", and one
+ * records frame carrying {pc 0x400123, addr 0x7fff0040, load,
+ * dependsOnPrevLoad}.  The hello's 7-byte payload exercises the
+ * zero-padded tail word.
+ */
+const std::vector<std::uint8_t> kHelloV2 = {
+    0x43, 0x43, 0x4d, 0x46, 0x01, 0x00, 0x07, 0x00, 0xe5, 0xe7,
+    0x98, 0xea, 0x02, 0x00, 0x00, 0x00, 0x02, 0x76, 0x32};
+const std::vector<std::uint8_t> kOneRecordV2 = {
+    0x43, 0x43, 0x4d, 0x46, 0x02, 0x00, 0x18, 0x00, 0xf0,
+    0x64, 0xb1, 0xb8, 0x23, 0x01, 0x40, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x40, 0x00, 0xff, 0x7f, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+/** A hello naming "v1" with version 1 and a valid v2 checksum. */
+const std::vector<std::uint8_t> kHelloVersion1 = {
+    0x43, 0x43, 0x4d, 0x46, 0x01, 0x00, 0x07, 0x00, 0x21, 0x6c,
+    0xc5, 0x3f, 0x01, 0x00, 0x00, 0x00, 0x02, 0x76, 0x31};
+
+} // namespace
+
+TEST(ServeFrame, EncodingMatchesTheV2TestVector)
+{
+    std::vector<std::uint8_t> hello;
+    serve::appendHelloFrame(hello, "v2");
+    EXPECT_EQ(hello, kHelloV2);
+
+    MemRecord r;
+    r.pc = 0x400123;
+    r.addr = 0x7fff0040;
+    r.type = RecordType::Load;
+    r.dependsOnPrevLoad = true;
+    std::vector<std::uint8_t> one;
+    serve::appendRecordsFrames(one, &r, 1);
+    EXPECT_EQ(one, kOneRecordV2);
+
+    std::vector<std::uint8_t> wire = kHelloV2;
+    wire.insert(wire.end(), kOneRecordV2.begin(), kOneRecordV2.end());
+    const ParseResult got = parseInChunks(wire, 0);
+    EXPECT_TRUE(got.stats.clean());
+    ASSERT_EQ(got.hellos, std::vector<std::string>{"v2"});
+    ASSERT_EQ(got.records.size(), 1u);
+    EXPECT_EQ(got.records[0].pc, r.pc);
+    EXPECT_EQ(got.records[0].addr, r.addr);
+    EXPECT_EQ(got.records[0].type, r.type);
+    EXPECT_TRUE(got.records[0].dependsOnPrevLoad);
+}
+
+TEST(ServeFrame, HelloOfAnotherVersionIsBadHello)
+{
+    const ParseResult got = parseInChunks(kHelloVersion1, 0);
+    EXPECT_TRUE(got.hellos.empty());
+    EXPECT_EQ(got.stats.firstDefect, serve::FrameDefect::BadHello);
+    EXPECT_EQ(got.stats.malformedFrames, 1u);
+    EXPECT_EQ(got.stats.resyncEvents, 0u); // the checksum held
+    EXPECT_EQ(got.stats.frames, 0u);
+}
+
+TEST(ServeFrame, EveryCheckedBitFlipIsADefect)
+{
+    std::vector<std::uint8_t> wire;
+    const std::vector<MemRecord> recs =
+        someRecords(serve::kMaxRecordsPerFrame);
+    serve::appendRecordsFrames(wire, recs.data(), recs.size());
+    ASSERT_EQ(wire.size(),
+              serve::kFrameHeaderBytes + serve::kMaxFramePayload);
+
+    // Checked bytes: header [4..7], then the payload.
+    std::vector<std::size_t> checked = {4, 5, 6, 7};
+    for (std::size_t i = serve::kFrameHeaderBytes; i < wire.size(); ++i)
+        checked.push_back(i);
+    std::size_t escaped = 0;
+    for (const std::size_t at : checked) {
+        for (int bit = 0; bit < 8; ++bit) {
+            wire[at] ^= static_cast<std::uint8_t>(1u << bit);
+            const ParseResult got = parseInChunks(wire, 0);
+            if (got.stats.clean() || !got.records.empty())
+                ++escaped;
+            wire[at] ^= static_cast<std::uint8_t>(1u << bit);
+        }
+    }
+    EXPECT_EQ(escaped, 0u);
+    EXPECT_TRUE(parseInChunks(wire, 0).stats.clean());
+}
+
+TEST(ServeFrame, ParsingDoesNotDependOnHowBytesArrive)
+{
+    std::vector<std::uint8_t> wire;
+    serve::appendHelloFrame(wire, "chunked");
+    const std::vector<MemRecord> a = someRecords(300);
+    serve::appendRecordsFrames(wire, a.data(), a.size());
+    wire.insert(wire.end(), 41, 0xa5); // garbage between frames
+    const std::vector<MemRecord> b = someRecords(40, 5);
+    serve::appendRecordsFrames(wire, b.data(), b.size());
+    const std::size_t damaged = wire.size();
+    serve::appendRecordsFrames(wire, b.data(), b.size());
+    wire[damaged + serve::kFrameHeaderBytes + 30] ^= 0x10; // bad sum
+    std::vector<MemRecord> odd = someRecords(20, 9);
+    odd[7].type = static_cast<RecordType>(7); // implausible record
+    serve::appendRecordsFrames(wire, odd.data(), odd.size());
+    serve::appendEndFrame(wire);
+    const std::vector<MemRecord> c = someRecords(12, 3);
+    serve::appendRecordsFrames(wire, c.data(), c.size());
+    wire.resize(wire.size() - 5); // truncated tail
+
+    const ParseResult whole = parseInChunks(wire, 0);
+    // Every defect class above is seen, and the clean frames survive.
+    EXPECT_EQ(whole.stats.firstDefect, serve::FrameDefect::BadMagic);
+    EXPECT_EQ(whole.stats.resyncEvents, 2u);
+    EXPECT_EQ(whole.stats.badRecords, 1u);
+    EXPECT_EQ(whole.stats.malformedFrames, 1u); // the tail
+    EXPECT_EQ(whole.records.size(), 300u + 40u + 19u);
+    EXPECT_TRUE(whole.sawEnd);
+
+    for (std::size_t chunk = 1; chunk <= 64; ++chunk) {
+        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        const ParseResult got = parseInChunks(wire, chunk);
+        EXPECT_EQ(got.hellos, whole.hellos);
+        EXPECT_EQ(got.ends, whole.ends);
+        EXPECT_EQ(got.sawEnd, whole.sawEnd);
+        ASSERT_EQ(got.records.size(), whole.records.size());
+        for (std::size_t i = 0; i < got.records.size(); ++i) {
+            EXPECT_EQ(got.records[i].pc, whole.records[i].pc);
+            EXPECT_EQ(got.records[i].addr, whole.records[i].addr);
+            EXPECT_EQ(got.records[i].type, whole.records[i].type);
+            EXPECT_EQ(got.records[i].dependsOnPrevLoad,
+                      whole.records[i].dependsOnPrevLoad);
+        }
+        const serve::FrameStats &g = got.stats, &w = whole.stats;
+        EXPECT_EQ(g.frames, w.frames);
+        EXPECT_EQ(g.records, w.records);
+        EXPECT_EQ(g.helloFrames, w.helloFrames);
+        EXPECT_EQ(g.endFrames, w.endFrames);
+        EXPECT_EQ(g.malformedFrames, w.malformedFrames);
+        EXPECT_EQ(g.resyncEvents, w.resyncEvents);
+        EXPECT_EQ(g.bytesSkipped, w.bytesSkipped);
+        EXPECT_EQ(g.badRecords, w.badRecords);
+        EXPECT_EQ(g.firstDefect, w.firstDefect);
+    }
+}
+
 // ---- Record queue --------------------------------------------------
 
 TEST(ServeQueue, BlockPolicyIsLossless)
@@ -242,6 +418,41 @@ TEST(ServeQueue, BlockPolicyIsLossless)
     EXPECT_EQ(st.popped, total);
     EXPECT_EQ(st.shed, 0u);
     EXPECT_LE(st.maxDepth, 64u);
+}
+
+TEST(ServeQueue, BlockKeepsRecordOrderAcrossWraps)
+{
+    // Odd push and pop sizes against a 64-record ring: every pop that
+    // straddles the ring's end copies two runs, and the blocked
+    // producer resumes in bulk; the consumer must see 0, 1, 2, ...
+    serve::RecordQueue q(64, serve::OverflowPolicy::Block);
+    const std::size_t total = 20'000;
+
+    std::thread producer([&] {
+        std::vector<MemRecord> recs(45);
+        std::size_t sent = 0;
+        while (sent < total) {
+            const std::size_t n = std::min(recs.size(), total - sent);
+            for (std::size_t i = 0; i < n; ++i)
+                recs[i].addr = sent + i;
+            EXPECT_EQ(q.push(recs.data(), n), n);
+            sent += n;
+        }
+        q.closeInput();
+    });
+
+    MemRecord buf[37];
+    std::size_t got = 0, n = 0, disorder = 0;
+    while ((n = q.pop(buf, 37)) != 0) {
+        for (std::size_t i = 0; i < n; ++i)
+            disorder += buf[i].addr != got + i;
+        got += n;
+    }
+    producer.join();
+
+    EXPECT_EQ(got, total);
+    EXPECT_EQ(disorder, 0u);
+    EXPECT_EQ(q.stats().popped, total);
 }
 
 TEST(ServeQueue, ShedPolicyDropsOverflowAndCounts)
@@ -592,6 +803,33 @@ produceClean(const std::string &socket, const std::string &name,
     EXPECT_TRUE(s.isOk()) << s.toString();
 }
 
+/** A bare ingest connection that sends no hello; -1 on failure. */
+int
+rawConnect(const std::string &socket)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, socket.c_str(), socket.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                             sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** True once the daemon closed @p fd's far end (EOF or reset). */
+bool
+peerClosed(int fd, int ms)
+{
+    pollfd pf{fd, POLLIN, 0};
+    if (::poll(&pf, 1, ms) <= 0)
+        return false;
+    char byte;
+    return ::recv(fd, &byte, 1, MSG_DONTWAIT) <= 0;
+}
+
 } // namespace
 
 /**
@@ -690,6 +928,55 @@ TEST(ServeDaemon, FaultIsolationAcrossEightConcurrentStreams)
                   "end frame"),
               std::string::npos);
 
+    daemon.drainAndStop();
+}
+
+/**
+ * A peer that never completes a hello is held to the daemon's defect
+ * budget too: garbage, or a hello of another protocol version, gets
+ * its connection closed instead of pinning a reader thread, while a
+ * clean stream on another connection is served byte for byte.
+ */
+TEST(ServeDaemon, ConnectionWithoutHelloIsDroppedAtTheDefectBudget)
+{
+    serve::ServeOptions o = daemonOptions("nohello");
+    serve::ServeDaemon daemon(o);
+    ASSERT_TRUE(daemon.start().isOk());
+
+    const int garbage = rawConnect(o.socketPath);
+    const int stale = rawConnect(o.socketPath);
+    ASSERT_GE(garbage, 0);
+    ASSERT_GE(stale, 0);
+    const std::vector<std::uint8_t> junk(200, 0xa5);
+    ASSERT_EQ(::send(garbage, junk.data(), junk.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(junk.size()));
+    ASSERT_EQ(::send(stale, kHelloVersion1.data(), kHelloVersion1.size(),
+                     MSG_NOSIGNAL),
+              static_cast<ssize_t>(kHelloVersion1.size()));
+
+    const std::size_t kRefs = 6000;
+    std::thread producer(
+        [&] { produceClean(o.socketPath, "clean", "gcc", kRefs, 42); });
+    EXPECT_TRUE(peerClosed(garbage, 5000));
+    EXPECT_TRUE(peerClosed(stale, 5000));
+    producer.join();
+    ::close(garbage);
+    ::close(stale);
+
+    ASSERT_TRUE(waitFor([&] {
+        return counter(daemon, "streams_done") == 1 &&
+               daemon.activeStreams() == 0;
+    })) << daemon.statsDocument().toString();
+    JsonValue doc = daemon.statsDocument();
+    EXPECT_EQ(doc.at("daemon").at("streams_total").asU64(), 1u);
+    const JsonValue &s = doc.at("streams").elements().at(0);
+    EXPECT_EQ(s.at("name").asString(), "clean");
+    auto wl = makeWorkload("gcc", kRefs, 42);
+    RunOutput batch = runTiming(*wl, baselineConfig());
+    EXPECT_EQ(s.at("mem").toString(),
+              obs::memStatsToJson(batch.mem).toString());
+    EXPECT_EQ(s.at("sim").toString(),
+              obs::simResultToJson(batch.sim).toString());
     daemon.drainAndStop();
 }
 

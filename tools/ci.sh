@@ -55,7 +55,10 @@
 #  10. serve smoke: ccm-serve with three concurrent producers, one of
 #      them wire-corrupted; the live stats document must validate,
 #      the clean streams must match batch ccm-sim byte for byte, and
-#      a SIGTERM drain must exit 0 (docs/SERVING.md).  The telemetry
+#      a SIGTERM drain must exit 0 (docs/SERVING.md).  One clean
+#      stream's --frames-out capture must pass tracecheck frames
+#      (exit 0), and a copy with one payload byte changed must fail
+#      it with the checksum-mismatch code (exit 15).  The telemetry
 #      plane is scraped mid-run: Prometheus text via the `metrics`
 #      command, `metrics json` validated by ccm-report, and a
 #      ccm-top --once snapshot.  A second, idle ccm-serve is drained
@@ -450,7 +453,7 @@ build/tools/ccm-stream --socket "$serve_sock" --name clean-1 \
     --workload tomcatv --refs 20000 &
 producer1=$!
 build/tools/ccm-stream --socket "$serve_sock" --name clean-2 \
-    --workload gcc --refs 20000 &
+    --workload gcc --refs 20000 --frames-out "$obs_tmp/clean2.ccmf" &
 producer2=$!
 # Wire corruption past the defect budget: the daemon cuts this
 # connection mid-stream, so the producer is allowed to fail.
@@ -512,6 +515,15 @@ grep "^streams\.$idx\.mem\." "$obs_tmp/serve_flat.txt" |
 build/tools/ccm-report --flat "$obs_tmp/serve_batch.json" |
     grep '^mem\.' | sort > "$obs_tmp/batch_mem.txt"
 diff "$obs_tmp/served_mem.txt" "$obs_tmp/batch_mem.txt"
+
+# The offline frame checker: clean-2's capture is a clean stream,
+# and one changed payload byte (record 2's type byte, 0..2 on the
+# wire, set to 0x5a) is a checksum mismatch (exit 15).
+expect_rc 0 build/tools/tracecheck frames "$obs_tmp/clean2.ccmf"
+cp "$obs_tmp/clean2.ccmf" "$obs_tmp/flipped.ccmf"
+printf '\x5a' | dd of="$obs_tmp/flipped.ccmf" bs=1 seek=100 \
+    conv=notrunc status=none
+expect_rc 15 build/tools/tracecheck frames "$obs_tmp/flipped.ccmf"
 
 # Graceful drain: SIGTERM must exit 0 and leave a valid final doc.
 kill -TERM "$serve_pid"
