@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 
+#include "trace/vector_trace.hh"
+
 namespace ccm::sample
 {
 
@@ -21,8 +23,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 } // namespace
 
 Expected<SampleReport>
-runSampleAnalysis(const MemRecord *records, std::size_t count,
-                  const SampleRunConfig &cfg)
+runSampleAnalysis(TraceSource &trace, const SampleRunConfig &cfg)
 {
     Status geom_ok = cfg.classify.validate();
     if (!geom_ok.isOk())
@@ -31,21 +32,24 @@ runSampleAnalysis(const MemRecord *records, std::size_t count,
     SampleReport rep;
     MrcConfig mrc_cfg = cfg.mrc;
 
-    // The interval pillar needs window signatures; default the
-    // window to 1/32 of the trace when the caller didn't pick one.
-    if (cfg.intervals > 0 && mrc_cfg.windowRefs == 0) {
-        Count mem_refs = 0;
-        for (std::size_t i = 0; i < count; ++i)
-            if (records[i].isMem())
-                ++mem_refs;
-        mrc_cfg.windowRefs = std::max<Count>(4096, mem_refs / 32);
-    }
-
     const auto t0 = std::chrono::steady_clock::now();
-    auto mrc = buildMrc(records, count, mrc_cfg);
-    if (!mrc.ok())
-        return mrc.status().withContext("sampled MRC pass");
-    rep.mrc = mrc.take();
+    {
+        auto stream = scanTrace(trace, mrc_cfg);
+        if (!stream.ok())
+            return stream.status().withContext("sampled MRC pass");
+
+        // The interval pillar needs window signatures; default the
+        // window to 1/32 of the trace when the caller didn't pick
+        // one.
+        if (cfg.intervals > 0 && mrc_cfg.windowRefs == 0)
+            mrc_cfg.windowRefs =
+                std::max<Count>(4096, stream.value().totalRefs / 32);
+
+        auto mrc = buildMrc(stream.value(), mrc_cfg);
+        if (!mrc.ok())
+            return mrc.status().withContext("sampled MRC pass");
+        rep.mrc = mrc.take();
+    }
 
     rep.recommendation =
         recommendGeometry(rep.mrc, cfg.classify.cacheBytes);
@@ -53,7 +57,7 @@ runSampleAnalysis(const MemRecord *records, std::size_t count,
     if (cfg.intervals > 0) {
         IntervalConfig icfg = cfg.interval;
         icfg.k = cfg.intervals;
-        auto ivl = reconstructFromIntervals(records, count, rep.mrc,
+        auto ivl = reconstructFromIntervals(trace, rep.mrc,
                                             cfg.classify, icfg);
         if (!ivl.ok())
             return ivl.status().withContext("interval selection");
@@ -69,13 +73,12 @@ runSampleAnalysis(const MemRecord *records, std::size_t count,
         exact_cfg.rate = 1.0;
         exact_cfg.variant = ShardsVariant::FixedRate;
         exact_cfg.windowRefs = 0;
-        auto exact = buildMrc(records, count, exact_cfg);
+        auto exact = buildMrc(trace, exact_cfg);
         if (!exact.ok())
             return exact.status().withContext("exact MRC pass");
         rep.exactMrc = exact.take();
 
-        rep.exactClassify =
-            runShardedClassify(records, count, cfg.classify);
+        rep.exactClassify = runShardedClassify(trace, cfg.classify);
         rep.wallSecondsExact = secondsSince(t1);
         rep.hasExact = true;
 
@@ -113,6 +116,14 @@ runSampleAnalysis(const MemRecord *records, std::size_t count,
     }
 
     return rep;
+}
+
+Expected<SampleReport>
+runSampleAnalysis(const MemRecord *records, std::size_t count,
+                  const SampleRunConfig &cfg)
+{
+    SpanTrace span(records, count);
+    return runSampleAnalysis(span, cfg);
 }
 
 } // namespace ccm::sample

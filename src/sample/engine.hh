@@ -20,6 +20,7 @@
 #include "sample/recommend.hh"
 #include "sim/sharded.hh"
 #include "trace/record.hh"
+#include "trace/source.hh"
 
 namespace ccm::sample
 {
@@ -83,9 +84,16 @@ struct SampleReport
 };
 
 /**
- * Run the analysis over @p count records.  Deterministic except the
+ * Run the analysis over @p trace without copying it: one decode pass
+ * into the sampled stream the MRC passes run over, then a seeking
+ * replay of the representative windows (and, with compareExact, a
+ * rate-1.0 scan and an exact classify).  Deterministic except the
  * wallSeconds* fields.
  */
+Expected<SampleReport> runSampleAnalysis(TraceSource &trace,
+                                         const SampleRunConfig &cfg);
+
+/** The same over @p count in-memory records (a SpanTrace). */
 Expected<SampleReport> runSampleAnalysis(const MemRecord *records,
                                          std::size_t count,
                                          const SampleRunConfig &cfg);

@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <memory>
+#include <optional>
 
 #include "common/random.hh"
+#include "trace/batch_reader.hh"
+#include "trace/vector_trace.hh"
 
 namespace ccm::sample
 {
@@ -212,37 +217,77 @@ windowScalar(const WindowSignature &sig)
     return static_cast<double>(total) / sampled;
 }
 
-/**
- * Run records [begin, end) through @p kernel, counting into @p out.
- * @return memory references simulated.
- */
-Count
-replaySpan(ClassifyKernel &kernel, const MemRecord *records,
-           std::size_t begin, std::size_t end, MemStats &out)
+/** One representative's replay: warm-up, then its window. */
+struct Replay
 {
-    Count simulated = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-        if (!records[i].isMem())
-            continue;
-        ++simulated;
-        classifyCounted(kernel, records[i].dataAddr(),
-                        records[i].isStore(), out);
-    }
-    return simulated;
-}
+    RepresentativeWindow *rep = nullptr;
+    Count warmFrom = 0; ///< first replayed reference, 1-based
+    std::optional<TraceCheckpoint> seekTo;
+    std::unique_ptr<ClassifyKernel> kernel; ///< while active
+    MemStats warmup;                        ///< discarded
+};
 
-/** Record index that puts ~@p warmup memory refs before @p begin. */
-std::size_t
-warmupStart(const MemRecord *records, std::size_t begin, Count warmup)
+/**
+ * Replay every representative in one forward walk over @p trace: each
+ * window's kernel takes refs [warmFrom, lastRef], counting the warm-up
+ * prefix into a discarded MemStats.  While no window is active, the
+ * walk seeks ahead to the checkpoint nearest the next warm-up start.
+ * @p pending is in warmFrom order.
+ * @return memory references simulated, summed over the windows.
+ */
+Expected<Count>
+replayWindows(TraceSource &trace, std::vector<Replay> &pending,
+              const ShardedClassifyConfig &cache_cfg)
 {
-    std::size_t i = begin;
-    Count seen = 0;
-    while (i > 0 && seen < warmup) {
-        --i;
-        if (records[i].isMem())
-            ++seen;
+    trace.reset();
+    Count replayed = 0;
+    Count ordinal = 0; ///< memory references delivered so far
+    std::size_t next = 0;
+    std::vector<Replay *> active;
+    MemRecord batch[maxTraceBatch];
+    while (next < pending.size() || !active.empty()) {
+        if (active.empty()) {
+            const std::optional<TraceCheckpoint> &to =
+                pending[next].seekTo;
+            if (to && to->refs > ordinal && trace.seek(to->at))
+                ordinal = to->refs;
+        }
+        const std::size_t got = trace.nextBatch(batch, maxTraceBatch);
+        if (got == 0)
+            return Status::internal(
+                "trace ended at reference ", ordinal,
+                " before every representative window was replayed — "
+                "was the MRC built on this trace?");
+        for (std::size_t i = 0; i < got; ++i) {
+            const MemRecord &rec = batch[i];
+            if (!rec.isMem())
+                continue;
+            ++ordinal;
+            while (next < pending.size() &&
+                   pending[next].warmFrom == ordinal) {
+                pending[next].kernel =
+                    std::make_unique<ClassifyKernel>(cache_cfg);
+                active.push_back(&pending[next++]);
+            }
+            bool ended = false;
+            for (Replay *r : active) {
+                classifyCounted(*r->kernel, rec.dataAddr(),
+                                rec.isStore(),
+                                ordinal < r->rep->firstRef
+                                    ? r->warmup
+                                    : r->rep->delta);
+                if (ordinal == r->rep->lastRef) {
+                    r->kernel.reset();
+                    ended = true;
+                }
+            }
+            replayed += active.size();
+            if (ended)
+                std::erase_if(active,
+                              [](const Replay *r) { return !r->kernel; });
+        }
     }
-    return i;
+    return replayed;
 }
 
 } // namespace
@@ -258,8 +303,7 @@ IntervalResult::find(const std::string &name) const
 }
 
 Expected<IntervalResult>
-reconstructFromIntervals(const MemRecord *records, std::size_t count,
-                         const MrcResult &mrc,
+reconstructFromIntervals(TraceSource &trace, const MrcResult &mrc,
                          const ShardedClassifyConfig &cache_cfg,
                          const IntervalConfig &cfg)
 {
@@ -272,13 +316,6 @@ reconstructFromIntervals(const MemRecord *records, std::size_t count,
     Status geom_ok = cache_cfg.validate();
     if (!geom_ok.isOk())
         return geom_ok.withContext("interval replay geometry");
-    for (const WindowSignature &sig : mrc.windows) {
-        if (sig.recordEnd > count || sig.recordBegin > sig.recordEnd)
-            return Status::internal(
-                "window record span [", sig.recordBegin, ", ",
-                sig.recordEnd, ") exceeds the ", count,
-                "-record trace — was the MRC built on this span?");
-    }
 
     const std::size_t n = mrc.windows.size();
     const std::size_t k = std::min(cfg.k, n);
@@ -403,19 +440,33 @@ reconstructFromIntervals(const MemRecord *records, std::size_t count,
         rep.firstRef = sig.firstRef;
         rep.lastRef = sig.lastRef;
         rep.refs = sig.lastRef - sig.firstRef + 1;
-
-        // The warmup prefix populates the cold cache/MCT; its
-        // counters are discarded.
-        const std::size_t warm = warmupStart(
-            records, sig.recordBegin, cfg.warmupRefs);
-        ClassifyKernel kernel(cache_cfg);
-        MemStats warmup;
-        res.replayedRefs +=
-            replaySpan(kernel, records, warm, sig.recordBegin, warmup);
-        res.replayedRefs += replaySpan(kernel, records, sig.recordBegin,
-                                       sig.recordEnd, rep.delta);
         res.reps.push_back(std::move(rep));
     }
+
+    // The warm-up prefix, the cfg.warmupRefs references before the
+    // window (fewer near the start), populates the cold cache/MCT;
+    // the replay seeks to the last checkpoint before it.
+    std::vector<Replay> replays(res.reps.size());
+    for (std::size_t i = 0; i < res.reps.size(); ++i) {
+        Replay &r = replays[i];
+        r.rep = &res.reps[i];
+        r.warmFrom = r.rep->firstRef > cfg.warmupRefs
+                         ? r.rep->firstRef - cfg.warmupRefs
+                         : 1;
+        const auto after = std::partition_point(
+            mrc.checkpoints.begin(), mrc.checkpoints.end(),
+            [&](const TraceCheckpoint &c) { return c.refs < r.warmFrom; });
+        if (after != mrc.checkpoints.begin())
+            r.seekTo = *std::prev(after);
+    }
+    std::stable_sort(replays.begin(), replays.end(),
+                     [](const Replay &a, const Replay &b) {
+                         return a.warmFrom < b.warmFrom;
+                     });
+    auto replayed = replayWindows(trace, replays, cache_cfg);
+    if (!replayed.ok())
+        return replayed.status();
+    res.replayedRefs = replayed.value();
 
     // Stratified reconstruction per counter, with error bars.
     const double total = static_cast<double>(res.totalRefs);
@@ -441,6 +492,16 @@ reconstructFromIntervals(const MemRecord *records, std::size_t count,
     });
 
     return res;
+}
+
+Expected<IntervalResult>
+reconstructFromIntervals(const MemRecord *records, std::size_t count,
+                         const MrcResult &mrc,
+                         const ShardedClassifyConfig &cache_cfg,
+                         const IntervalConfig &cfg)
+{
+    SpanTrace span(records, count);
+    return reconstructFromIntervals(span, mrc, cache_cfg, cfg);
 }
 
 } // namespace ccm::sample

@@ -18,7 +18,11 @@
  * Only the K representative windows are then replayed *exactly*
  * (the ClassifyKernel step, counted by classifyCounted as in the
  * sharded engine, after an uncounted warmup pass over the preceding
- * references to populate the cold cache), and every whole-trace
+ * references to populate the cold cache).  The replay keys windows by
+ * memory-reference ordinal and is one forward walk over the trace
+ * that feeds every active window's kernel; between windows it seeks
+ * to the scan checkpoint nearest the next warm-up start (a source
+ * that cannot seek is decoded through).  Every whole-trace
  * classification counter is reconstructed as
  *
  *     predicted = sum_c weight_c * rate_c * totalRefs
@@ -49,6 +53,7 @@
 #include "sample/mrc.hh"
 #include "sim/sharded.hh"
 #include "trace/record.hh"
+#include "trace/source.hh"
 
 namespace ccm::sample
 {
@@ -123,9 +128,15 @@ struct IntervalResult
 /**
  * Cluster @p mrc's window signatures, replay the K representatives
  * exactly against @p cache_cfg's geometry, and reconstruct the
- * whole-trace classify stats.  @p records must be the same span the
- * MRC pass scanned; @p mrc must carry windows (windowRefs > 0).
+ * whole-trace classify stats.  @p trace (reset first) must be the
+ * source the MRC pass scanned, so that mrc.checkpoints are its
+ * positions; @p mrc must carry windows (windowRefs > 0).
  */
+Expected<IntervalResult> reconstructFromIntervals(
+    TraceSource &trace, const MrcResult &mrc,
+    const ShardedClassifyConfig &cache_cfg, const IntervalConfig &cfg);
+
+/** The same over @p count in-memory records (a SpanTrace). */
 Expected<IntervalResult> reconstructFromIntervals(
     const MemRecord *records, std::size_t count, const MrcResult &mrc,
     const ShardedClassifyConfig &cache_cfg, const IntervalConfig &cfg);

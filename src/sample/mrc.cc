@@ -10,6 +10,8 @@
 #include "cache/geometry.hh"
 #include "common/sample_hash.hh"
 #include "obs/metrics.hh"
+#include "trace/batch_reader.hh"
+#include "trace/vector_trace.hh"
 
 namespace ccm::sample
 {
@@ -183,15 +185,38 @@ touchSampleMetrics()
 namespace
 {
 
-/** One sampling pass with @p sampler; cfg pre-validated. */
+std::vector<std::size_t>
+capacitiesOf(const MrcConfig &cfg)
+{
+    return cfg.capacitiesBytes.empty() ? defaultCapacities()
+                                       : cfg.capacitiesBytes;
+}
+
+/**
+ * Validate @p cfg.  @return the admission test of its scan: the
+ * highest rate any pass runs at, the configured rate raised to the
+ * boost cap.
+ */
+Expected<SamplingPredicate>
+admissionCap(const MrcConfig &cfg)
+{
+    Status ok = validateConfig(cfg, capacitiesOf(cfg));
+    if (!ok.isOk())
+        return ok;
+    auto pred = SamplingPredicate::make(cfg.rate, cfg.seed);
+    if (!pred.ok())
+        return pred.status();
+    return SamplingPredicate::make(
+        std::min(1.0, std::max(cfg.rate, cfg.maxBoostedRate)),
+        cfg.seed);
+}
+
+/** One sampling pass with @p sampler over @p stream; cfg pre-validated. */
 MrcResult
-buildMrcPass(const MemRecord *records, std::size_t count,
-             const MrcConfig &cfg,
+buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
              const std::vector<std::size_t> &capacities,
              SamplingPredicate sampler)
 {
-    const CacheGeometry line_geom(cfg.lineBytes, 1, cfg.lineBytes);
-
     std::vector<Bank> banks(capacities.size());
     for (std::size_t i = 0; i < capacities.size(); ++i) {
         Bank &b = banks[i];
@@ -202,12 +227,14 @@ buildMrcPass(const MemRecord *records, std::size_t count,
     }
 
     MrcResult res;
+    res.totalRefs = stream.totalRefs;
     res.configuredRate = sampler.rate();
     res.seed = cfg.seed;
     res.lineBytes = cfg.lineBytes;
     res.variant = cfg.variant;
     res.rateCorrected = cfg.rateCorrection;
     res.windowRefs = cfg.windowRefs;
+    res.checkpoints = stream.checkpoints;
 
     // Tracked sampled lines -> admission bucket (so a threshold
     // halving can purge exactly the lines that fell out of the
@@ -220,18 +247,20 @@ buildMrcPass(const MemRecord *records, std::size_t count,
     };
     std::unordered_map<Addr, TrackedLine, AddrMixHash> tracked;
 
-    // Window bookkeeping (cfg.windowRefs > 0 only).
+    // Window bookkeeping (cfg.windowRefs > 0 only).  A window closes
+    // at its ordinal boundary whether or not a sampled reference fell
+    // inside it.
     std::vector<Count> window_base(banks.size(), 0);
     Count last_boundary = 0;
-    std::size_t window_record_begin = 0;
+    Count window_sampled_base = 0;
     Count window_new_lines = 0;
     Count window_unique_lines = 0;
-    auto emitWindow = [&](Count upto, std::size_t record_end) {
+    auto emitWindow = [&](Count upto) {
         WindowSignature w;
         w.firstRef = last_boundary + 1;
         w.lastRef = upto;
-        w.recordBegin = window_record_begin;
-        w.recordEnd = record_end;
+        w.sampledRefs = res.sampledRefs - window_sampled_base;
+        window_sampled_base = res.sampledRefs;
         w.sampledMisses.reserve(banks.size());
         for (std::size_t i = 0; i < banks.size(); ++i) {
             w.sampledMisses.push_back(banks[i].sampledMisses -
@@ -244,86 +273,75 @@ buildMrcPass(const MemRecord *records, std::size_t count,
         window_unique_lines = 0;
         res.windows.push_back(std::move(w));
         last_boundary = upto;
-        window_record_begin = record_end;
     };
-    Count window_sampled_base = 0;
-    // 0 disables windows; the sentinel never equals a ref count.
+    // 0 disables windows; the sentinel is never below an ordinal.
     Count next_window_boundary =
         cfg.windowRefs != 0 ? cfg.windowRefs
                             : std::numeric_limits<Count>::max();
+    auto emitWindowsBefore = [&](Count ordinal) {
+        while (next_window_boundary < ordinal) {
+            emitWindow(next_window_boundary);
+            next_window_boundary += cfg.windowRefs;
+        }
+    };
 
     double weight = 1.0 / sampler.rate();
 
-    for (std::size_t i = 0; i < count; ++i) {
-        const MemRecord &r = records[i];
-        if (!r.isMem())
+    for (const SampledRef &ref : stream.refs) {
+        if (ref.bucket >= sampler.threshold())
             continue;
-        ++res.totalRefs;
+        emitWindowsBefore(ref.ordinal);
 
-        const LineAddr line = line_geom.lineOf(r.dataAddr());
-        if (sampler.sampled(line)) {
-            ++res.sampledRefs;
-            res.weightedRefs += weight;
+        const LineAddr line{ref.line};
+        ++res.sampledRefs;
+        res.weightedRefs += weight;
 
-            const std::uint32_t stamp = static_cast<std::uint32_t>(
-                res.windows.size() + 1);
-            auto [it, inserted] = tracked.emplace(
-                line.value(),
-                TrackedLine{static_cast<std::uint32_t>(
-                                sampler.bucketOf(line)),
-                            stamp});
-            if (inserted) {
-                ++res.linesSampled;
-                ++window_new_lines;
-                ++window_unique_lines;
-            } else if (it->second.window != stamp) {
-                it->second.window = stamp;
-                ++window_unique_lines;
-            }
-
-            for (Bank &b : banks)
-                b.access(line, weight);
-
-            // Fixed-size: over budget -> halve the threshold, purge
-            // the lines that fell out of the sample, shrink the
-            // banks to the new scaled capacities.
-            if (cfg.variant == ShardsVariant::FixedSize &&
-                tracked.size() > cfg.maxSampledLines &&
-                sampler.threshold() > 1) {
-                const std::uint64_t new_thr = sampler.threshold() / 2;
-                sampler.lowerThreshold(new_thr);
-                ++res.thresholdHalvings;
-                weight = 1.0 / sampler.rate();
-                for (auto it2 = tracked.begin();
-                     it2 != tracked.end();) {
-                    if (it2->second.bucket >= new_thr) {
-                        for (Bank &b : banks)
-                            b.drop(LineAddr{it2->first});
-                        it2 = tracked.erase(it2);
-                    } else {
-                        ++it2;
-                    }
-                }
-                for (Bank &b : banks) {
-                    b.effLines = scaledLines(b.capacityLines,
-                                             sampler.threshold());
-                    b.trim();
-                }
-            }
+        const std::uint32_t stamp =
+            static_cast<std::uint32_t>(res.windows.size() + 1);
+        auto [it, inserted] =
+            tracked.emplace(ref.line, TrackedLine{ref.bucket, stamp});
+        if (inserted) {
+            ++res.linesSampled;
+            ++window_new_lines;
+            ++window_unique_lines;
+        } else if (it->second.window != stamp) {
+            it->second.window = stamp;
+            ++window_unique_lines;
         }
 
-        if (res.totalRefs == next_window_boundary) {
-            emitWindow(res.totalRefs, i + 1);
-            res.windows.back().sampledRefs =
-                res.sampledRefs - window_sampled_base;
-            window_sampled_base = res.sampledRefs;
-            next_window_boundary += cfg.windowRefs;
+        for (Bank &b : banks)
+            b.access(line, weight);
+
+        // Fixed-size: over budget -> halve the threshold, purge the
+        // lines that fell out of the sample, shrink the banks to the
+        // new scaled capacities.
+        if (cfg.variant == ShardsVariant::FixedSize &&
+            tracked.size() > cfg.maxSampledLines &&
+            sampler.threshold() > 1) {
+            const std::uint64_t new_thr = sampler.threshold() / 2;
+            sampler.lowerThreshold(new_thr);
+            ++res.thresholdHalvings;
+            weight = 1.0 / sampler.rate();
+            for (auto it2 = tracked.begin(); it2 != tracked.end();) {
+                if (it2->second.bucket >= new_thr) {
+                    for (Bank &b : banks)
+                        b.drop(LineAddr{it2->first});
+                    it2 = tracked.erase(it2);
+                } else {
+                    ++it2;
+                }
+            }
+            for (Bank &b : banks) {
+                b.effLines =
+                    scaledLines(b.capacityLines, sampler.threshold());
+                b.trim();
+            }
         }
     }
-    if (cfg.windowRefs != 0 && res.totalRefs > last_boundary) {
-        emitWindow(res.totalRefs, count);
-        res.windows.back().sampledRefs =
-            res.sampledRefs - window_sampled_base;
+    if (cfg.windowRefs != 0) {
+        emitWindowsBefore(res.totalRefs + 1);
+        if (res.totalRefs > last_boundary)
+            emitWindow(res.totalRefs);
     }
 
     res.finalRate = sampler.rate();
@@ -350,23 +368,68 @@ buildMrcPass(const MemRecord *records, std::size_t count,
 
 } // namespace
 
-Expected<MrcResult>
-buildMrc(const MemRecord *records, std::size_t count,
-         const MrcConfig &cfg)
+Expected<SampledStream>
+scanTrace(TraceSource &trace, const MrcConfig &cfg)
 {
-    const std::vector<std::size_t> capacities =
-        cfg.capacitiesBytes.empty() ? defaultCapacities()
-                                    : cfg.capacitiesBytes;
-    Status ok = validateConfig(cfg, capacities);
-    if (!ok.isOk())
-        return ok;
-    auto pred = SamplingPredicate::make(cfg.rate, cfg.seed);
-    if (!pred.ok())
-        return pred.status();
+    auto cap = admissionCap(cfg);
+    if (!cap.ok())
+        return cap.status();
+    const SamplingPredicate &pred = cap.value();
+    const CacheGeometry line_geom(cfg.lineBytes, 1, cfg.lineBytes);
 
+    SampledStream stream;
+    stream.threshold = pred.threshold();
+    stream.seed = cfg.seed;
+    stream.lineBytes = cfg.lineBytes;
+
+    trace.reset();
+    MemRecord batch[maxTraceBatch];
+    Count next_checkpoint = 0;
+    for (;;) {
+        if (stream.totalRefs >= next_checkpoint) {
+            if (auto at = trace.position())
+                stream.checkpoints.push_back({stream.totalRefs, *at});
+            next_checkpoint =
+                stream.totalRefs + SampledStream::kCheckpointRefs;
+        }
+        const std::size_t got = trace.nextBatch(batch, maxTraceBatch);
+        if (got == 0)
+            break;
+        for (std::size_t i = 0; i < got; ++i) {
+            if (!batch[i].isMem())
+                continue;
+            ++stream.totalRefs;
+            const LineAddr line = line_geom.lineOf(batch[i].dataAddr());
+            const std::uint64_t bucket = pred.bucketOf(line);
+            if (bucket < stream.threshold)
+                stream.refs.push_back(
+                    {line.value(), stream.totalRefs,
+                     static_cast<std::uint32_t>(bucket)});
+        }
+    }
+    return stream;
+}
+
+Expected<MrcResult>
+buildMrc(const SampledStream &stream, const MrcConfig &cfg)
+{
+    auto cap = admissionCap(cfg);
+    if (!cap.ok())
+        return cap.status();
+    if (stream.seed != cfg.seed || stream.lineBytes != cfg.lineBytes ||
+        stream.threshold < cap.value().threshold())
+        return Status::internal(
+            "sampled stream (seed ", stream.seed, ", ",
+            stream.lineBytes, "-byte lines, threshold ",
+            stream.threshold, ") cannot serve an MRC pass at seed ",
+            cfg.seed, ", ", cfg.lineBytes, "-byte lines, threshold ",
+            cap.value().threshold());
+
+    const std::vector<std::size_t> capacities = capacitiesOf(cfg);
+    const SamplingPredicate pred =
+        SamplingPredicate::make(cfg.rate, cfg.seed).value();
     const auto t0 = std::chrono::steady_clock::now();
-    MrcResult res =
-        buildMrcPass(records, count, cfg, capacities, pred.value());
+    MrcResult res = buildMrcPass(stream, cfg, capacities, pred);
 
     // Degenerate-footprint guard: spatial sampling is only sound
     // when the sample holds enough distinct lines.  A pass that lands
@@ -380,13 +443,13 @@ buildMrc(const MemRecord *records, std::size_t count,
             2.0, 2.0 * static_cast<double>(cfg.minSampledLines) /
                      static_cast<double>(
                          std::max<Count>(1, res.linesSampled)));
-        const double cap = std::max(cfg.rate, cfg.maxBoostedRate);
+        const double cap_rate = std::max(cfg.rate, cfg.maxBoostedRate);
         auto boosted = SamplingPredicate::make(
-            std::min({1.0, cfg.rate * grow, cap}), cfg.seed);
+            std::min({1.0, cfg.rate * grow, cap_rate}), cfg.seed);
         if (boosted.ok()) {
-            res = buildMrcPass(records, count, cfg, capacities,
+            res = buildMrcPass(stream, cfg, capacities,
                                boosted.value());
-            res.configuredRate = pred.value().rate();
+            res.configuredRate = pred.rate();
             res.minLinesBoost = true;
         }
     }
@@ -399,6 +462,23 @@ buildMrc(const MemRecord *records, std::size_t count,
             std::chrono::steady_clock::now() - t0)
             .count()));
     return res;
+}
+
+Expected<MrcResult>
+buildMrc(TraceSource &trace, const MrcConfig &cfg)
+{
+    auto stream = scanTrace(trace, cfg);
+    if (!stream.ok())
+        return stream.status();
+    return buildMrc(stream.value(), cfg);
+}
+
+Expected<MrcResult>
+buildMrc(const MemRecord *records, std::size_t count,
+         const MrcConfig &cfg)
+{
+    SpanTrace span(records, count);
+    return buildMrc(span, cfg);
 }
 
 } // namespace ccm::sample

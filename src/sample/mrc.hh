@@ -55,6 +55,7 @@
 #include "common/status.hh"
 #include "common/types.hh"
 #include "trace/record.hh"
+#include "trace/source.hh"
 
 namespace ccm::sample
 {
@@ -138,6 +139,16 @@ struct MrcPoint
 };
 
 /**
+ * A point the scan can seek back to: `refs` memory references come
+ * before `at`.
+ */
+struct TraceCheckpoint
+{
+    Count refs = 0;
+    TracePosition at;
+};
+
+/**
  * Per-window reuse/miss signature — the feature vector of one
  * fixed-length interval, produced when MrcConfig::windowRefs > 0.
  */
@@ -145,9 +156,6 @@ struct WindowSignature
 {
     Count firstRef = 0; ///< 1-based, inclusive
     Count lastRef = 0;  ///< inclusive
-    /** Record-span [begin, end) covering the window. */
-    std::size_t recordBegin = 0;
-    std::size_t recordEnd = 0;
     Count sampledRefs = 0;
     /** Sampled misses per curve point within this window. */
     std::vector<Count> sampledMisses;
@@ -189,14 +197,67 @@ struct MrcResult
     Count windowRefs = 0;
     std::vector<WindowSignature> windows;
 
+    /**
+     * Where the scanned source can be sought back to, in reference
+     * order (SampledStream::checkpoints); the interval replay seeks
+     * through them.  Empty when the source cannot seek.
+     */
+    std::vector<TraceCheckpoint> checkpoints;
+
     /** Curve value at the smallest point >= @p capacity_bytes. */
     double missRatioAt(std::size_t capacity_bytes) const;
 };
 
+/** One memory reference the scan admitted. */
+struct SampledRef
+{
+    Addr line = 0;            ///< LineAddr value: the masked address
+    Count ordinal = 0;        ///< 1-based memory-reference index
+    std::uint32_t bucket = 0; ///< SamplingPredicate::bucketOf(line)
+};
+
 /**
- * Build the miss-ratio curve of @p count records in one pass.
- * Deterministic for a given (records, cfg).
+ * What one decode pass keeps of a trace: its memory-reference count,
+ * the references whose bucket is below `threshold`, and a checkpoint
+ * every kCheckpointRefs references when the source can seek.
+ *
+ * The threshold is the highest any pass over the stream uses (the
+ * configured rate raised to maxBoostedRate), and a pass at a lower
+ * threshold keeps exactly the references whose bucket is below its
+ * own, so the configured pass, the boosted re-run and every
+ * fixed-size halving are filters of this one stream.
  */
+struct SampledStream
+{
+    static constexpr Count kCheckpointRefs = 4096;
+
+    Count totalRefs = 0;
+    std::uint64_t threshold = 0;
+    std::uint64_t seed = 0;
+    unsigned lineBytes = 64;
+    std::vector<SampledRef> refs;
+    std::vector<TraceCheckpoint> checkpoints;
+};
+
+/**
+ * Decode @p trace (reset first) once into the stream every pass of
+ * @p cfg runs over.
+ */
+Expected<SampledStream> scanTrace(TraceSource &trace,
+                                  const MrcConfig &cfg);
+
+/**
+ * Build the miss-ratio curve from @p stream, which must have been
+ * scanned with @p cfg's seed, line size and a threshold no lower
+ * than its admission cap.  Deterministic for a given (trace, cfg).
+ */
+Expected<MrcResult> buildMrc(const SampledStream &stream,
+                             const MrcConfig &cfg);
+
+/** scanTrace() then buildMrc() over the stream. */
+Expected<MrcResult> buildMrc(TraceSource &trace, const MrcConfig &cfg);
+
+/** The same over @p count in-memory records (a SpanTrace). */
 Expected<MrcResult> buildMrc(const MemRecord *records,
                              std::size_t count, const MrcConfig &cfg);
 

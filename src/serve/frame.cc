@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "trace/wire.hh"
 
@@ -137,6 +138,25 @@ plausibleHeader(const std::uint8_t *hdr)
         return len == 0;
     }
     return false;
+}
+
+/**
+ * Bytes a resync at @p pos passes over in one step: up to the next
+ * magic byte, since no header starts anywhere else, or up to the
+ * first position with less than a header behind it.  Every position
+ * skipped would have failed plausibleHeader() and added one byte to
+ * the same garbage run, so the skip leaves every count unchanged.
+ */
+std::size_t
+garbageSpan(const std::vector<std::uint8_t> &buf, std::size_t pos)
+{
+    const std::size_t end = buf.size() - kFrameHeaderBytes + 1;
+    const auto *magic = static_cast<const std::uint8_t *>(std::memchr(
+        buf.data() + pos + 1, kMagic[0], end - (pos + 1)));
+    return (magic != nullptr
+                ? static_cast<std::size_t>(magic - buf.data())
+                : end) -
+           pos;
 }
 
 } // namespace
@@ -290,7 +310,7 @@ FrameParser::parseBuffer(FrameSink &sink)
             const FrameDefect why = std::memcmp(hdr, kMagic, 4) == 0
                                         ? FrameDefect::BadHeader
                                         : FrameDefect::BadMagic;
-            skipGarbage(1, why, sink);
+            skipGarbage(garbageSpan(buf, pos), why, sink);
             continue;
         }
         const std::size_t len = getU16(hdr + 6);
@@ -300,7 +320,8 @@ FrameParser::parseBuffer(FrameSink &sink)
             wire::loadLe32(hdr + 8)) {
             // The header looked right but the contents are damaged;
             // resync rather than trust the claimed length.
-            skipGarbage(1, FrameDefect::BadChecksum, sink);
+            skipGarbage(garbageSpan(buf, pos), FrameDefect::BadChecksum,
+                        sink);
             continue;
         }
         inGarbageRun = false;

@@ -533,6 +533,35 @@ TraceFileReader::reset()
     codec_.reset();
 }
 
+std::optional<TracePosition>
+TraceFileReader::position() const
+{
+    if (stats_.encoding == TraceEncoding::Packed)
+        return TracePosition{run_, runPos_, {}};
+    return TracePosition{offset_, 0, codec_};
+}
+
+bool
+TraceFileReader::seek(const TracePosition &pos)
+{
+    if (stats_.encoding == TraceEncoding::Packed) {
+        const bool inside =
+            pos.at < runs_.size() ? pos.within < runs_[pos.at].records
+                                  : pos.at == runs_.size() &&
+                                        pos.within == 0;
+        if (!inside)
+            return false;
+        run_ = pos.at;
+        runPos_ = pos.within;
+        return true;
+    }
+    if (pos.at > validBytes_)
+        return false;
+    offset_ = pos.at;
+    codec_ = pos.codec;
+    return true;
+}
+
 bool
 TraceFileReader::next(MemRecord &out)
 {

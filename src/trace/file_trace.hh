@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -213,6 +214,13 @@ class TraceFileReader : public TraceSource
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
     void reset() override;
     std::string name() const override { return label_; }
+
+    /**
+     * Packed: the run cursor.  Delta: the body byte offset plus the
+     * codec state, so a seek resumes decoding mid-stream.
+     */
+    std::optional<TracePosition> position() const override;
+    bool seek(const TracePosition &pos) override;
 
     /** Records one pass delivers (known from the scan). */
     std::size_t size() const { return stats_.recordsRead; }

@@ -9,12 +9,29 @@
 #define CCM_TRACE_SOURCE_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
+#include "trace/delta.hh"
 #include "trace/record.hh"
 
 namespace ccm
 {
+
+/**
+ * A point between two records of a seekable source: where the next
+ * record comes from.  An in-memory span keeps its record index in
+ * `at`; a packed trace file its run in `at` and the record within the
+ * run in `within`; a delta trace file its body byte offset in `at` and
+ * the predictor state the next record decodes against in `codec`.
+ * Only the source that produced a position can interpret it.
+ */
+struct TracePosition
+{
+    std::size_t at = 0;
+    std::size_t within = 0;
+    delta::Codec codec;
+};
 
 /** A replayable, finite stream of dynamic instructions. */
 class TraceSource
@@ -55,6 +72,23 @@ class TraceSource
             ++got;
         return got;
     }
+
+    /**
+     * Where the next record comes from, for a later seek(); nullopt
+     * when the source cannot seek (a generator only decodes forward).
+     */
+    virtual std::optional<TracePosition>
+    position() const
+    {
+        return std::nullopt;
+    }
+
+    /**
+     * Continue the stream at a position() of this source.  @return
+     * false (nothing moved) when the source cannot seek or the
+     * position lies outside it.
+     */
+    virtual bool seek(const TracePosition &) { return false; }
 
     /** Rewind to the beginning so the trace can be replayed. */
     virtual void reset() = 0;

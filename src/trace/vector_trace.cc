@@ -40,6 +40,30 @@ VectorTrace::nextBatch(MemRecord *out, std::size_t n)
     return got;
 }
 
+bool
+SpanTrace::next(MemRecord &out)
+{
+    return nextBatch(&out, 1) == 1;
+}
+
+std::size_t
+SpanTrace::nextBatch(MemRecord *out, std::size_t n)
+{
+    const std::size_t got = std::min(n, count_ - pos);
+    std::copy_n(records_ + pos, got, out);
+    pos += got;
+    return got;
+}
+
+bool
+SpanTrace::seek(const TracePosition &p)
+{
+    if (p.at > count_)
+        return false;
+    pos = p.at;
+    return true;
+}
+
 void
 VectorTrace::pushLoad(Addr addr, Addr pc)
 {

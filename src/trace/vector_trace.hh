@@ -1,13 +1,15 @@
 /**
  * @file
  * In-memory traces: VectorTrace owns a vector of records replayed in
- * order (hand-written test patterns, captured generator output).
+ * order (hand-written test patterns, captured generator output);
+ * SpanTrace replays a caller's record array without copying it.
  */
 
 #ifndef CCM_TRACE_VECTOR_TRACE_HH
 #define CCM_TRACE_VECTOR_TRACE_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +59,33 @@ class VectorTrace : public TraceSource
     std::vector<MemRecord> records_;
     std::size_t pos = 0;
     std::string label = "vector";
+};
+
+/** Non-owning, seekable TraceSource over a caller's record array. */
+class SpanTrace : public TraceSource
+{
+  public:
+    SpanTrace(const MemRecord *records, std::size_t count)
+        : records_(records), count_(count)
+    {}
+
+    bool next(MemRecord &out) override;
+    std::size_t nextBatch(MemRecord *out, std::size_t n) override;
+    void reset() override { pos = 0; }
+    std::string name() const override { return "span"; }
+
+    /** The record index. */
+    std::optional<TracePosition>
+    position() const override
+    {
+        return TracePosition{pos, 0, {}};
+    }
+    bool seek(const TracePosition &p) override;
+
+  private:
+    const MemRecord *records_;
+    std::size_t count_;
+    std::size_t pos = 0;
 };
 
 } // namespace ccm

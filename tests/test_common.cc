@@ -800,8 +800,9 @@ TEST(SamplingPredicate, LoweringThresholdShrinksTheSampleSet)
     pred.lowerThreshold(origThr / 2);
     EXPECT_EQ(pred.threshold(), origThr / 2);
     for (std::uint64_t i = 0; i < kLines; ++i) {
-        if (pred.sampled(LineAddr(i)))
+        if (pred.sampled(LineAddr(i))) {
             EXPECT_TRUE(before[i]) << "line " << i << " re-entered";
+        }
     }
 
     pred.lowerThreshold(origThr); // raise attempt: refused

@@ -436,6 +436,82 @@ TEST_F(CorruptTraceTest, TolerantPackedReadWalksTheDefectMap)
     EXPECT_EQ(stats.firstDefect, TraceDefect::MidFileGarbage);
 }
 
+TEST_F(CorruptTraceTest, SeekResumesAtEveryPositionOfEachSource)
+{
+    // A packed file with a three-run defect map, the same records
+    // delta-encoded, and a span: a position taken before any batch,
+    // sought back to later, continues with exactly the records that
+    // followed it.
+    const std::vector<MemRecord> recs = distinctRecords(1'000);
+    auto bytes = header();
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        if (i == 300 || i == 610)
+            append(bytes, std::vector<std::uint8_t>(24 * (i / 300),
+                                                    0xFF));
+        std::uint8_t packed[wire::recordBytes];
+        wire::packRecord(recs[i], packed);
+        bytes.insert(bytes.end(), packed, packed + sizeof packed);
+    }
+    writeBytes(bytes);
+    TraceReadOptions opts;
+    opts.corruptionBudget = 2;
+    opts.quiet = true;
+    auto packed = TraceFileReader::open(path, opts);
+    ASSERT_TRUE(packed.ok()) << packed.status().toString();
+    ASSERT_EQ(packed.value()->packedRuns().size(), 3u);
+
+    const std::string delta_path = path + ".d";
+    {
+        auto w = TraceFileWriter::create(delta_path, TraceEncoding::Delta);
+        ASSERT_TRUE(w.ok());
+        VectorTrace src("recs", recs);
+        ASSERT_TRUE(w.value()->writeAll(src).ok());
+        ASSERT_TRUE(w.value()->close().isOk());
+    }
+    auto delta = TraceFileReader::open(delta_path);
+    ASSERT_TRUE(delta.ok()) << delta.status().toString();
+    SpanTrace span(recs.data(), recs.size());
+
+    for (TraceSource *src :
+         {static_cast<TraceSource *>(packed.value().get()),
+          static_cast<TraceSource *>(delta.value().get()),
+          static_cast<TraceSource *>(&span)}) {
+        SCOPED_TRACE(src->name());
+        std::vector<std::pair<TracePosition, std::size_t>> marks;
+        std::vector<MemRecord> buf(97);
+        std::size_t delivered = 0;
+        for (;;) {
+            auto at = src->position();
+            ASSERT_TRUE(at.has_value());
+            marks.emplace_back(*at, delivered);
+            const std::size_t got = src->nextBatch(buf.data(), 97);
+            if (got == 0)
+                break;
+            delivered += got;
+        }
+        ASSERT_EQ(delivered, recs.size());
+        for (auto it = marks.rbegin(); it != marks.rend(); ++it) {
+            ASSERT_TRUE(src->seek(it->first));
+            expectSameRecords(
+                std::vector<MemRecord>(
+                    recs.begin() +
+                        static_cast<std::ptrdiff_t>(it->second),
+                    recs.end()),
+                drainBatches(*src, 64));
+        }
+
+        // A position outside the source is refused and moves nothing.
+        ASSERT_TRUE(src->seek(marks[3].first));
+        TracePosition outside = marks.back().first;
+        outside.at += 100'000;
+        EXPECT_FALSE(src->seek(outside));
+        MemRecord next;
+        ASSERT_TRUE(src->next(next));
+        EXPECT_EQ(next.pc, recs[marks[3].second].pc);
+    }
+    std::remove(delta_path.c_str());
+}
+
 TEST_F(CorruptTraceTest, TolerantDeltaReadStopsAtLastWholeRecord)
 {
     const std::vector<MemRecord> recs = distinctRecords(500);

@@ -786,8 +786,9 @@ TEST(ObsMetrics, HistogramBucketBoundaries)
     for (std::size_t i = 0; i < H::kBuckets; ++i) {
         EXPECT_EQ(H::bucketIndex(H::bucketLo(i)), i) << i;
         EXPECT_EQ(H::bucketIndex(H::bucketHi(i)), i) << i;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(H::bucketLo(i), H::bucketHi(i - 1) + 1) << i;
+        }
     }
 }
 

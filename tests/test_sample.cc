@@ -12,22 +12,35 @@
  *  - k == #windows interval replay reconstructs the whole-trace
  *    classify counters exactly (every window replayed, weights tile);
  *  - the degenerate-footprint guard re-runs tiny-footprint traces at
- *    a boosted rate instead of shipping a vacuous curve.
+ *    a boosted rate instead of shipping a vacuous curve;
+ *  - the one-pass sample lane gives the same analysis from every
+ *    kind of source (generator, packed and delta files, a span), and
+ *    its stream, boost re-run and seeking replay each equal a naive
+ *    model of what they replace.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/fa_lru.hh"
+#include "common/sample_hash.hh"
 #include "obs/sink.hh"
 #include "sample/engine.hh"
 #include "sample/intervals.hh"
 #include "sample/mrc.hh"
 #include "sample/recommend.hh"
 #include "sim/sharded.hh"
+#include "trace/file_trace.hh"
 #include "trace/vector_trace.hh"
+#include "trace/wire.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -438,6 +451,427 @@ TEST(SampleEngine, RejectsBadConfigs)
     cfg.compareExact = false;
     cfg.intervals = 4;
     EXPECT_FALSE(runSampleAnalysis(recs.data(), recs.size(), cfg).ok());
+}
+
+// ---- one decode pass, every source -----------------------------------
+
+/** Sampled refs per window by the admission test, applied directly. */
+std::vector<Count>
+naiveWindowSampledRefs(const std::vector<MemRecord> &recs,
+                       const MrcConfig &cfg, Count &total_refs,
+                       Count &lines)
+{
+    const SamplingPredicate pred =
+        SamplingPredicate::make(cfg.rate, cfg.seed).value();
+    std::vector<Count> per_window;
+    std::vector<Addr> seen;
+    total_refs = 0;
+    for (const MemRecord &r : recs) {
+        if (!r.isMem())
+            continue;
+        const std::size_t w = total_refs++ / cfg.windowRefs;
+        if (per_window.size() <= w)
+            per_window.resize(w + 1, 0);
+        const LineAddr line{r.addr & ~Addr{cfg.lineBytes - 1u}};
+        if (pred.sampled(line)) {
+            ++per_window[w];
+            seen.push_back(line.value());
+        }
+    }
+    std::sort(seen.begin(), seen.end());
+    lines = static_cast<Count>(
+        std::unique(seen.begin(), seen.end()) - seen.begin());
+    return per_window;
+}
+
+TEST(SampleMrc, SampledStreamMatchesTheAdmissionTest)
+{
+    // A low rate and short windows leave some windows with no sampled
+    // reference; each must still be emitted at its boundary.
+    const auto recs = captureRecords("gcc", 50'000);
+    MrcConfig cfg;
+    cfg.rate = 0.002;
+    cfg.minSampledLines = 0;
+    cfg.windowRefs = 700;
+    auto mrc = buildMrc(recs.data(), recs.size(), cfg);
+    ASSERT_TRUE(mrc.ok()) << mrc.status().toString();
+
+    Count total = 0;
+    Count lines = 0;
+    const std::vector<Count> want =
+        naiveWindowSampledRefs(recs, cfg, total, lines);
+    EXPECT_EQ(mrc.value().totalRefs, total);
+    EXPECT_EQ(mrc.value().linesSampled, lines);
+    const auto &ws = mrc.value().windows;
+    ASSERT_EQ(ws.size(), want.size());
+    bool some_empty = false;
+    Count sampled = 0;
+    for (std::size_t w = 0; w < ws.size(); ++w) {
+        SCOPED_TRACE(w);
+        EXPECT_EQ(ws[w].firstRef, w * cfg.windowRefs + 1);
+        EXPECT_EQ(ws[w].lastRef,
+                  std::min<Count>((w + 1) * cfg.windowRefs, total));
+        EXPECT_EQ(ws[w].sampledRefs, want[w]);
+        some_empty |= want[w] == 0;
+        sampled += want[w];
+    }
+    EXPECT_TRUE(some_empty);
+    EXPECT_EQ(mrc.value().sampledRefs, sampled);
+}
+
+/** Every field of two MRC results, window starts aside. */
+void
+expectSameMrc(const MrcResult &want, const MrcResult &got)
+{
+    EXPECT_EQ(got.totalRefs, want.totalRefs);
+    EXPECT_EQ(got.sampledRefs, want.sampledRefs);
+    EXPECT_EQ(got.linesSampled, want.linesSampled);
+    EXPECT_EQ(got.weightedRefs, want.weightedRefs);
+    EXPECT_EQ(got.configuredRate, want.configuredRate);
+    EXPECT_EQ(got.finalRate, want.finalRate);
+    EXPECT_EQ(got.thresholdHalvings, want.thresholdHalvings);
+    EXPECT_EQ(got.minLinesBoost, want.minLinesBoost);
+    EXPECT_EQ(got.windowRefs, want.windowRefs);
+    ASSERT_EQ(got.points.size(), want.points.size());
+    for (std::size_t i = 0; i < want.points.size(); ++i) {
+        EXPECT_EQ(got.points[i].capacityBytes,
+                  want.points[i].capacityBytes);
+        EXPECT_EQ(got.points[i].bankLines, want.points[i].bankLines);
+        EXPECT_EQ(got.points[i].sampledMisses,
+                  want.points[i].sampledMisses);
+        EXPECT_EQ(got.points[i].missRatio, want.points[i].missRatio);
+    }
+    ASSERT_EQ(got.windows.size(), want.windows.size());
+    for (std::size_t w = 0; w < want.windows.size(); ++w) {
+        const WindowSignature &a = want.windows[w];
+        const WindowSignature &b = got.windows[w];
+        EXPECT_EQ(b.firstRef, a.firstRef) << "window " << w;
+        EXPECT_EQ(b.lastRef, a.lastRef) << "window " << w;
+        EXPECT_EQ(b.sampledRefs, a.sampledRefs) << "window " << w;
+        EXPECT_EQ(b.sampledMisses, a.sampledMisses) << "window " << w;
+        EXPECT_EQ(b.sampledNewLines, a.sampledNewLines) << "window " << w;
+        EXPECT_EQ(b.sampledUniqueLines, a.sampledUniqueLines)
+            << "window " << w;
+    }
+}
+
+void
+expectSameStats(const MemStats &want, const MemStats &got)
+{
+    MemStats::forEachField([&](const char *name, Count MemStats::*f) {
+        EXPECT_EQ(got.*f, want.*f) << "counter " << name;
+    });
+}
+
+void
+expectSameReport(const SampleReport &want, const SampleReport &got)
+{
+    expectSameMrc(want.mrc, got.mrc);
+    ASSERT_EQ(got.hasIntervals, want.hasIntervals);
+    if (want.hasIntervals) {
+        const IntervalResult &a = want.intervals;
+        const IntervalResult &b = got.intervals;
+        EXPECT_EQ(b.windows, a.windows);
+        EXPECT_EQ(b.clusters, a.clusters);
+        EXPECT_EQ(b.replayedRefs, a.replayedRefs);
+        ASSERT_EQ(b.reps.size(), a.reps.size());
+        for (std::size_t i = 0; i < a.reps.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(b.reps[i].windowIndex, a.reps[i].windowIndex);
+            EXPECT_EQ(b.reps[i].weight, a.reps[i].weight);
+            expectSameStats(a.reps[i].delta, b.reps[i].delta);
+        }
+        expectSameStats(a.predicted, b.predicted);
+    }
+    ASSERT_EQ(got.hasExact, want.hasExact);
+    if (want.hasExact) {
+        expectSameMrc(want.exactMrc, got.exactMrc);
+        expectSameStats(want.exactClassify.mem, got.exactClassify.mem);
+    }
+}
+
+/** @p recs written as packed, delta and damaged packed trace files. */
+class SampleSourceFiles
+{
+  public:
+    SampleSourceFiles(const std::string &tag,
+                      const std::vector<MemRecord> &recs)
+    {
+        const std::string base = ::testing::TempDir() + "ccm_sample_" + tag;
+        packed = base + ".bin";
+        delta = base + ".d.bin";
+        damaged = base + ".dmg.bin";
+        write(packed, TraceEncoding::Packed, recs);
+        write(delta, TraceEncoding::Delta, recs);
+
+        // Two garbage runs between whole records: the tolerant reader
+        // resyncs past both and walks a three-run defect map that
+        // still delivers every record.
+        std::ifstream in(packed, std::ios::binary);
+        std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+        const std::size_t header = 16;
+        for (std::size_t from : {recs.size() * 2 / 3, recs.size() / 3}) {
+            const std::size_t at = cleanResyncPoint(recs, from);
+            bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                             header + at * wire::recordBytes),
+                         kGarbage, static_cast<char>(0xFF));
+        }
+        std::ofstream(damaged, std::ios::binary)
+            .write(bytes.data(),
+                   static_cast<std::streamsize>(bytes.size()));
+    }
+
+    ~SampleSourceFiles()
+    {
+        std::remove(packed.c_str());
+        std::remove(delta.c_str());
+        std::remove(damaged.c_str());
+    }
+
+    SampleSourceFiles(const SampleSourceFiles &) = delete;
+    SampleSourceFiles &operator=(const SampleSourceFiles &) = delete;
+
+    /** The three readers: clean packed, tolerant packed, delta. */
+    std::vector<std::unique_ptr<TraceFileReader>>
+    readers() const
+    {
+        std::vector<std::unique_ptr<TraceFileReader>> out;
+        out.push_back(TraceFileReader::open(packed).take());
+        TraceReadOptions tolerant;
+        tolerant.corruptionBudget = 2;
+        tolerant.quiet = true;
+        out.push_back(TraceFileReader::open(damaged, tolerant).take());
+        EXPECT_EQ(out.back()->packedRuns().size(), 3u);
+        out.push_back(TraceFileReader::open(delta).take());
+        return out;
+    }
+
+    std::string packed;
+    std::string delta;
+    std::string damaged;
+
+  private:
+    static constexpr std::size_t kGarbage = 31;
+
+    /**
+     * The first record at or after @p from that a garbage run can
+     * precede without the resync finding a false record boundary in
+     * the run or in the record's own first bytes.
+     */
+    static std::size_t
+    cleanResyncPoint(const std::vector<MemRecord> &recs,
+                     std::size_t from)
+    {
+        std::uint8_t buf[kGarbage + wire::recordBytes];
+        std::fill(buf, buf + kGarbage, std::uint8_t{0xFF});
+        for (std::size_t at = from;; ++at) {
+            wire::packRecord(recs.at(at), buf + kGarbage);
+            bool clean = true;
+            for (std::size_t j = 0; j < kGarbage; ++j)
+                clean = clean && !wire::plausibleRecord(buf + j);
+            if (clean)
+                return at;
+        }
+    }
+
+    static void
+    write(const std::string &path, TraceEncoding enc,
+          const std::vector<MemRecord> &recs)
+    {
+        auto w = TraceFileWriter::create(path, enc);
+        ASSERT_TRUE(w.ok()) << w.status().toString();
+        VectorTrace src("recs", recs);
+        ASSERT_TRUE(w.value()->writeAll(src).ok());
+        ASSERT_TRUE(w.value()->close().isOk());
+    }
+};
+
+TEST(SampleEngine, EverySourceGivesTheSameAnalysis)
+{
+    struct Case
+    {
+        const char *label;
+        const char *workload;
+        std::size_t refs;
+        SampleRunConfig cfg;
+        /** The case really exercises what it names. */
+        bool (*exercised)(const SampleReport &);
+    };
+    std::vector<Case> cases;
+    auto add = [&](const char *label, const char *workload,
+                   std::size_t refs, auto tweak,
+                   bool (*exercised)(const SampleReport &)) {
+        Case c{label, workload, refs, {}, exercised};
+        c.cfg.mrc.rate = 0.05;
+        c.cfg.intervals = 4;
+        c.cfg.interval.warmupRefs = 3'000;
+        tweak(c.cfg);
+        cases.push_back(c);
+    };
+    add("boost", "gcc", 60'000,
+        [](SampleRunConfig &c) { c.mrc.rate = 0.01; },
+        [](const SampleReport &r) { return r.mrc.minLinesBoost; });
+    add("fixed-size halving", "tomcatv", 60'000,
+        [](SampleRunConfig &c) {
+            c.mrc.variant = ShardsVariant::FixedSize;
+            c.mrc.maxSampledLines = 64;
+        },
+        [](const SampleReport &r) {
+            return r.mrc.thresholdHalvings > 0;
+        });
+    add("rate 1.0", "compress", 40'000,
+        [](SampleRunConfig &c) {
+            c.mrc.rate = 1.0;
+            c.compareExact = true;
+        },
+        [](const SampleReport &r) {
+            return r.mrc.finalRate == 1.0 && r.hasExact;
+        });
+    add("warm-up reaches ref 1", "li", 60'000,
+        [](SampleRunConfig &c) { c.interval.warmupRefs = 1'000'000; },
+        [](const SampleReport &r) { return r.hasIntervals; });
+    add("short tail window", "applu", 50'000,
+        [](SampleRunConfig &c) { c.mrc.windowRefs = 7'000; },
+        [](const SampleReport &r) {
+            const WindowSignature &tail = r.mrc.windows.back();
+            return tail.lastRef - tail.firstRef + 1 < 7'000;
+        });
+    add("window with no sampled ref", "gcc", 50'000,
+        [](SampleRunConfig &c) {
+            c.mrc.rate = 0.002;
+            c.mrc.minSampledLines = 0;
+            c.mrc.windowRefs = 700;
+            c.intervals = 30;
+        },
+        [](const SampleReport &r) {
+            for (const WindowSignature &w : r.mrc.windows)
+                if (w.sampledRefs == 0)
+                    return true;
+            return false;
+        });
+    add("k = n", "perl", 40'000,
+        [](SampleRunConfig &c) {
+            c.mrc.windowRefs = 5'000;
+            c.intervals = 8;
+        },
+        [](const SampleReport &r) {
+            return r.intervals.clusters == r.intervals.windows;
+        });
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.label);
+        const auto recs = captureRecords(c.workload, c.refs);
+        auto want = runSampleAnalysis(recs.data(), recs.size(), c.cfg);
+        ASSERT_TRUE(want.ok()) << want.status().toString();
+        EXPECT_TRUE(c.exercised(want.value()));
+
+        auto gen = makeWorkload(c.workload, c.refs, 42);
+        auto got = runSampleAnalysis(*gen, c.cfg);
+        ASSERT_TRUE(got.ok()) << got.status().toString();
+        {
+            SCOPED_TRACE("generator");
+            expectSameReport(want.value(), got.value());
+        }
+
+        const SampleSourceFiles files(c.workload, recs);
+        for (const auto &rd : files.readers()) {
+            SCOPED_TRACE(rd->name());
+            ASSERT_EQ(rd->size(), recs.size());
+            auto file = runSampleAnalysis(*rd, c.cfg);
+            ASSERT_TRUE(file.ok()) << file.status().toString();
+            expectSameReport(want.value(), file.value());
+        }
+    }
+}
+
+TEST(SampleMrc, BoostedPassEqualsDirectPassAtBoostedRate)
+{
+    const auto recs = captureRecords("gcc", 60'000);
+    MrcConfig cfg;
+    cfg.rate = 0.01;
+    cfg.windowRefs = 6'000;
+    auto boosted = buildMrc(recs.data(), recs.size(), cfg);
+    ASSERT_TRUE(boosted.ok());
+    ASSERT_TRUE(boosted.value().minLinesBoost);
+
+    // The boosted rate, configured directly with the guard off: the
+    // same pass, apart from what names the configured rate.
+    MrcConfig direct = cfg;
+    direct.rate = boosted.value().finalRate;
+    direct.minSampledLines = 0;
+    auto plain = buildMrc(recs.data(), recs.size(), direct);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_FALSE(plain.value().minLinesBoost);
+    EXPECT_GT(plain.value().configuredRate,
+              boosted.value().configuredRate);
+
+    MrcResult expect = plain.take();
+    expect.configuredRate = boosted.value().configuredRate;
+    expect.minLinesBoost = true;
+    expectSameMrc(expect, boosted.value());
+}
+
+/**
+ * Each representative's counters by the plain definition: a fresh
+ * kernel takes refs [max(1, first - warmup), first) uncounted, then
+ * counts [first, last].
+ */
+void
+expectNaiveReplay(const std::vector<MemRecord> &recs,
+                  const IntervalResult &got,
+                  const ShardedClassifyConfig &ccfg, Count warmup)
+{
+    std::vector<const MemRecord *> mem;
+    for (const MemRecord &r : recs)
+        if (r.isMem())
+            mem.push_back(&r);
+    Count replayed = 0;
+    for (const RepresentativeWindow &rep : got.reps) {
+        SCOPED_TRACE(rep.windowIndex);
+        const Count from =
+            rep.firstRef > warmup ? rep.firstRef - warmup : 1;
+        ClassifyKernel kernel(ccfg);
+        MemStats discarded;
+        MemStats counted;
+        for (Count ord = from; ord <= rep.lastRef; ++ord) {
+            const MemRecord &r = *mem[ord - 1];
+            classifyCounted(kernel, r.dataAddr(), r.isStore(),
+                            ord < rep.firstRef ? discarded : counted);
+        }
+        replayed += rep.lastRef - from + 1;
+        expectSameStats(counted, rep.delta);
+    }
+    EXPECT_EQ(got.replayedRefs, replayed);
+}
+
+TEST(SampleIntervals, SeekingReplayMatchesANaiveReplay)
+{
+    // Windows far apart and warm-ups that start inside an earlier
+    // window: the walk seeks between them, and a seek that lands past
+    // a warm-up start, or a warm-up one reference off, shows here.
+    const auto recs = captureRecords("gcc", 120'000);
+    const SampleSourceFiles files("replay", recs);
+    SampleRunConfig cfg;
+    cfg.mrc.rate = 0.05;
+    cfg.mrc.windowRefs = 5'000;
+    cfg.intervals = 6;
+    for (const Count warmup : {Count{0}, Count{1}, Count{4'097},
+                               Count{12'345}}) {
+        SCOPED_TRACE(warmup);
+        cfg.interval.warmupRefs = warmup;
+        auto span = runSampleAnalysis(recs.data(), recs.size(), cfg);
+        ASSERT_TRUE(span.ok()) << span.status().toString();
+        expectNaiveReplay(recs, span.value().intervals, cfg.classify,
+                          warmup);
+        for (const auto &rd : files.readers()) {
+            SCOPED_TRACE(rd->name());
+            auto file = runSampleAnalysis(*rd, cfg);
+            ASSERT_TRUE(file.ok()) << file.status().toString();
+            expectNaiveReplay(recs, file.value().intervals,
+                              cfg.classify, warmup);
+        }
+    }
 }
 
 } // namespace

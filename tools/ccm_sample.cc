@@ -23,7 +23,6 @@
 #include "obs/sink.hh"
 #include "sample/engine.hh"
 #include "trace/mmap_trace.hh"
-#include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -121,7 +120,6 @@ run(const Options &o)
         CCM_LOG_ERROR(trace.status().toString());
         return 1;
     }
-    VectorTrace captured = VectorTrace::capture(*trace.value());
 
     scfg.mrc.rate = o.rate;
     scfg.mrc.seed = o.seed;
@@ -136,9 +134,7 @@ run(const Options &o)
     scfg.interval.seed = o.seed;
     scfg.compareExact = o.exact;
 
-    auto rep = sample::runSampleAnalysis(captured.records().data(),
-                                         captured.records().size(),
-                                         scfg);
+    auto rep = sample::runSampleAnalysis(*trace.value(), scfg);
     if (!rep.ok()) {
         CCM_LOG_ERROR(rep.status().toString());
         return 1;

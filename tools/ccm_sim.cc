@@ -45,7 +45,6 @@
 #include "sim/sharded.hh"
 #include "trace/file_trace.hh"
 #include "trace/mmap_trace.hh"
-#include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -393,13 +392,10 @@ runSuiteMode(const Options &o, const SystemConfig &cfg)
             auto tr = factory(name);
             if (!tr.ok())
                 continue;
-            VectorTrace captured = VectorTrace::capture(*tr.value());
             sample::MrcConfig mcfg;
             mcfg.rate = 0.01;
             mcfg.seed = o.seed;
-            auto mrc = sample::buildMrc(captured.records().data(),
-                                        captured.records().size(),
-                                        mcfg);
+            auto mrc = sample::buildMrc(*tr.value(), mcfg);
             if (!mrc.ok()) {
                 CCM_LOG_WARN("auto-size ", name, ": ",
                              mrc.status().toString());

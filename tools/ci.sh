@@ -38,8 +38,10 @@
 #      tracecheck validate's documented exit code for each defect
 #      class;
 #      sampling smoke: ccm-sample's kind:"sample" document must
-#      validate, render and be byte-deterministic run to run, and the
-#      sampling_accuracy gate must hold;
+#      validate, render and be byte-deterministic run to run, three
+#      configurations must print bench/baselines/sample/ byte for
+#      byte, a gcc generator and its packed and delta traces must give
+#      one document, and the sampling_accuracy gate must hold;
 #      reproduction tables: eight paper benches (partial tags, MCT
 #      depth, the §5.4/§5.6 studies, the I-cache extension) must
 #      print the tables in bench/baselines/tables/ byte for byte, and
@@ -375,6 +377,44 @@ build/tools/ccm-sample --workload gcc --refs 20000 --rate 0.05 \
     --intervals 3 --exact \
     --stats-out "$obs_tmp/sample_cli.json" > /dev/null
 build/tools/ccm-report --check "$obs_tmp/sample_cli.json"
+# The sample lane decodes its source once and replays by seeking.
+# Three configurations (the min-lines boost, fixed-size halving, and
+# rate 1.0 with the exact references) must print the documents in
+# bench/baselines/sample/ once wall time is stripped.
+sample_golden() {
+    local name=$1
+    shift
+    build/tools/ccm-sample "$@" --stats-json "$obs_tmp/golden.json" \
+        > /dev/null
+    if ! diff "bench/baselines/sample/$name.json" \
+              <(grep -v wall_seconds "$obs_tmp/golden.json"); then
+        echo "FAIL: ccm-sample $* differs from its golden $name" >&2
+        exit 1
+    fi
+}
+sample_golden gcc_boost --workload gcc --refs 200000 --intervals 8
+sample_golden tomcatv_fixed_size --workload tomcatv --variant fixed-size \
+    --max-lines 512 --intervals 4
+sample_golden tomcatv_exact --rate 1 --exact --intervals 32
+# A generator, its packed trace and its delta trace (seekable at run
+# starts and at byte offsets) give one document; the workload field
+# names the source.
+build/tools/ccm-trace gen gcc "$obs_tmp/s7.bin" --refs 200000 --seed 7 \
+    > /dev/null
+build/tools/ccm-trace pack "$obs_tmp/s7.bin" "$obs_tmp/s7.d.bin" > /dev/null
+build/tools/ccm-sample --workload gcc --refs 200000 --seed 7 --intervals 8 \
+    --stats-json "$obs_tmp/s7_gen.json" > /dev/null
+for enc in bin d.bin; do
+    build/tools/ccm-sample --trace "$obs_tmp/s7.$enc" --seed 7 \
+        --intervals 8 --stats-json "$obs_tmp/s7_$enc.json" > /dev/null
+    if ! diff <(grep -v -e wall_seconds -e '"workload"' \
+                    "$obs_tmp/s7_gen.json") \
+              <(grep -v -e wall_seconds -e '"workload"' \
+                    "$obs_tmp/s7_$enc.json"); then
+        echo "FAIL: ccm-sample of s7.$enc differs from the generator" >&2
+        exit 1
+    fi
+done
 
 step "sampling accuracy gate (bench/sampling_accuracy --gate-only)"
 # 1% SHARDS pass + 12-interval reconstruction on the full 16-workload
