@@ -83,6 +83,24 @@ class ThreadPool
     bool stopping CCM_GUARDED_BY(mtx) = false;
 };
 
+/**
+ * Run @p task(0) ... @p task(n - 1) on @p pool and wait for all of
+ * them, or inline in index order when @p pool is null.
+ */
+template <typename Task>
+void
+forEachIndex(ThreadPool *pool, std::size_t n, Task &&task)
+{
+    if (pool == nullptr) {
+        for (std::size_t i = 0; i < n; ++i)
+            task(i);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        pool->submit([&task, i] { task(i); });
+    pool->waitIdle();
+}
+
 } // namespace ccm
 
 #endif // CCM_COMMON_THREAD_POOL_HH

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
+#include "common/thread_pool.hh"
 #include "trace/vector_trace.hh"
 
 namespace ccm::sample
@@ -32,9 +34,13 @@ runSampleAnalysis(TraceSource &trace, const SampleRunConfig &cfg)
     SampleReport rep;
     MrcConfig mrc_cfg = cfg.mrc;
 
+    // One pool reads the view for every pass of the analysis.
+    std::optional<ThreadPool> own;
+    ThreadPool *pool = viewPool(trace, own);
+
     const auto t0 = std::chrono::steady_clock::now();
     {
-        auto stream = scanTrace(trace, mrc_cfg);
+        auto stream = scanTrace(trace, mrc_cfg, pool);
         if (!stream.ok())
             return stream.status().withContext("sampled MRC pass");
 
@@ -58,7 +64,7 @@ runSampleAnalysis(TraceSource &trace, const SampleRunConfig &cfg)
         IntervalConfig icfg = cfg.interval;
         icfg.k = cfg.intervals;
         auto ivl = reconstructFromIntervals(trace, rep.mrc,
-                                            cfg.classify, icfg);
+                                            cfg.classify, icfg, pool);
         if (!ivl.ok())
             return ivl.status().withContext("interval selection");
         rep.intervals = ivl.take();
@@ -73,7 +79,10 @@ runSampleAnalysis(TraceSource &trace, const SampleRunConfig &cfg)
         exact_cfg.rate = 1.0;
         exact_cfg.variant = ShardsVariant::FixedRate;
         exact_cfg.windowRefs = 0;
-        auto exact = buildMrc(trace, exact_cfg);
+        auto stream = scanTrace(trace, exact_cfg, pool);
+        if (!stream.ok())
+            return stream.status().withContext("exact MRC pass");
+        auto exact = buildMrc(stream.value(), exact_cfg);
         if (!exact.ok())
             return exact.status().withContext("exact MRC pass");
         rep.exactMrc = exact.take();

@@ -85,10 +85,11 @@ struct SampleReport
 
 /**
  * Run the analysis over @p trace without copying it: one decode pass
- * into the sampled stream the MRC passes run over, then a seeking
- * replay of the representative windows (and, with compareExact, a
- * rate-1.0 scan and an exact classify).  Deterministic except the
- * wallSeconds* fields.
+ * into the sampled stream the MRC passes run over, then a replay of
+ * the representative windows from the scan's checkpoints (and, with
+ * compareExact, a rate-1.0 scan and an exact classify).  A viewed
+ * source's scans and replay share one pool (viewPool()).
+ * Deterministic except the wallSeconds* fields.
  */
 Expected<SampleReport> runSampleAnalysis(TraceSource &trace,
                                          const SampleRunConfig &cfg);

@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "common/random.hh"
+#include "common/thread_pool.hh"
 #include "trace/batch_reader.hh"
 #include "trace/vector_trace.hh"
 
@@ -222,37 +223,31 @@ struct Replay
 {
     RepresentativeWindow *rep = nullptr;
     Count warmFrom = 0; ///< first replayed reference, 1-based
-    std::optional<TraceCheckpoint> seekTo;
+    /** The last checkpoint before warmFrom (nullptr: the first chunk). */
+    const TraceCheckpoint *from = nullptr;
     std::unique_ptr<ClassifyKernel> kernel; ///< while active
     MemStats warmup;                        ///< discarded
 };
 
 /**
- * Replay every representative in one forward walk over @p trace: each
- * window's kernel takes refs [warmFrom, lastRef], counting the warm-up
- * prefix into a discarded MemStats.  While no window is active, the
- * walk seeks ahead to the checkpoint nearest the next warm-up start.
- * @p pending is in warmFrom order.
- * @return memory references simulated, summed over the windows.
+ * Replay @p count windows at @p pending (in warmFrom order) in one
+ * forward walk over the records @p read delivers, the first of which
+ * follows reference @p ordinal: each window's kernel takes refs
+ * [warmFrom, lastRef], counting the warm-up prefix into a discarded
+ * MemStats.  @return memory references simulated, summed over the
+ * windows.
  */
+template <typename Read>
 Expected<Count>
-replayWindows(TraceSource &trace, std::vector<Replay> &pending,
-              const ShardedClassifyConfig &cache_cfg)
+replayWalk(Read read, Count ordinal, Replay *pending, std::size_t count,
+           const ShardedClassifyConfig &cache_cfg)
 {
-    trace.reset();
     Count replayed = 0;
-    Count ordinal = 0; ///< memory references delivered so far
     std::size_t next = 0;
     std::vector<Replay *> active;
     MemRecord batch[maxTraceBatch];
-    while (next < pending.size() || !active.empty()) {
-        if (active.empty()) {
-            const std::optional<TraceCheckpoint> &to =
-                pending[next].seekTo;
-            if (to && to->refs > ordinal && trace.seek(to->at))
-                ordinal = to->refs;
-        }
-        const std::size_t got = trace.nextBatch(batch, maxTraceBatch);
+    while (next < count || !active.empty()) {
+        const std::size_t got = read(batch);
         if (got == 0)
             return Status::internal(
                 "trace ended at reference ", ordinal,
@@ -263,8 +258,7 @@ replayWindows(TraceSource &trace, std::vector<Replay> &pending,
             if (!rec.isMem())
                 continue;
             ++ordinal;
-            while (next < pending.size() &&
-                   pending[next].warmFrom == ordinal) {
+            while (next < count && pending[next].warmFrom == ordinal) {
                 pending[next].kernel =
                     std::make_unique<ClassifyKernel>(cache_cfg);
                 active.push_back(&pending[next++]);
@@ -290,6 +284,53 @@ replayWindows(TraceSource &trace, std::vector<Replay> &pending,
     return replayed;
 }
 
+/**
+ * Replay every window of @p replays (in warmFrom order).  Through a
+ * view, each window runs on its own cursor from its checkpoint, one
+ * pool task per window; a source without a view is reset and walked
+ * through once, feeding every window in passing.
+ */
+Expected<Count>
+replayWindows(TraceSource &trace, std::vector<Replay> &replays,
+              const ShardedClassifyConfig &cache_cfg, ThreadPool *pool)
+{
+    const TraceView *view = trace.view();
+    if (view == nullptr) {
+        trace.reset();
+        return replayWalk(
+            [&](MemRecord *batch) {
+                return trace.nextBatch(batch, maxTraceBatch);
+            },
+            0, replays.data(), replays.size(), cache_cfg);
+    }
+
+    std::vector<Status> failed(replays.size());
+    std::vector<Count> replayed(replays.size(), 0);
+    forEachIndex(pool, replays.size(), [&](std::size_t i) {
+        Replay &r = replays[i];
+        TracePosition cursor =
+            r.from ? r.from->at
+                   : view->chunks().empty() ? TracePosition{}
+                                            : view->chunks()[0].start;
+        auto walked = replayWalk(
+            [&](MemRecord *batch) {
+                return view->read(cursor, batch, maxTraceBatch);
+            },
+            r.from ? r.from->refs : 0, &r, 1, cache_cfg);
+        if (walked.ok())
+            replayed[i] = walked.value();
+        else
+            failed[i] = walked.status();
+    });
+    Count total = 0;
+    for (std::size_t i = 0; i < replays.size(); ++i) {
+        if (!failed[i].isOk())
+            return failed[i];
+        total += replayed[i];
+    }
+    return total;
+}
+
 } // namespace
 
 const StatEstimate *
@@ -305,7 +346,7 @@ IntervalResult::find(const std::string &name) const
 Expected<IntervalResult>
 reconstructFromIntervals(TraceSource &trace, const MrcResult &mrc,
                          const ShardedClassifyConfig &cache_cfg,
-                         const IntervalConfig &cfg)
+                         const IntervalConfig &cfg, ThreadPool *pool)
 {
     if (mrc.windowRefs == 0 || mrc.windows.empty())
         return Status::badConfig(
@@ -445,7 +486,7 @@ reconstructFromIntervals(TraceSource &trace, const MrcResult &mrc,
 
     // The warm-up prefix, the cfg.warmupRefs references before the
     // window (fewer near the start), populates the cold cache/MCT;
-    // the replay seeks to the last checkpoint before it.
+    // the replay starts at the last checkpoint before it.
     std::vector<Replay> replays(res.reps.size());
     for (std::size_t i = 0; i < res.reps.size(); ++i) {
         Replay &r = replays[i];
@@ -457,13 +498,16 @@ reconstructFromIntervals(TraceSource &trace, const MrcResult &mrc,
             mrc.checkpoints.begin(), mrc.checkpoints.end(),
             [&](const TraceCheckpoint &c) { return c.refs < r.warmFrom; });
         if (after != mrc.checkpoints.begin())
-            r.seekTo = *std::prev(after);
+            r.from = &*std::prev(after);
     }
     std::stable_sort(replays.begin(), replays.end(),
                      [](const Replay &a, const Replay &b) {
                          return a.warmFrom < b.warmFrom;
                      });
-    auto replayed = replayWindows(trace, replays, cache_cfg);
+    std::optional<ThreadPool> own;
+    if (pool == nullptr)
+        pool = viewPool(trace, own);
+    auto replayed = replayWindows(trace, replays, cache_cfg, pool);
     if (!replayed.ok())
         return replayed.status();
     res.replayedRefs = replayed.value();

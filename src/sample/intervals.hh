@@ -19,10 +19,11 @@
  * (the ClassifyKernel step, counted by classifyCounted as in the
  * sharded engine, after an uncounted warmup pass over the preceding
  * references to populate the cold cache).  The replay keys windows by
- * memory-reference ordinal and is one forward walk over the trace
- * that feeds every active window's kernel; between windows it seeks
- * to the scan checkpoint nearest the next warm-up start (a source
- * that cannot seek is decoded through).  Every whole-trace
+ * memory-reference ordinal.  Through the source's view, each window
+ * runs on its own cursor from the scan checkpoint nearest its warm-up
+ * start, one pool task per window; a source without a view is walked
+ * through once, feeding every active window's kernel.  Every
+ * whole-trace
  * classification counter is reconstructed as
  *
  *     predicted = sum_c weight_c * rate_c * totalRefs
@@ -128,13 +129,15 @@ struct IntervalResult
 /**
  * Cluster @p mrc's window signatures, replay the K representatives
  * exactly against @p cache_cfg's geometry, and reconstruct the
- * whole-trace classify stats.  @p trace (reset first) must be the
- * source the MRC pass scanned, so that mrc.checkpoints are its
- * positions; @p mrc must carry windows (windowRefs > 0).
+ * whole-trace classify stats.  @p trace must be the source the MRC
+ * pass scanned, so that mrc.checkpoints are cursors of its view;
+ * @p mrc must carry windows (windowRefs > 0).  The windows replay on
+ * @p pool, on viewPool()'s pool when it is null.
  */
 Expected<IntervalResult> reconstructFromIntervals(
     TraceSource &trace, const MrcResult &mrc,
-    const ShardedClassifyConfig &cache_cfg, const IntervalConfig &cfg);
+    const ShardedClassifyConfig &cache_cfg, const IntervalConfig &cfg,
+    ThreadPool *pool = nullptr);
 
 /** The same over @p count in-memory records (a SpanTrace). */
 Expected<IntervalResult> reconstructFromIntervals(

@@ -9,6 +9,7 @@
 #include "cache/fa_lru.hh"
 #include "cache/geometry.hh"
 #include "common/sample_hash.hh"
+#include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "trace/batch_reader.hh"
 #include "trace/vector_trace.hh"
@@ -287,54 +288,56 @@ buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
 
     double weight = 1.0 / sampler.rate();
 
-    for (const SampledRef &ref : stream.refs) {
-        if (ref.bucket >= sampler.threshold())
-            continue;
-        emitWindowsBefore(ref.ordinal);
+    for (const std::vector<SampledRef> &segment : stream.segments) {
+        for (const SampledRef &ref : segment) {
+            if (ref.bucket >= sampler.threshold())
+                continue;
+            emitWindowsBefore(ref.ordinal);
 
-        const LineAddr line{ref.line};
-        ++res.sampledRefs;
-        res.weightedRefs += weight;
+            const LineAddr line{ref.line};
+            ++res.sampledRefs;
+            res.weightedRefs += weight;
 
-        const std::uint32_t stamp =
-            static_cast<std::uint32_t>(res.windows.size() + 1);
-        auto [it, inserted] =
-            tracked.emplace(ref.line, TrackedLine{ref.bucket, stamp});
-        if (inserted) {
-            ++res.linesSampled;
-            ++window_new_lines;
-            ++window_unique_lines;
-        } else if (it->second.window != stamp) {
-            it->second.window = stamp;
-            ++window_unique_lines;
-        }
-
-        for (Bank &b : banks)
-            b.access(line, weight);
-
-        // Fixed-size: over budget -> halve the threshold, purge the
-        // lines that fell out of the sample, shrink the banks to the
-        // new scaled capacities.
-        if (cfg.variant == ShardsVariant::FixedSize &&
-            tracked.size() > cfg.maxSampledLines &&
-            sampler.threshold() > 1) {
-            const std::uint64_t new_thr = sampler.threshold() / 2;
-            sampler.lowerThreshold(new_thr);
-            ++res.thresholdHalvings;
-            weight = 1.0 / sampler.rate();
-            for (auto it2 = tracked.begin(); it2 != tracked.end();) {
-                if (it2->second.bucket >= new_thr) {
-                    for (Bank &b : banks)
-                        b.drop(LineAddr{it2->first});
-                    it2 = tracked.erase(it2);
-                } else {
-                    ++it2;
-                }
+            const std::uint32_t stamp =
+                static_cast<std::uint32_t>(res.windows.size() + 1);
+            auto [it, inserted] =
+                tracked.emplace(ref.line, TrackedLine{ref.bucket, stamp});
+            if (inserted) {
+                ++res.linesSampled;
+                ++window_new_lines;
+                ++window_unique_lines;
+            } else if (it->second.window != stamp) {
+                it->second.window = stamp;
+                ++window_unique_lines;
             }
-            for (Bank &b : banks) {
-                b.effLines =
-                    scaledLines(b.capacityLines, sampler.threshold());
-                b.trim();
+
+            for (Bank &b : banks)
+                b.access(line, weight);
+
+            // Fixed-size: over budget -> halve the threshold, purge the
+            // lines that fell out of the sample, shrink the banks to the
+            // new scaled capacities.
+            if (cfg.variant == ShardsVariant::FixedSize &&
+                tracked.size() > cfg.maxSampledLines &&
+                sampler.threshold() > 1) {
+                const std::uint64_t new_thr = sampler.threshold() / 2;
+                sampler.lowerThreshold(new_thr);
+                ++res.thresholdHalvings;
+                weight = 1.0 / sampler.rate();
+                for (auto it2 = tracked.begin(); it2 != tracked.end();) {
+                    if (it2->second.bucket >= new_thr) {
+                        for (Bank &b : banks)
+                            b.drop(LineAddr{it2->first});
+                        it2 = tracked.erase(it2);
+                    } else {
+                        ++it2;
+                    }
+                }
+                for (Bank &b : banks) {
+                    b.effLines =
+                        scaledLines(b.capacityLines, sampler.threshold());
+                    b.trim();
+                }
             }
         }
     }
@@ -368,44 +371,127 @@ buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
 
 } // namespace
 
+ThreadPool *
+viewPool(const TraceSource &trace, std::optional<ThreadPool> &own)
+{
+    const TraceView *view = trace.view();
+    const std::size_t workers =
+        view ? std::min(view->chunks().size(), resolveJobCount(0)) : 1;
+    return workers > 1 ? &own.emplace(workers) : nullptr;
+}
+
+namespace
+{
+
+/** What the scan keeps of one chunk, ordinals counted from its start. */
+struct ChunkScan
+{
+    Count refs = 0;
+    std::vector<SampledRef> sampled;
+    std::vector<TraceCheckpoint> checkpoints;
+};
+
+/** The scan's admission test, applied one batch at a time. */
+class Admitter
+{
+  public:
+    Admitter(const SamplingPredicate &pred, unsigned line_bytes)
+        : pred_(pred), lineGeom_(line_bytes, 1, line_bytes)
+    {}
+
+    void
+    add(const MemRecord *batch, std::size_t n, ChunkScan &out) const
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!batch[i].isMem())
+                continue;
+            ++out.refs;
+            const LineAddr line = lineGeom_.lineOf(batch[i].dataAddr());
+            const std::uint64_t bucket = pred_.bucketOf(line);
+            if (bucket < pred_.threshold())
+                out.sampled.push_back({line.value(), out.refs,
+                                       static_cast<std::uint32_t>(bucket)});
+        }
+    }
+
+  private:
+    const SamplingPredicate &pred_;
+    CacheGeometry lineGeom_;
+};
+
+/** Scan @p chunk of @p view, with a checkpoint at its start. */
+ChunkScan
+scanChunk(const TraceView &view, const TraceChunk &chunk,
+          const Admitter &admit)
+{
+    ChunkScan out;
+    TracePosition cursor = chunk.start;
+    std::size_t left = chunk.records;
+    Count next_checkpoint = 0;
+    MemRecord batch[maxTraceBatch];
+    while (left > 0) {
+        if (out.refs >= next_checkpoint) {
+            out.checkpoints.push_back({out.refs, cursor});
+            next_checkpoint = out.refs + SampledStream::kCheckpointRefs;
+        }
+        const std::size_t got =
+            view.read(cursor, batch, std::min(left, maxTraceBatch));
+        if (got == 0)
+            break;
+        admit.add(batch, got, out);
+        left -= got;
+    }
+    return out;
+}
+
+} // namespace
+
 Expected<SampledStream>
-scanTrace(TraceSource &trace, const MrcConfig &cfg)
+scanTrace(TraceSource &trace, const MrcConfig &cfg, ThreadPool *pool)
 {
     auto cap = admissionCap(cfg);
     if (!cap.ok())
         return cap.status();
-    const SamplingPredicate &pred = cap.value();
-    const CacheGeometry line_geom(cfg.lineBytes, 1, cfg.lineBytes);
+    const Admitter admit(cap.value(), cfg.lineBytes);
 
     SampledStream stream;
-    stream.threshold = pred.threshold();
+    stream.threshold = cap.value().threshold();
     stream.seed = cfg.seed;
     stream.lineBytes = cfg.lineBytes;
 
-    trace.reset();
-    MemRecord batch[maxTraceBatch];
-    Count next_checkpoint = 0;
-    for (;;) {
-        if (stream.totalRefs >= next_checkpoint) {
-            if (auto at = trace.position())
-                stream.checkpoints.push_back({stream.totalRefs, *at});
-            next_checkpoint =
-                stream.totalRefs + SampledStream::kCheckpointRefs;
+    const TraceView *view = trace.view();
+    if (view == nullptr) {
+        trace.reset();
+        ChunkScan all;
+        MemRecord batch[maxTraceBatch];
+        std::size_t got;
+        while ((got = trace.nextBatch(batch, maxTraceBatch)) > 0)
+            admit.add(batch, got, all);
+        stream.totalRefs = all.refs;
+        stream.segments.push_back(std::move(all.sampled));
+        return stream;
+    }
+
+    const std::vector<TraceChunk> &chunks = view->chunks();
+    std::optional<ThreadPool> own;
+    if (pool == nullptr)
+        pool = viewPool(trace, own);
+    std::vector<ChunkScan> scans(chunks.size());
+    forEachIndex(pool, chunks.size(), [&](std::size_t c) {
+        scans[c] = scanChunk(*view, chunks[c], admit);
+    });
+
+    // Chunk c's ordinals start after the references of chunks < c.
+    stream.segments.reserve(scans.size());
+    for (ChunkScan &scan : scans) {
+        for (SampledRef &ref : scan.sampled)
+            ref.ordinal += stream.totalRefs;
+        for (TraceCheckpoint &cp : scan.checkpoints) {
+            cp.refs += stream.totalRefs;
+            stream.checkpoints.push_back(cp);
         }
-        const std::size_t got = trace.nextBatch(batch, maxTraceBatch);
-        if (got == 0)
-            break;
-        for (std::size_t i = 0; i < got; ++i) {
-            if (!batch[i].isMem())
-                continue;
-            ++stream.totalRefs;
-            const LineAddr line = line_geom.lineOf(batch[i].dataAddr());
-            const std::uint64_t bucket = pred.bucketOf(line);
-            if (bucket < stream.threshold)
-                stream.refs.push_back(
-                    {line.value(), stream.totalRefs,
-                     static_cast<std::uint32_t>(bucket)});
-        }
+        stream.totalRefs += scan.refs;
+        stream.segments.push_back(std::move(scan.sampled));
     }
     return stream;
 }

@@ -50,9 +50,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.hh"
+#include "common/thread_pool.hh"
 #include "common/types.hh"
 #include "trace/record.hh"
 #include "trace/source.hh"
@@ -139,8 +141,8 @@ struct MrcPoint
 };
 
 /**
- * A point the scan can seek back to: `refs` memory references come
- * before `at`.
+ * A point the replay can start from: `refs` memory references come
+ * before `at`, a cursor of the scanned source's view.
  */
 struct TraceCheckpoint
 {
@@ -198,9 +200,10 @@ struct MrcResult
     std::vector<WindowSignature> windows;
 
     /**
-     * Where the scanned source can be sought back to, in reference
-     * order (SampledStream::checkpoints); the interval replay seeks
-     * through them.  Empty when the source cannot seek.
+     * Where the scanned source's view can be read from, in reference
+     * order (SampledStream::checkpoints); the interval replay starts
+     * each window at the nearest one.  Empty when the source has no
+     * view.
      */
     std::vector<TraceCheckpoint> checkpoints;
 
@@ -218,8 +221,9 @@ struct SampledRef
 
 /**
  * What one decode pass keeps of a trace: its memory-reference count,
- * the references whose bucket is below `threshold`, and a checkpoint
- * every kCheckpointRefs references when the source can seek.
+ * the references whose bucket is below `threshold`, and, when the
+ * source has a view, a checkpoint at each chunk start and then every
+ * kCheckpointRefs references within the chunk.
  *
  * The threshold is the highest any pass over the stream uses (the
  * configured rate raised to maxBoostedRate), and a pass at a lower
@@ -235,16 +239,33 @@ struct SampledStream
     std::uint64_t threshold = 0;
     std::uint64_t seed = 0;
     unsigned lineBytes = 64;
-    std::vector<SampledRef> refs;
+    /**
+     * The admitted references in stream order, one segment per view
+     * chunk (one in all for a source without a view).
+     */
+    std::vector<std::vector<SampledRef>> segments;
     std::vector<TraceCheckpoint> checkpoints;
 };
 
 /**
- * Decode @p trace (reset first) once into the stream every pass of
- * @p cfg runs over.
+ * The pool to read @p trace's view on: nullptr (read inline) when
+ * the source has no view, its view one chunk or the host one
+ * hardware thread; otherwise a pool of up to one worker per hardware
+ * thread, emplaced in @p own.
+ */
+ThreadPool *viewPool(const TraceSource &trace,
+                     std::optional<ThreadPool> &own);
+
+/**
+ * Decode @p trace once into the stream every pass of @p cfg runs
+ * over.  A viewed source is scanned chunk by chunk on @p pool (each
+ * chunk with local ordinals, fixed by a prefix sum over the chunks'
+ * reference counts), on viewPool()'s pool when @p pool is null.  A
+ * source without a view is reset and read through on this thread.
  */
 Expected<SampledStream> scanTrace(TraceSource &trace,
-                                  const MrcConfig &cfg);
+                                  const MrcConfig &cfg,
+                                  ThreadPool *pool = nullptr);
 
 /**
  * Build the miss-ratio curve from @p stream, which must have been

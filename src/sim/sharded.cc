@@ -11,8 +11,7 @@
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "trace/batch_reader.hh"
-#include "trace/file_trace.hh"
-#include "trace/wire.hh"
+#include "trace/vector_trace.hh"
 
 namespace ccm
 {
@@ -314,8 +313,8 @@ mergeShard(ShardedClassifyResult &res, ShardState &&s)
  * Where one run executes.  K shards own min(K, sets) buckets (set %
  * K is the same partition either way: surplus shards own no set and
  * would contribute zero), run on min(buckets, hardware threads) pool
- * workers, and a random-access input is partitioned as one chunk per
- * worker on that same pool.  One bucket runs inline, with no pool.
+ * workers, and a viewed input is partitioned one chunk per task on
+ * that same pool.  One bucket runs inline, with no pool.
  */
 class ShardPlan
 {
@@ -334,9 +333,6 @@ class ShardPlan
             pool_.emplace(std::min(buckets_, resolveJobCount(0)));
     }
 
-    /** Chunks a random-access input is partitioned in. */
-    std::size_t chunks() const { return pool_ ? pool_->workers() : 1; }
-
     /** A partitioner for a chunk @p firstRef references in. */
     Partitioner
     partitioner(Count firstRef = 0) const
@@ -347,16 +343,9 @@ class ShardPlan
     /** Run @p task(0) ... @p task(n - 1) on the pool, or inline. */
     template <typename Task>
     void
-    forEach(std::size_t n, Task task)
+    forEach(std::size_t n, Task &&task)
     {
-        if (!pool_) {
-            for (std::size_t i = 0; i < n; ++i)
-                task(i);
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            pool_->submit([&task, i] { task(i); });
-        pool_->waitIdle();
+        forEachIndex(pool_ ? &*pool_ : nullptr, n, task);
     }
 
     /** Run every shard over its buckets and merge the results. */
@@ -411,45 +400,39 @@ class ShardPlan
 };
 
 /**
- * Partition and classify a random-access input: @p spans hold its
- * whole records in stream order, and @p recordAt(span, i) decodes
- * record i of a span.  The records are cut into plan.chunks() equal
- * ranges, each partitioned on its own pool worker.  Windows need each
- * chunk's first global reference index, so with an interval a first
- * parallel pass counts every chunk's references.
+ * Partition and classify a viewed input: each of its chunks is read
+ * from its own start and partitioned by its own Partitioner, one pool
+ * task per chunk.  Windows need each chunk's first global reference
+ * index, so with an interval a first parallel pass counts every
+ * chunk's references.
  */
-template <typename Span, typename RecordAt>
 ShardedClassifyResult
-classifySpans(ShardPlan &plan, const std::vector<Span> &spans,
-              RecordAt recordAt)
+classifyView(ShardPlan &plan, const TraceView &view)
 {
-    std::size_t total = 0;
-    for (const Span &s : spans)
-        total += s.records;
-    const std::size_t chunks = plan.chunks();
+    const std::vector<TraceChunk> &chunks = view.chunks();
 
-    // Calls fn(span, first, n) for each stream-order piece of chunk c.
-    auto eachPiece = [&](std::size_t c, auto fn) {
-        const std::size_t lo = total * c / chunks;
-        const std::size_t hi = total * (c + 1) / chunks;
-        std::size_t base = 0;
-        for (const Span &s : spans) {
-            const std::size_t from = std::max(lo, base);
-            const std::size_t to = std::min(hi, base + s.records);
-            if (from < to)
-                fn(s, from - base, to - from);
-            base += s.records;
+    // Calls fn(batch, n) for each batch of chunk c's records.
+    auto eachBatch = [&](std::size_t c, auto fn) {
+        TracePosition cursor = chunks[c].start;
+        std::size_t left = chunks[c].records;
+        MemRecord batch[maxTraceBatch];
+        while (left > 0) {
+            const std::size_t got =
+                view.read(cursor, batch, std::min(left, maxTraceBatch));
+            if (got == 0)
+                break;
+            fn(batch, got);
+            left -= got;
         }
     };
 
-    std::vector<Count> firstRef(chunks, 0);
-    if (plan.config().interval != 0 && chunks > 1) {
-        plan.forEach(chunks, [&](std::size_t c) {
+    std::vector<Count> firstRef(chunks.size(), 0);
+    if (plan.config().interval != 0 && chunks.size() > 1) {
+        plan.forEach(chunks.size(), [&](std::size_t c) {
             Count refs = 0;
-            eachPiece(c, [&](const Span &s, std::size_t first,
-                             std::size_t n) {
+            eachBatch(c, [&](const MemRecord *batch, std::size_t n) {
                 for (std::size_t i = 0; i < n; ++i) {
-                    if (recordAt(s, first + i).isMem())
+                    if (batch[i].isMem())
                         ++refs;
                 }
             });
@@ -460,15 +443,17 @@ classifySpans(ShardPlan &plan, const std::vector<Span> &spans,
             sum += std::exchange(f, sum);
     }
 
-    std::vector<Chunk> parts(chunks);
-    plan.forEach(chunks, [&](std::size_t c) {
+    std::vector<Chunk> parts(chunks.size());
+    plan.forEach(chunks.size(), [&](std::size_t c) {
         Partitioner p = plan.partitioner(firstRef[c]);
-        eachPiece(c, [&](const Span &s, std::size_t first,
-                         std::size_t n) {
-            p.add(n, [&](std::size_t i) { return recordAt(s, first + i); });
+        eachBatch(c, [&](const MemRecord *batch, std::size_t n) {
+            p.add(n, [&](std::size_t i) { return batch[i]; });
         });
         parts[c] = p.finish();
     });
+    // An empty trace is one empty chunk, so the join sees K buckets.
+    if (parts.empty())
+        parts.push_back(plan.partitioner().finish());
     return plan.classify(
         joinChunks(std::move(parts), plan.config().interval));
 }
@@ -479,16 +464,8 @@ ShardedClassifyResult
 runShardedClassify(const MemRecord *records, std::size_t count,
                    const ShardedClassifyConfig &cfg)
 {
-    struct Span
-    {
-        const MemRecord *data;
-        std::size_t records;
-    };
-    ShardPlan plan(cfg);
-    return classifySpans(plan, std::vector<Span>{{records, count}},
-                         [](const Span &s, std::size_t i) {
-                             return s.data[i];
-                         });
+    SpanTrace span(records, count);
+    return runShardedClassify(span, cfg);
 }
 
 ShardedClassifyResult
@@ -496,18 +473,11 @@ runShardedClassify(TraceSource &trace,
                    const ShardedClassifyConfig &cfg)
 {
     ShardPlan plan(cfg);
-    trace.reset();
-    const auto *file = dynamic_cast<const TraceFileReader *>(&trace);
-    if (file && file->readStats().encoding == TraceEncoding::Packed) {
-        return classifySpans(
-            plan, file->packedRuns(),
-            [](const wire::RecordSpan &s, std::size_t i) {
-                return wire::unpackRecord(s.data +
-                                          i * wire::recordBytes);
-            });
-    }
+    if (const TraceView *view = trace.view())
+        return classifyView(plan, *view);
 
-    // A streamed input is one chunk, partitioned as it is read.
+    // A source without a view is one chunk, partitioned as it is read.
+    trace.reset();
     Partitioner parts = plan.partitioner();
     MemRecord chunk[maxTraceBatch];
     std::size_t got;

@@ -12,23 +12,22 @@
  * The input is read once, by a partition pass that drops non-memory
  * records, appends each memory reference (address plus store bit) to
  * its shard's bucket, and at every global interval-window boundary
- * records each bucket's size.  A random-access input (a record span,
- * or a packed trace file's checked runs) is cut into C record-aligned
- * chunks, one per pool worker, each partitioned into its own K
- * buckets on the pool that later runs the shards; with an interval, a
- * first parallel pass counts each chunk's references so every chunk
- * knows its global reference offset.  A streamed input (a delta
- * trace, a generator) is one chunk, partitioned on the calling thread
- * as it is read.  Shard k then runs over buckets (0, k) ... (C-1, k)
- * in chunk order, which is its references in stream order, and emits
- * its windows at the recorded per-shard positions, so all shards agree
- * on the global window sequence without ever seeing each other's
+ * records each bucket's size.  An input with a view (a record span, a
+ * packed or delta trace file; trace/source.hh) is partitioned one
+ * view chunk per pool task, each chunk into its own K buckets, on the
+ * pool that later runs the shards; with an interval, a first parallel
+ * pass counts each chunk's references so every chunk knows its global
+ * reference offset.  A source without a view (a generator) is one
+ * chunk, partitioned on the calling thread as it is read.  With C
+ * chunks, shard k then runs over buckets (0, k) ... (C-1, k) in chunk
+ * order, which is its references in stream order, and emits its
+ * windows at the recorded per-shard positions, so all shards agree on
+ * the global window sequence without ever seeing each other's
  * references.
  *
  * Threads: K shards own min(K, sets) buckets (surplus shards would own
- * no set) and run on a pool of min(buckets, hardware threads) workers;
- * C is that worker count.  With one bucket everything runs inline on
- * the calling thread.
+ * no set) and run on a pool of min(buckets, hardware threads) workers.
+ * With one bucket everything runs inline on the calling thread.
  *
  * Merge contract (mirrors the suite runner's delivery contract,
  * docs/PERFORMANCE.md "Sharded classification"):
@@ -148,11 +147,11 @@ ShardedClassifyResult runShardedClassify(
     const ShardedClassifyConfig &cfg);
 
 /**
- * The same run fed from @p trace, which is reset first.  A packed
- * TraceFileReader is partitioned in chunks straight from its
- * packedRuns(); any other source is streamed batch by batch into one
- * chunk.  No copy of the trace is made either way, so a mapped trace
- * is decoded once, straight into the shards' buckets.
+ * The same run fed from @p trace.  A source with a view is
+ * partitioned chunk by chunk in parallel; any other source is
+ * reset and streamed batch by batch into one chunk.  No copy of the
+ * trace is made either way, so a mapped trace is decoded once,
+ * straight into the shards' buckets.
  */
 ShardedClassifyResult runShardedClassify(
     TraceSource &trace, const ShardedClassifyConfig &cfg);

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -185,7 +184,10 @@ std::vector<std::size_t> packedCheckBounds(std::size_t records);
  * valid packed records between resynced garbage (a clean file is a
  * single run) and the end of the last whole record.  next() and
  * nextBatch() decode straight from the bytes along that map and
- * cannot fail.
+ * cannot fail.  The reader is also its own TraceView: the scan cuts
+ * the trace into chunks of traceChunkRecords records (packed: within
+ * each run; delta: at the offset and codec state it reached), so
+ * consumers can decode a whole file in parallel.
  *
  * A packed body is first checked optimistically: its whole records
  * are split into packedCheckBounds() ranges, checked on one thread
@@ -193,7 +195,7 @@ std::vector<std::size_t> packedCheckBounds(std::size_t records);
  * serial resync scan run, from byte 0, so every Status, byte offset,
  * TraceReadStats field and warning is the serial scan's own.
  */
-class TraceFileReader : public TraceSource
+class TraceFileReader : public TraceSource, public TraceView
 {
   public:
     /**
@@ -216,11 +218,17 @@ class TraceFileReader : public TraceSource
     std::string name() const override { return label_; }
 
     /**
-     * Packed: the run cursor.  Delta: the body byte offset plus the
-     * codec state, so a seek resumes decoding mid-stream.
+     * Packed: chunks cut from the checked runs, the cursor a run and
+     * a record within it.  Delta: chunk starts recorded by the open
+     * scan, the cursor a body byte offset plus the codec state.
      */
-    std::optional<TracePosition> position() const override;
-    bool seek(const TracePosition &pos) override;
+    const TraceView *view() const override { return this; }
+    const std::vector<TraceChunk> &chunks() const override
+    {
+        return chunks_;
+    }
+    std::size_t read(TracePosition &cursor, MemRecord *out,
+                     std::size_t n) const override;
 
     /** Records one pass delivers (known from the scan). */
     std::size_t size() const { return stats_.recordsRead; }
@@ -229,9 +237,8 @@ class TraceFileReader : public TraceSource
     const TraceReadStats &readStats() const { return stats_; }
 
     /**
-     * The packed defect map, for random access: one span of whole,
-     * checked records per run, in stream order.  Empty for a delta
-     * trace, whose records only decode in sequence.
+     * The packed defect map: one span of whole, checked records per
+     * run, in stream order.  Empty for a delta trace.
      */
     const std::vector<wire::RecordSpan> &packedRuns() const
     {
@@ -241,7 +248,7 @@ class TraceFileReader : public TraceSource
   private:
     TraceFileReader() = default;
 
-    /** Map or read() the whole file into the view. */
+    /** Map or read() the whole file into file_. */
     Status load();
     /** Check the header, then scan the body into the defect map. */
     Status scan(const TraceReadOptions &opts);
@@ -252,17 +259,16 @@ class TraceFileReader : public TraceSource
 
     void *map_ = nullptr; ///< whole-file mapping, if mapped
     std::vector<std::uint8_t> owned_; ///< the read() fallback's bytes
-    const std::uint8_t *file_ = nullptr; ///< the view: map_ or owned_
+    const std::uint8_t *file_ = nullptr; ///< map_ or owned_.data()
     std::size_t fileBytes_ = 0;
 
     const std::uint8_t *body_ = nullptr; ///< first byte after header
     std::size_t validBytes_ = 0; ///< body bytes up to the last record
     std::vector<wire::RecordSpan> runs_; ///< packed defect map
 
-    std::size_t run_ = 0;    ///< packed cursor: current run
-    std::size_t runPos_ = 0; ///< packed cursor: record within the run
-    std::size_t offset_ = 0; ///< delta cursor: body byte offset
-    delta::Codec codec_;     ///< delta predictor state
+    std::vector<TraceChunk> chunks_; ///< the view
+
+    TracePosition cursor_; ///< where next() and nextBatch() read
 
     std::string label_;
     TraceReadStats stats_;

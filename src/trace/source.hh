@@ -9,8 +9,8 @@
 #define CCM_TRACE_SOURCE_HH
 
 #include <cstddef>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "trace/delta.hh"
 #include "trace/record.hh"
@@ -19,18 +19,57 @@ namespace ccm
 {
 
 /**
- * A point between two records of a seekable source: where the next
+ * A point between two records of a viewed source: where the next
  * record comes from.  An in-memory span keeps its record index in
  * `at`; a packed trace file its run in `at` and the record within the
  * run in `within`; a delta trace file its body byte offset in `at` and
  * the predictor state the next record decodes against in `codec`.
- * Only the source that produced a position can interpret it.
+ * Only the view that produced a position can interpret it.
  */
 struct TracePosition
 {
     std::size_t at = 0;
     std::size_t within = 0;
     delta::Codec codec;
+};
+
+/** Records per chunk of a view (a run's or trace's last may be short). */
+inline constexpr std::size_t traceChunkRecords = std::size_t{1} << 16;
+
+/** One independently decodable piece of a viewed source. */
+struct TraceChunk
+{
+    TracePosition start; ///< where the chunk's first record decodes
+    std::size_t records = 0;
+};
+
+/**
+ * Read-only random access to a finite source: its records cut into
+ * chunks that decode independently, each from its own start.  Every
+ * member is const and read() touches only the caller's cursor, so
+ * any number of threads may read one view at once.
+ */
+class TraceView
+{
+  public:
+    virtual ~TraceView() = default;
+
+    /**
+     * The chunks in stream order, traceChunkRecords records each
+     * except where a packed run or the trace ends; together they
+     * hold every record once.  Empty for an empty trace.
+     */
+    virtual const std::vector<TraceChunk> &chunks() const = 0;
+
+    /**
+     * Decode up to @p n records at @p cursor (a chunk start, or a
+     * cursor an earlier read() advanced) into @p out, in stream
+     * order, and advance @p cursor past them.  Reading runs on across
+     * chunk boundaries.  @return records decoded (0 iff the cursor
+     * is at the end of the trace)
+     */
+    virtual std::size_t read(TracePosition &cursor, MemRecord *out,
+                             std::size_t n) const = 0;
 };
 
 /** A replayable, finite stream of dynamic instructions. */
@@ -74,21 +113,11 @@ class TraceSource
     }
 
     /**
-     * Where the next record comes from, for a later seek(); nullopt
-     * when the source cannot seek (a generator only decodes forward).
+     * Random access to the same records, for consumers that read a
+     * whole trace in parallel chunks; nullptr when the source only
+     * decodes forward (a generator).
      */
-    virtual std::optional<TracePosition>
-    position() const
-    {
-        return std::nullopt;
-    }
-
-    /**
-     * Continue the stream at a position() of this source.  @return
-     * false (nothing moved) when the source cannot seek or the
-     * position lies outside it.
-     */
-    virtual bool seek(const TracePosition &) { return false; }
+    virtual const TraceView *view() const { return nullptr; }
 
     /** Rewind to the beginning so the trace can be replayed. */
     virtual void reset() = 0;

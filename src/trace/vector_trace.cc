@@ -40,6 +40,14 @@ VectorTrace::nextBatch(MemRecord *out, std::size_t n)
     return got;
 }
 
+SpanTrace::SpanTrace(const MemRecord *records, std::size_t count)
+    : records_(records), count_(count)
+{
+    for (std::size_t at = 0; at < count; at += traceChunkRecords)
+        chunks_.push_back(
+            {{at, 0, {}}, std::min(traceChunkRecords, count - at)});
+}
+
 bool
 SpanTrace::next(MemRecord &out)
 {
@@ -49,19 +57,18 @@ SpanTrace::next(MemRecord &out)
 std::size_t
 SpanTrace::nextBatch(MemRecord *out, std::size_t n)
 {
-    const std::size_t got = std::min(n, count_ - pos);
-    std::copy_n(records_ + pos, got, out);
-    pos += got;
-    return got;
+    return read(cursor_, out, n);
 }
 
-bool
-SpanTrace::seek(const TracePosition &p)
+std::size_t
+SpanTrace::read(TracePosition &cursor, MemRecord *out,
+                std::size_t n) const
 {
-    if (p.at > count_)
-        return false;
-    pos = p.at;
-    return true;
+    const std::size_t got =
+        cursor.at < count_ ? std::min(n, count_ - cursor.at) : 0;
+    std::copy_n(records_ + cursor.at, got, out);
+    cursor.at += got;
+    return got;
 }
 
 void

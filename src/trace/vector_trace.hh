@@ -9,7 +9,6 @@
 #define CCM_TRACE_VECTOR_TRACE_HH
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,31 +60,33 @@ class VectorTrace : public TraceSource
     std::string label = "vector";
 };
 
-/** Non-owning, seekable TraceSource over a caller's record array. */
-class SpanTrace : public TraceSource
+/**
+ * Non-owning TraceSource over a caller's record array, with a view
+ * whose cursors are plain record indices.
+ */
+class SpanTrace : public TraceSource, public TraceView
 {
   public:
-    SpanTrace(const MemRecord *records, std::size_t count)
-        : records_(records), count_(count)
-    {}
+    SpanTrace(const MemRecord *records, std::size_t count);
 
     bool next(MemRecord &out) override;
     std::size_t nextBatch(MemRecord *out, std::size_t n) override;
-    void reset() override { pos = 0; }
+    void reset() override { cursor_ = {}; }
     std::string name() const override { return "span"; }
 
-    /** The record index. */
-    std::optional<TracePosition>
-    position() const override
+    const TraceView *view() const override { return this; }
+    const std::vector<TraceChunk> &chunks() const override
     {
-        return TracePosition{pos, 0, {}};
+        return chunks_;
     }
-    bool seek(const TracePosition &p) override;
+    std::size_t read(TracePosition &cursor, MemRecord *out,
+                     std::size_t n) const override;
 
   private:
     const MemRecord *records_;
     std::size_t count_;
-    std::size_t pos = 0;
+    std::vector<TraceChunk> chunks_;
+    TracePosition cursor_;
 };
 
 } // namespace ccm

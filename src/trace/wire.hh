@@ -88,6 +88,19 @@ packRecord(const MemRecord &r, std::uint8_t *buf)
 }
 
 /**
+ * True where a packed record that passes plausibleRecord() is, byte
+ * for byte, a MemRecord: a little-endian host, and MemRecord's fields
+ * at the packed offsets (the flags byte is then 0 or 1, a valid bool,
+ * and the padding zero).  Decoding checked records is then a copy.
+ */
+inline constexpr bool checkedRecordIsMemRecord =
+    std::endian::native == std::endian::little &&
+    sizeof(MemRecord) == recordBytes && offsetof(MemRecord, pc) == 0 &&
+    offsetof(MemRecord, addr) == 8 && offsetof(MemRecord, type) == 16 &&
+    offsetof(MemRecord, dependsOnPrevLoad) == 17 &&
+    flagDependsOnPrevLoad == 1;
+
+/**
  * Whole packed records, back to back: @p records * recordBytes bytes
  * at @p data, every one of them already checked plausible.
  */

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include <unistd.h>
 
 #include "obs/metrics.hh"
+#include "ref/delta_ref.hh"
 #include "trace/delta.hh"
 #include "trace/fault_trace.hh"
 #include "trace/file_trace.hh"
@@ -436,12 +438,12 @@ TEST_F(CorruptTraceTest, TolerantPackedReadWalksTheDefectMap)
     EXPECT_EQ(stats.firstDefect, TraceDefect::MidFileGarbage);
 }
 
-TEST_F(CorruptTraceTest, SeekResumesAtEveryPositionOfEachSource)
+TEST_F(CorruptTraceTest, ViewCursorResumesAtEveryPositionOfEachSource)
 {
     // A packed file with a three-run defect map, the same records
-    // delta-encoded, and a span: a position taken before any batch,
-    // sought back to later, continues with exactly the records that
-    // followed it.
+    // delta-encoded, and a span: a copy of a view cursor taken before
+    // any batch, read from later, continues with exactly the records
+    // that followed it, and the chunks tile the records in order.
     const std::vector<MemRecord> recs = distinctRecords(1'000);
     auto bytes = header();
     for (std::size_t i = 0; i < recs.size(); ++i) {
@@ -477,37 +479,64 @@ TEST_F(CorruptTraceTest, SeekResumesAtEveryPositionOfEachSource)
           static_cast<TraceSource *>(delta.value().get()),
           static_cast<TraceSource *>(&span)}) {
         SCOPED_TRACE(src->name());
+        const TraceView *view = src->view();
+        ASSERT_NE(view, nullptr);
+        const std::vector<TraceChunk> &chunks = view->chunks();
+        ASSERT_FALSE(chunks.empty());
+        std::size_t first = 0;
+        for (const TraceChunk &c : chunks) {
+            TracePosition at = c.start;
+            std::vector<MemRecord> got(c.records);
+            ASSERT_EQ(view->read(at, got.data(), c.records), c.records);
+            expectSameRecords(
+                std::vector<MemRecord>(
+                    recs.begin() + static_cast<std::ptrdiff_t>(first),
+                    recs.begin() +
+                        static_cast<std::ptrdiff_t>(first + c.records)),
+                got);
+            first += c.records;
+        }
+        EXPECT_EQ(first, recs.size());
+
         std::vector<std::pair<TracePosition, std::size_t>> marks;
         std::vector<MemRecord> buf(97);
         std::size_t delivered = 0;
+        TracePosition cursor = chunks.front().start;
         for (;;) {
-            auto at = src->position();
-            ASSERT_TRUE(at.has_value());
-            marks.emplace_back(*at, delivered);
-            const std::size_t got = src->nextBatch(buf.data(), 97);
+            marks.emplace_back(cursor, delivered);
+            const std::size_t got = view->read(cursor, buf.data(), 97);
             if (got == 0)
                 break;
             delivered += got;
         }
         ASSERT_EQ(delivered, recs.size());
         for (auto it = marks.rbegin(); it != marks.rend(); ++it) {
-            ASSERT_TRUE(src->seek(it->first));
+            TracePosition at = it->first;
+            std::vector<MemRecord> rest;
+            MemRecord one[64];
+            for (std::size_t got;
+                 (got = view->read(at, one, 64)) > 0;)
+                rest.insert(rest.end(), one, one + got);
             expectSameRecords(
                 std::vector<MemRecord>(
                     recs.begin() +
                         static_cast<std::ptrdiff_t>(it->second),
                     recs.end()),
-                drainBatches(*src, 64));
+                rest);
         }
 
-        // A position outside the source is refused and moves nothing.
-        ASSERT_TRUE(src->seek(marks[3].first));
+        // A cursor past the end reads nothing, and reading a view
+        // leaves the source's own stream where it was.
         TracePosition outside = marks.back().first;
         outside.at += 100'000;
-        EXPECT_FALSE(src->seek(outside));
         MemRecord next;
+        EXPECT_EQ(view->read(outside, &next, 1), 0u);
+        src->reset();
         ASSERT_TRUE(src->next(next));
-        EXPECT_EQ(next.pc, recs[marks[3].second].pc);
+        TracePosition at = chunks.front().start;
+        ASSERT_EQ(view->read(at, buf.data(), 97), 97u);
+        ASSERT_TRUE(src->next(next));
+        EXPECT_EQ(next.pc, recs[1].pc);
     }
     std::remove(delta_path.c_str());
 }
@@ -558,6 +587,208 @@ TEST_F(CorruptTraceTest, TolerantDeltaReadStopsAtLastWholeRecord)
     expectSameRecords(want, drainBatches(*rd.value(), 97));
     rd.value()->reset();
     expectSameRecords(want, drainBatches(*rd.value(), 1));
+}
+
+/** @p recs as the bytes of a delta trace file. */
+std::vector<std::uint8_t>
+deltaFileBytes(const std::vector<MemRecord> &recs)
+{
+    std::vector<std::uint8_t> bytes(16, 0);
+    std::copy(delta::magic, delta::magic + 8, bytes.begin());
+    bytes[8] = 1; // version 1, little-endian
+    delta::Codec codec;
+    std::uint8_t buf[delta::maxRecordBytes];
+    for (const MemRecord &r : recs)
+        bytes.insert(bytes.end(), buf,
+                     buf + delta::encodeRecord(codec, r, buf));
+    return bytes;
+}
+
+/**
+ * Records whose deltas take varints of every length: small strides,
+ * jumps backwards and to the far end of the address space.
+ */
+std::vector<MemRecord>
+varintRecords(std::size_t n, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<MemRecord> recs(n);
+    for (MemRecord &r : recs) {
+        const unsigned shift = static_cast<unsigned>(rng() % 64);
+        r.pc = rng() >> shift;
+        r.type = static_cast<RecordType>(rng() % 3);
+        r.addr = r.isMem() ? rng() >> (rng() % 64) : 0;
+        r.dependsOnPrevLoad = rng() % 4 == 0;
+    }
+    return recs;
+}
+
+TEST_F(CorruptTraceTest, DeltaDecoderMatchesANaiveReference)
+{
+    // Seeded bit flips, truncation at every byte, and forged control
+    // bytes and overlong varints at record boundaries, each judged by
+    // a byte-loop decoder written from the format (tests/ref): a
+    // strict open fails with its first defect and byte offset, a
+    // tolerant one cuts a partial tail where it does, and whatever
+    // opens decodes, chunk by chunk, to its records.
+    const std::vector<MemRecord> recs = varintRecords(300, 7);
+    const std::vector<std::uint8_t> clean = deltaFileBytes(recs);
+    std::vector<std::size_t> boundaries;
+    {
+        delta::Codec codec;
+        std::uint8_t buf[delta::maxRecordBytes];
+        std::size_t at = 16;
+        for (const MemRecord &r : recs) {
+            boundaries.push_back(at);
+            at += delta::encodeRecord(codec, r, buf);
+        }
+    }
+
+    std::size_t checked = 0;
+    std::size_t opened = 0;
+    auto check = [&](const std::vector<std::uint8_t> &bytes) {
+        SCOPED_TRACE("mutant " + std::to_string(checked));
+        ++checked;
+        const ref::RefDeltaDecode want = ref::refDecodeDelta(bytes);
+        writeBytes(bytes);
+
+        TraceReadStats stats;
+        auto strict = TraceFileReader::open(path, {}, &stats);
+        EXPECT_EQ(stats.firstDefect, want.defect);
+        if (want.defect == TraceDefect::None) {
+            ASSERT_TRUE(strict.ok()) << strict.status().toString();
+        } else {
+            ASSERT_FALSE(strict.ok());
+            if (want.defect == TraceDefect::BadControlByte ||
+                want.defect == TraceDefect::BadVarint) {
+                const std::string msg = strict.status().message();
+                EXPECT_NE(msg.find(" at byte " +
+                                   std::to_string(want.offset) + " "),
+                          std::string::npos)
+                    << msg;
+            }
+        }
+
+        TraceReadOptions tolerant;
+        tolerant.corruptionBudget = 8;
+        tolerant.tolerateTruncatedTail = true;
+        tolerant.quiet = true;
+        auto rd = TraceFileReader::open(path, tolerant, &stats);
+        const bool opens = want.defect == TraceDefect::None ||
+                           want.defect == TraceDefect::PartialTail;
+        ASSERT_EQ(rd.ok(), opens) << rd.status().toString();
+        if (!opens)
+            return;
+        ++opened;
+        EXPECT_EQ(bytes.size() - stats.bytesSkipped, want.offset);
+        std::vector<MemRecord> got;
+        for (const TraceChunk &c : rd.value()->chunks()) {
+            EXPECT_LT(c.start.at + 16, want.offset);
+            TracePosition at = c.start;
+            std::vector<MemRecord> buf(c.records);
+            ASSERT_EQ(rd.value()->read(at, buf.data(), c.records),
+                      c.records);
+            got.insert(got.end(), buf.begin(), buf.end());
+        }
+        expectSameRecords(want.records, got);
+    };
+
+    check(clean);
+    for (std::size_t len = 0; len < clean.size(); ++len)
+        check(std::vector<std::uint8_t>(
+            clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(len)));
+
+    std::mt19937_64 rng(2024);
+    for (int i = 0; i < 3'000; ++i) {
+        std::vector<std::uint8_t> bytes = clean;
+        for (std::uint64_t flips = 1 + rng() % 3; flips > 0; --flips) {
+            const std::size_t bit = 8 * 16 + rng() % (8 * (bytes.size() - 16));
+            bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+        check(bytes);
+    }
+
+    // Forged records spliced in at a record boundary: control bytes
+    // with reserved bits or type 3, and varints one byte too long or
+    // with an overflowing tenth byte, in the pc and in the address.
+    std::vector<std::vector<std::uint8_t>> forged;
+    for (std::uint8_t control : {0x08, 0x10, 0x80, 0xF9, 0x03, 0x07})
+        forged.push_back({control, 0x01, 0x01});
+    std::vector<std::uint8_t> ten(9, 0x80);
+    for (std::uint8_t last : {0x00, 0x01, 0x02, 0x7F, 0x80, 0x81}) {
+        std::vector<std::uint8_t> v = ten;
+        v.push_back(last);
+        if (last >= 0x80)
+            v.push_back(0x00);
+        std::vector<std::uint8_t> pc_rec = {0x00};
+        pc_rec.insert(pc_rec.end(), v.begin(), v.end());
+        forged.push_back(pc_rec);
+        std::vector<std::uint8_t> addr_rec = {0x01, 0x02};
+        addr_rec.insert(addr_rec.end(), v.begin(), v.end());
+        forged.push_back(addr_rec);
+    }
+    for (const std::vector<std::uint8_t> &f : forged) {
+        for (std::size_t k : {std::size_t{0}, std::size_t{1},
+                              boundaries.size() / 2,
+                              boundaries.size() - 1}) {
+            std::vector<std::uint8_t> bytes = clean;
+            bytes.insert(bytes.begin() +
+                             static_cast<std::ptrdiff_t>(boundaries[k]),
+                         f.begin(), f.end());
+            check(bytes);
+        }
+    }
+    EXPECT_GT(opened, clean.size() / 2);
+}
+
+TEST_F(CorruptTraceTest, TruncatedDeltaTailLeavesNoChunkPastTheCut)
+{
+    // Two full view chunks and two records more, cut inside each byte
+    // of the last two records: a chunk may start at the cut's record
+    // only when that record survives.
+    const std::size_t n = 2 * traceChunkRecords + 2;
+    const std::vector<MemRecord> recs = varintRecords(n, 11);
+    const std::vector<std::uint8_t> clean = deltaFileBytes(recs);
+    std::size_t tail_start = 16;
+    {
+        delta::Codec codec;
+        std::uint8_t buf[delta::maxRecordBytes];
+        for (std::size_t i = 0; i + 2 < n; ++i)
+            tail_start += delta::encodeRecord(codec, recs[i], buf);
+    }
+    TraceReadOptions tolerant;
+    tolerant.tolerateTruncatedTail = true;
+    tolerant.quiet = true;
+    for (std::size_t len = tail_start - 1; len <= clean.size(); ++len) {
+        SCOPED_TRACE(len);
+        const std::vector<std::uint8_t> bytes(
+            clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(len));
+        const ref::RefDeltaDecode want = ref::refDecodeDelta(bytes);
+        writeBytes(bytes);
+        auto rd = TraceFileReader::open(path, tolerant);
+        ASSERT_TRUE(rd.ok()) << rd.status().toString();
+        const std::vector<TraceChunk> &chunks = rd.value()->chunks();
+        ASSERT_EQ(chunks.size(), (want.records.size() +
+                                  traceChunkRecords - 1) /
+                                     traceChunkRecords);
+        std::size_t total = 0;
+        for (const TraceChunk &c : chunks) {
+            EXPECT_LT(c.start.at + 16, want.offset);
+            total += c.records;
+        }
+        EXPECT_EQ(total, want.records.size());
+        TracePosition at = chunks.back().start;
+        std::vector<MemRecord> last(chunks.back().records + 1);
+        ASSERT_EQ(rd.value()->read(at, last.data(), last.size()),
+                  chunks.back().records);
+        last.pop_back();
+        expectSameRecords(
+            std::vector<MemRecord>(
+                want.records.end() -
+                    static_cast<std::ptrdiff_t>(last.size()),
+                want.records.end()),
+            last);
+    }
 }
 
 TEST_F(CorruptTraceTest, PipeIsReadNotMapped)

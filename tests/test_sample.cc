@@ -15,7 +15,7 @@
  *    a boosted rate instead of shipping a vacuous curve;
  *  - the one-pass sample lane gives the same analysis from every
  *    kind of source (generator, packed and delta files, a span), and
- *    its stream, boost re-run and seeking replay each equal a naive
+ *    its stream, boost re-run and checkpointed replay each equal a naive
  *    model of what they replace.
  */
 
@@ -848,7 +848,7 @@ expectNaiveReplay(const std::vector<MemRecord> &recs,
 TEST(SampleIntervals, SeekingReplayMatchesANaiveReplay)
 {
     // Windows far apart and warm-ups that start inside an earlier
-    // window: the walk seeks between them, and a seek that lands past
+    // window: each replay starts at a checkpoint, and one that lands past
     // a warm-up start, or a warm-up one reference off, shows here.
     const auto recs = captureRecords("gcc", 120'000);
     const SampleSourceFiles files("replay", recs);

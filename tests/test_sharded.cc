@@ -716,9 +716,9 @@ TEST_F(MappedTraceTest, GarbageInAnyCheckRangeGivesTheSerialResult)
 
 TEST_F(MappedTraceTest, EveryInputPathAgreesAtEveryShardCount)
 {
-    // The chunked paths (the span overload, a packed reader's runs)
-    // and the streamed ones (VectorTrace, a delta reader) must agree
-    // field for field, windows and heat included.  The prime interval
+    // The viewed paths (the span overload, packed and delta readers)
+    // and the streamed one (VectorTrace) must agree field for field,
+    // windows and heat included.  The prime interval
     // puts window boundaries off every chunk boundary.
     writeWorkload("gcc", 70'000);
     const std::vector<MemRecord> recs = written;

@@ -10,7 +10,7 @@
 #   4. sanitize build: ASan+UBSan preset + full ctest suite
 #   5. tsan: ThreadSanitizer build of the parallel-runner,
 #      serve-daemon, common (sync/shutdown/log), metrics-registry,
-#      and sharded-classification tests
+#      sharded-classification, sample-lane and trace-view tests
 #   6. static analysis: tools/ccm-lint (sync-primitive ban always;
 #      clang-tidy when available)
 #   7. doc links: tools/check-doc-links.sh over the markdown tree
@@ -41,7 +41,8 @@
 #      validate, render and be byte-deterministic run to run, three
 #      configurations must print bench/baselines/sample/ byte for
 #      byte, a gcc generator and its packed and delta traces must give
-#      one document, and the sampling_accuracy gate must hold;
+#      one document (and the two traces one --exact document), and
+#      the sampling_accuracy gate must hold;
 #      reproduction tables: eight paper benches (partial tags, MCT
 #      depth, the §5.4/§5.6 studies, the I-cache extension) must
 #      print the tables in bench/baselines/tables/ byte for byte, and
@@ -131,7 +132,8 @@ step "thread-sanitizer build + concurrency tests (tsan preset)"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" --target test_parallel \
     --target test_serve --target test_common --target test_obs \
-    --target test_sharded
+    --target test_sharded --target test_sample --target test_trace_view \
+    --target test_fault_trace
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     build-tsan/tests/test_parallel
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
@@ -144,6 +146,16 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     build-tsan/tests/test_sharded \
     --gtest_filter='ShardedClassify.*:MappedTraceTest.*'
+# The sample lane's scan and replay, and every view consumer, read
+# one trace view from several threads.
+TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    build-tsan/tests/test_sample \
+    --gtest_filter='SampleMrc.*:SampleIntervals.*:SampleEngine.*'
+TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    build-tsan/tests/test_trace_view
+TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+    build-tsan/tests/test_fault_trace \
+    --gtest_filter='CorruptTraceTest.*View*:CorruptTraceTest.*Delta*'
 
 step "static analysis (ccm-lint)"
 tools/ccm-lint --build-dir "$repo_root/build-tidy" -j "$jobs"
@@ -193,9 +205,9 @@ build/tools/ccm-report --check "$obs_tmp/classify_s4.json"
 build/tools/ccm-report "$obs_tmp/classify_s1.json" > /dev/null
 # The file lanes: one gcc trace, packed and delta-encoded, at
 # --shards 1, 3 and 4.  At 70k refs (280k records) the packed open
-# check splits into several ranges and the partition into one chunk
-# per worker; the prime interval puts window boundaries off every
-# chunk boundary.  All six documents must agree once wall time and
+# check splits into several ranges and the partition reads five view
+# chunks; the prime interval puts window boundaries off every chunk
+# boundary.  All six documents must agree once wall time and
 # the trace path (the workload field) are stripped.
 build/tools/ccm-trace gen gcc "$obs_tmp/gcc.bin" --refs 70000 --seed 7 \
     > /dev/null
@@ -377,7 +389,7 @@ build/tools/ccm-sample --workload gcc --refs 20000 --rate 0.05 \
     --intervals 3 --exact \
     --stats-out "$obs_tmp/sample_cli.json" > /dev/null
 build/tools/ccm-report --check "$obs_tmp/sample_cli.json"
-# The sample lane decodes its source once and replays by seeking.
+# The sample lane decodes its source once and replays from checkpoints.
 # Three configurations (the min-lines boost, fixed-size halving, and
 # rate 1.0 with the exact references) must print the documents in
 # bench/baselines/sample/ once wall time is stripped.
@@ -396,9 +408,9 @@ sample_golden gcc_boost --workload gcc --refs 200000 --intervals 8
 sample_golden tomcatv_fixed_size --workload tomcatv --variant fixed-size \
     --max-lines 512 --intervals 4
 sample_golden tomcatv_exact --rate 1 --exact --intervals 32
-# A generator, its packed trace and its delta trace (seekable at run
-# starts and at byte offsets) give one document; the workload field
-# names the source.
+# A generator, its packed trace and its delta trace (read through
+# their views in parallel chunks) give one document; the workload
+# field names the source.
 build/tools/ccm-trace gen gcc "$obs_tmp/s7.bin" --refs 200000 --seed 7 \
     > /dev/null
 build/tools/ccm-trace pack "$obs_tmp/s7.bin" "$obs_tmp/s7.d.bin" > /dev/null
@@ -415,6 +427,19 @@ for enc in bin d.bin; do
         exit 1
     fi
 done
+# With the exact references: the rate-1.0 scan and the exact classify
+# read the delta trace's ~12 view chunks as they read the packed one.
+for enc in bin d.bin; do
+    build/tools/ccm-sample --trace "$obs_tmp/s7.$enc" --seed 7 \
+        --intervals 8 --exact --stats-json "$obs_tmp/s7x_$enc.json" \
+        > /dev/null
+done
+if ! diff <(grep -v -e wall_seconds -e '"workload"' "$obs_tmp/s7x_bin.json") \
+          <(grep -v -e wall_seconds -e '"workload"' \
+                "$obs_tmp/s7x_d.bin.json"); then
+    echo "FAIL: ccm-sample --exact of s7.d.bin differs from s7.bin" >&2
+    exit 1
+fi
 
 step "sampling accuracy gate (bench/sampling_accuracy --gate-only)"
 # 1% SHARDS pass + 12-interval reconstruction on the full 16-workload
