@@ -15,7 +15,6 @@
 #define CCM_BENCH_COMMON_HH
 
 #include <cstdlib>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -100,29 +99,6 @@ parseJobs(int argc, char **argv)
         }
     }
     return jobs;
-}
-
-/**
- * Run fn(0..n-1) on @p jobs workers (resolveJobCount semantics) and
- * wait for all of them.  Calls must be independent: each bench
- * parallelizes over workloads, with every task owning its trace and
- * writing only its own result slot, so per-cell results — and hence
- * the printed tables — are identical for every jobs value.
- */
-inline void
-forEachIndex(std::size_t n, std::size_t jobs,
-             const std::function<void(std::size_t)> &fn)
-{
-    jobs = resolveJobCount(jobs);
-    if (jobs <= 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    ThreadPool pool(jobs < n ? jobs : n);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.waitIdle();
 }
 
 } // namespace ccm::bench

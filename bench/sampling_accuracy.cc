@@ -211,7 +211,7 @@ main(int argc, char **argv)
               << "x_tuned adds the 29-point geometry-timing sweep\n\n";
 
     std::vector<Row> rows(names.size());
-    ccm::bench::forEachIndex(names.size(), jobs, [&](std::size_t i) {
+    ccm::forEachIndex(names.size(), jobs, [&](std::size_t i) {
         rows[i] = runOne(names[i], gate_only);
     });
 

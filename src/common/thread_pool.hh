@@ -1,16 +1,18 @@
 /**
  * @file
- * A small fixed-size worker pool: std::thread + a mutex-guarded task
- * queue, no external dependencies.
+ * The one way the program fans work out over threads: forEachIndex(n,
+ * workers, task) runs task(0) ... task(n - 1) and returns when all of
+ * them have.  Every parallel consumer goes through it — suite sweeps
+ * (src/sim/parallel.hh), the sharded classifier's partition and shards
+ * (src/sim/sharded.hh), the packed trace's open check, chunked trace
+ * reads (mapChunks, src/trace/source.hh), the sample lane's window
+ * replay and the figure benches — so none of them owns a pool.
  *
- * This is the execution substrate for the parallel suite runner
- * (src/sim/parallel.hh): suite sweeps are embarrassingly parallel —
- * every (workload, config) cell is an independent deterministic
- * simulation — so a plain job pool buys near-linear speedup without
- * touching the simulation code.  The pool is deliberately minimal:
- * submit() fire-and-forget closures, wait for them with waitIdle(),
- * and the destructor drains and joins.  Anything fancier (futures,
- * work stealing, priorities) is left to callers.
+ * Underneath is a small fixed-size worker pool: std::thread + a
+ * mutex-guarded task queue, no external dependencies.  forEachIndex
+ * creates one for the call and joins it before returning: starting
+ * and joining a few threads costs ~0.1 ms, against commands of tens
+ * of milliseconds, so no pool outlives its call.
  *
  * Locking contract: one LockRank::ThreadPool mutex guards the task
  * queue and the busy/stopping flags; it is a leaf lock — tasks run
@@ -20,6 +22,7 @@
 #ifndef CCM_COMMON_THREAD_POOL_HH
 #define CCM_COMMON_THREAD_POOL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -38,7 +41,10 @@ namespace ccm
  */
 std::size_t resolveJobCount(std::size_t jobs);
 
-/** Fixed-size worker pool over a FIFO task queue. */
+/**
+ * Fixed-size worker pool over a FIFO task queue.  The program makes
+ * one only inside forEachIndex(); use that.
+ */
 class ThreadPool
 {
   public:
@@ -84,21 +90,27 @@ class ThreadPool
 };
 
 /**
- * Run @p task(0) ... @p task(n - 1) on @p pool and wait for all of
- * them, or inline in index order when @p pool is null.
+ * Run @p task(0) ... @p task(n - 1) and wait for all of them.  With
+ * min(n, resolveJobCount(workers)) <= 1 the tasks run inline on the
+ * calling thread, in index order; otherwise on a pool of that many
+ * workers, created and joined for this call.  Tasks must be
+ * independent and must not throw (ThreadPool::submit).  Returning
+ * publishes everything the tasks wrote to the calling thread.
  */
 template <typename Task>
 void
-forEachIndex(ThreadPool *pool, std::size_t n, Task &&task)
+forEachIndex(std::size_t n, std::size_t workers, Task &&task)
 {
-    if (pool == nullptr) {
+    workers = std::min(n, resolveJobCount(workers));
+    if (workers <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             task(i);
         return;
     }
+    ThreadPool pool(workers);
     for (std::size_t i = 0; i < n; ++i)
-        pool->submit([&task, i] { task(i); });
-    pool->waitIdle();
+        pool.submit([&task, i] { task(i); });
+    pool.waitIdle();
 }
 
 } // namespace ccm

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 
-#include "common/thread_pool.hh"
 #include "trace/vector_trace.hh"
 
 namespace ccm::sample
@@ -34,13 +32,9 @@ runSampleAnalysis(TraceSource &trace, const SampleRunConfig &cfg)
     SampleReport rep;
     MrcConfig mrc_cfg = cfg.mrc;
 
-    // One pool reads the view for every pass of the analysis.
-    std::optional<ThreadPool> own;
-    ThreadPool *pool = viewPool(trace, own);
-
     const auto t0 = std::chrono::steady_clock::now();
     {
-        auto stream = scanTrace(trace, mrc_cfg, pool);
+        auto stream = scanTrace(trace, mrc_cfg);
         if (!stream.ok())
             return stream.status().withContext("sampled MRC pass");
 
@@ -64,7 +58,7 @@ runSampleAnalysis(TraceSource &trace, const SampleRunConfig &cfg)
         IntervalConfig icfg = cfg.interval;
         icfg.k = cfg.intervals;
         auto ivl = reconstructFromIntervals(trace, rep.mrc,
-                                            cfg.classify, icfg, pool);
+                                            cfg.classify, icfg);
         if (!ivl.ok())
             return ivl.status().withContext("interval selection");
         rep.intervals = ivl.take();
@@ -79,7 +73,7 @@ runSampleAnalysis(TraceSource &trace, const SampleRunConfig &cfg)
         exact_cfg.rate = 1.0;
         exact_cfg.variant = ShardsVariant::FixedRate;
         exact_cfg.windowRefs = 0;
-        auto stream = scanTrace(trace, exact_cfg, pool);
+        auto stream = scanTrace(trace, exact_cfg);
         if (!stream.ok())
             return stream.status().withContext("exact MRC pass");
         auto exact = buildMrc(stream.value(), exact_cfg);

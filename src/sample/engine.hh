@@ -88,8 +88,9 @@ struct SampleReport
  * into the sampled stream the MRC passes run over, then a replay of
  * the representative windows from the scan's checkpoints (and, with
  * compareExact, a rate-1.0 scan and an exact classify).  A viewed
- * source's scans and replay share one pool (viewPool()).
- * Deterministic except the wallSeconds* fields.
+ * source's scans and replay each read it in parallel chunks
+ * (mapChunks, trace/source.hh).  Deterministic except the
+ * wallSeconds* fields.
  */
 Expected<SampleReport> runSampleAnalysis(TraceSource &trace,
                                          const SampleRunConfig &cfg);

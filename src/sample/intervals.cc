@@ -5,7 +5,6 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <optional>
 
 #include "common/random.hh"
 #include "common/thread_pool.hh"
@@ -286,13 +285,13 @@ replayWalk(Read read, Count ordinal, Replay *pending, std::size_t count,
 
 /**
  * Replay every window of @p replays (in warmFrom order).  Through a
- * view, each window runs on its own cursor from its checkpoint, one
- * pool task per window; a source without a view is reset and walked
- * through once, feeding every window in passing.
+ * view, each window runs on its own cursor from its checkpoint, on up
+ * to min(chunks, hardware threads) workers; a source without a view
+ * is reset and walked through once, feeding every window in passing.
  */
 Expected<Count>
 replayWindows(TraceSource &trace, std::vector<Replay> &replays,
-              const ShardedClassifyConfig &cache_cfg, ThreadPool *pool)
+              const ShardedClassifyConfig &cache_cfg)
 {
     const TraceView *view = trace.view();
     if (view == nullptr) {
@@ -306,7 +305,9 @@ replayWindows(TraceSource &trace, std::vector<Replay> &replays,
 
     std::vector<Status> failed(replays.size());
     std::vector<Count> replayed(replays.size(), 0);
-    forEachIndex(pool, replays.size(), [&](std::size_t i) {
+    const std::size_t workers = std::max<std::size_t>(
+        1, std::min(view->chunks().size(), resolveJobCount(0)));
+    forEachIndex(replays.size(), workers, [&](std::size_t i) {
         Replay &r = replays[i];
         TracePosition cursor =
             r.from ? r.from->at
@@ -346,7 +347,7 @@ IntervalResult::find(const std::string &name) const
 Expected<IntervalResult>
 reconstructFromIntervals(TraceSource &trace, const MrcResult &mrc,
                          const ShardedClassifyConfig &cache_cfg,
-                         const IntervalConfig &cfg, ThreadPool *pool)
+                         const IntervalConfig &cfg)
 {
     if (mrc.windowRefs == 0 || mrc.windows.empty())
         return Status::badConfig(
@@ -504,10 +505,7 @@ reconstructFromIntervals(TraceSource &trace, const MrcResult &mrc,
                      [](const Replay &a, const Replay &b) {
                          return a.warmFrom < b.warmFrom;
                      });
-    std::optional<ThreadPool> own;
-    if (pool == nullptr)
-        pool = viewPool(trace, own);
-    auto replayed = replayWindows(trace, replays, cache_cfg, pool);
+    auto replayed = replayWindows(trace, replays, cache_cfg);
     if (!replayed.ok())
         return replayed.status();
     res.replayedRefs = replayed.value();

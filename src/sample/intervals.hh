@@ -21,10 +21,10 @@
  * references to populate the cold cache).  The replay keys windows by
  * memory-reference ordinal.  Through the source's view, each window
  * runs on its own cursor from the scan checkpoint nearest its warm-up
- * start, one pool task per window; a source without a view is walked
+ * start, the windows spread over up to one worker per view chunk and
+ * hardware thread (forEachIndex); a source without a view is walked
  * through once, feeding every active window's kernel.  Every
- * whole-trace
- * classification counter is reconstructed as
+ * whole-trace classification counter is reconstructed as
  *
  *     predicted = sum_c weight_c * rate_c * totalRefs
  *
@@ -131,13 +131,11 @@ struct IntervalResult
  * exactly against @p cache_cfg's geometry, and reconstruct the
  * whole-trace classify stats.  @p trace must be the source the MRC
  * pass scanned, so that mrc.checkpoints are cursors of its view;
- * @p mrc must carry windows (windowRefs > 0).  The windows replay on
- * @p pool, on viewPool()'s pool when it is null.
+ * @p mrc must carry windows (windowRefs > 0).
  */
 Expected<IntervalResult> reconstructFromIntervals(
     TraceSource &trace, const MrcResult &mrc,
-    const ShardedClassifyConfig &cache_cfg, const IntervalConfig &cfg,
-    ThreadPool *pool = nullptr);
+    const ShardedClassifyConfig &cache_cfg, const IntervalConfig &cfg);
 
 /** The same over @p count in-memory records (a SpanTrace). */
 Expected<IntervalResult> reconstructFromIntervals(

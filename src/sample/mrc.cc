@@ -9,7 +9,6 @@
 #include "cache/fa_lru.hh"
 #include "cache/geometry.hh"
 #include "common/sample_hash.hh"
-#include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "trace/batch_reader.hh"
 #include "trace/vector_trace.hh"
@@ -371,15 +370,6 @@ buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
 
 } // namespace
 
-ThreadPool *
-viewPool(const TraceSource &trace, std::optional<ThreadPool> &own)
-{
-    const TraceView *view = trace.view();
-    const std::size_t workers =
-        view ? std::min(view->chunks().size(), resolveJobCount(0)) : 1;
-    return workers > 1 ? &own.emplace(workers) : nullptr;
-}
-
 namespace
 {
 
@@ -419,27 +409,31 @@ class Admitter
     CacheGeometry lineGeom_;
 };
 
-/** Scan @p chunk of @p view, with a checkpoint at its start. */
+/**
+ * Scan one piece of the trace.  A piece read through a view gets a
+ * checkpoint at its start and then every kCheckpointRefs references,
+ * each where a batch that holds records starts.
+ */
 ChunkScan
-scanChunk(const TraceView &view, const TraceChunk &chunk,
-          const Admitter &admit)
+scanChunk(ChunkReader &reader, const Admitter &admit)
 {
     ChunkScan out;
-    TracePosition cursor = chunk.start;
-    std::size_t left = chunk.records;
     Count next_checkpoint = 0;
     MemRecord batch[maxTraceBatch];
-    while (left > 0) {
-        if (out.refs >= next_checkpoint) {
-            out.checkpoints.push_back({out.refs, cursor});
-            next_checkpoint = out.refs + SampledStream::kCheckpointRefs;
-        }
-        const std::size_t got =
-            view.read(cursor, batch, std::min(left, maxTraceBatch));
+    for (;;) {
+        const TracePosition *at = reader.position();
+        const bool mark = at != nullptr && out.refs >= next_checkpoint;
+        TraceCheckpoint cp;
+        if (mark)
+            cp = {out.refs, *at};
+        const std::size_t got = reader.read(batch, maxTraceBatch);
         if (got == 0)
             break;
+        if (mark) {
+            out.checkpoints.push_back(cp);
+            next_checkpoint = out.refs + SampledStream::kCheckpointRefs;
+        }
         admit.add(batch, got, out);
-        left -= got;
     }
     return out;
 }
@@ -447,7 +441,7 @@ scanChunk(const TraceView &view, const TraceChunk &chunk,
 } // namespace
 
 Expected<SampledStream>
-scanTrace(TraceSource &trace, const MrcConfig &cfg, ThreadPool *pool)
+scanTrace(TraceSource &trace, const MrcConfig &cfg)
 {
     auto cap = admissionCap(cfg);
     if (!cap.ok())
@@ -459,27 +453,8 @@ scanTrace(TraceSource &trace, const MrcConfig &cfg, ThreadPool *pool)
     stream.seed = cfg.seed;
     stream.lineBytes = cfg.lineBytes;
 
-    const TraceView *view = trace.view();
-    if (view == nullptr) {
-        trace.reset();
-        ChunkScan all;
-        MemRecord batch[maxTraceBatch];
-        std::size_t got;
-        while ((got = trace.nextBatch(batch, maxTraceBatch)) > 0)
-            admit.add(batch, got, all);
-        stream.totalRefs = all.refs;
-        stream.segments.push_back(std::move(all.sampled));
-        return stream;
-    }
-
-    const std::vector<TraceChunk> &chunks = view->chunks();
-    std::optional<ThreadPool> own;
-    if (pool == nullptr)
-        pool = viewPool(trace, own);
-    std::vector<ChunkScan> scans(chunks.size());
-    forEachIndex(pool, chunks.size(), [&](std::size_t c) {
-        scans[c] = scanChunk(*view, chunks[c], admit);
-    });
+    std::vector<ChunkScan> scans = mapChunks(
+        trace, 0, [&](ChunkReader &r) { return scanChunk(r, admit); });
 
     // Chunk c's ordinals start after the references of chunks < c.
     stream.segments.reserve(scans.size());

@@ -50,11 +50,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/status.hh"
-#include "common/thread_pool.hh"
 #include "common/types.hh"
 #include "trace/record.hh"
 #include "trace/source.hh"
@@ -248,24 +246,14 @@ struct SampledStream
 };
 
 /**
- * The pool to read @p trace's view on: nullptr (read inline) when
- * the source has no view, its view one chunk or the host one
- * hardware thread; otherwise a pool of up to one worker per hardware
- * thread, emplaced in @p own.
- */
-ThreadPool *viewPool(const TraceSource &trace,
-                     std::optional<ThreadPool> &own);
-
-/**
  * Decode @p trace once into the stream every pass of @p cfg runs
- * over.  A viewed source is scanned chunk by chunk on @p pool (each
- * chunk with local ordinals, fixed by a prefix sum over the chunks'
- * reference counts), on viewPool()'s pool when @p pool is null.  A
+ * over, through mapChunks() (trace/source.hh): a viewed source chunk
+ * by chunk on one worker per hardware thread, each chunk with local
+ * ordinals fixed by a prefix sum over the chunks' reference counts; a
  * source without a view is reset and read through on this thread.
  */
 Expected<SampledStream> scanTrace(TraceSource &trace,
-                                  const MrcConfig &cfg,
-                                  ThreadPool *pool = nullptr);
+                                  const MrcConfig &cfg);
 
 /**
  * Build the miss-ratio curve from @p stream, which must have been

@@ -6,7 +6,6 @@
 #include "hierarchy/memsys.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "workloads/registry.hh"
 
 namespace ccm
 {
@@ -55,8 +54,8 @@ runSuiteCell(const std::string &name, const SuiteTraceFactory &factory,
              const SystemConfig &config,
              const SuiteInstrument &instrument)
 {
-    // Suite telemetry: one span and one wall-time sample per row,
-    // covering the sequential and thread-pool runners alike.
+    // Suite telemetry: one span and one wall-time sample per row, at
+    // every --jobs value.
     static obs::Histogram &row_wall_us =
         obs::MetricsRegistry::global().histogram(
             "ccm_suite_row_wall_us", "Suite row wall time (us)");
@@ -108,31 +107,6 @@ runSuiteCell(const std::string &name, const SuiteTraceFactory &factory,
         static_cast<std::uint64_t>(row.wallSeconds * 1e6));
     rows_total.inc();
     return row;
-}
-
-SuiteReport
-runSuite(const std::vector<std::string> &names,
-         const SuiteTraceFactory &factory, const SystemConfig &config,
-         const SuiteInstrument &instrument)
-{
-    SuiteReport report;
-    report.rows.reserve(names.size());
-    for (const auto &name : names)
-        report.rows.push_back(
-            runSuiteCell(name, factory, config, instrument));
-    return report;
-}
-
-SuiteReport
-runSuite(const std::vector<std::string> &names, std::size_t mem_refs,
-         std::uint64_t seed, const SystemConfig &config)
-{
-    return runSuite(
-        names,
-        [&](const std::string &name) {
-            return makeWorkloadChecked(name, mem_refs, seed);
-        },
-        config);
 }
 
 double

@@ -121,30 +121,14 @@ using SuiteInstrument =
  * Produce the row for one suite cell: run the trace factory and the
  * simulation with every error status (and any exception) captured
  * into the row's status, and the cell's wall time measured.  This is
- * the unit of work shared by the sequential and parallel suite
- * runners — both paths execute exactly this, so their rows can only
+ * the unit of work of the suite runner (runSuiteParallel,
+ * sim/parallel.hh) at every --jobs value, so two sweeps' rows can only
  * differ in wallSeconds.
  */
 SuiteRow runSuiteCell(const std::string &name,
                       const SuiteTraceFactory &factory,
                       const SystemConfig &config,
                       const SuiteInstrument &instrument = {});
-
-/**
- * Sweep @p config over every workload in @p names, isolating
- * failures: a run whose trace can't be produced or whose config
- * validate() rejects is recorded as an errored row and the rest of
- * the suite still completes.  Row order matches @p names.
- */
-SuiteReport runSuite(const std::vector<std::string> &names,
-                     const SuiteTraceFactory &factory,
-                     const SystemConfig &config,
-                     const SuiteInstrument &instrument = {});
-
-/** runSuite over the synthetic workload registry. */
-SuiteReport runSuite(const std::vector<std::string> &names,
-                     std::size_t mem_refs, std::uint64_t seed,
-                     const SystemConfig &config);
 
 // ---- Named configurations from paper §5 ---------------------------
 

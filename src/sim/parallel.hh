@@ -1,20 +1,22 @@
 /**
  * @file
- * Parallel suite execution: fan the (workload, config) cells of a
- * suite sweep over a fixed-size worker pool (common/thread_pool.hh).
+ * Suite execution: run the (workload, config) cells of a suite sweep,
+ * one after another or fanned out over worker threads
+ * (forEachIndex, common/thread_pool.hh).  This is the one suite
+ * runner; jobs == 1 is the sequential sweep.
  *
  * Every cell of the paper's evaluation cross-product — 16 workloads ×
  * {victim, prefetch, exclusion, pseudo-associative, AMB} × filter
  * variants — is an independent deterministic simulation, so the sweep
- * parallelizes without touching the simulation layers.  The runner
- * preserves the sequential contract exactly:
+ * parallelizes without touching the simulation layers.  For every
+ * jobs value the runner keeps the sequential contract:
  *
  *  - row order matches @p names;
  *  - per-row failure isolation (a throwing cell becomes an errored
  *    SuiteRow; the rest of the suite completes);
- *  - bit-identical stats vs. runSuite — a row can differ from its
- *    sequential twin only in SuiteRow::wallSeconds (tested in
- *    tests/test_parallel.cc).
+ *  - bit-identical stats to a plain loop over runSuiteCell — a row
+ *    can differ from its sequential twin only in
+ *    SuiteRow::wallSeconds (tested in tests/test_parallel.cc).
  *
  * ## Hook-delivery thread-safety contract
  *
@@ -53,9 +55,9 @@ namespace ccm
 struct ParallelSuiteOptions
 {
     /**
-     * Worker threads.  1 (the default) executes on the calling
-     * thread — exactly the sequential runSuite; 0 means one worker
-     * per hardware thread (resolveJobCount).
+     * Worker threads.  1 (the default) runs the rows on the calling
+     * thread in names order; 0 means one worker per hardware thread
+     * (resolveJobCount).
      */
     std::size_t jobs = 1;
 
@@ -76,10 +78,13 @@ struct ParallelSuiteOptions
 };
 
 /**
- * runSuite over a worker pool.  With opts.jobs == 1 this is
- * byte-for-byte the sequential sweep; with more workers, rows
- * compute concurrently and the report is identical except for
- * wallSeconds.
+ * Sweep @p config over every workload in @p names, isolating
+ * failures: a run whose trace can't be produced or whose config
+ * validate() rejects is recorded as an errored row and the rest of
+ * the suite still completes.  Row order matches @p names.  With
+ * opts.jobs == 1 the rows run on the calling thread; with more
+ * workers they compute concurrently and the report is identical
+ * except for wallSeconds.
  */
 SuiteReport runSuiteParallel(const std::vector<std::string> &names,
                              const SuiteTraceFactory &factory,

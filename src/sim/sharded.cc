@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "common/log.hh"
@@ -312,9 +311,9 @@ mergeShard(ShardedClassifyResult &res, ShardState &&s)
 /**
  * Where one run executes.  K shards own min(K, sets) buckets (set %
  * K is the same partition either way: surplus shards own no set and
- * would contribute zero), run on min(buckets, hardware threads) pool
- * workers, and a viewed input is partitioned one chunk per task on
- * that same pool.  One bucket runs inline, with no pool.
+ * would contribute zero), and the shards and the chunks of the
+ * partition run on min(buckets, hardware threads) workers.  One
+ * bucket runs inline.
  */
 class ShardPlan
 {
@@ -327,30 +326,61 @@ class ShardPlan
     explicit ShardPlan(const ShardedClassifyConfig &cfg)
         : cfg_(cfg), geom_(checkedGeometry(cfg)),
           shards_(std::max(cfg.shards, 1U)),
-          buckets_(std::min<std::size_t>(shards_, geom_.numSets()))
-    {
-        if (buckets_ > 1)
-            pool_.emplace(std::min(buckets_, resolveJobCount(0)));
-    }
+          buckets_(std::min<std::size_t>(shards_, geom_.numSets())),
+          workers_(std::min(buckets_, resolveJobCount(0)))
+    {}
 
-    /** A partitioner for a chunk @p firstRef references in. */
-    Partitioner
-    partitioner(Count firstRef = 0) const
+    /**
+     * Partition @p trace: each piece of it is read from its own start
+     * by its own Partitioner.  Windows need each piece's first global
+     * reference index, so with an interval a first pass counts every
+     * view chunk's references (a forward-only source is one piece,
+     * which starts at reference 0).
+     */
+    Partition
+    partition(TraceSource &trace) const
     {
-        return Partitioner(geom_, buckets_, cfg_.interval, firstRef);
-    }
+        std::vector<Count> firstRef;
+        if (cfg_.interval != 0) {
+            firstRef = mapChunks(trace, workers_, [](ChunkReader &r) {
+                Count refs = 0;
+                if (r.position() == nullptr)
+                    return refs;
+                MemRecord batch[maxTraceBatch];
+                std::size_t got;
+                while ((got = r.read(batch, maxTraceBatch)) > 0) {
+                    for (std::size_t i = 0; i < got; ++i) {
+                        if (batch[i].isMem())
+                            ++refs;
+                    }
+                }
+                return refs;
+            });
+            Count sum = 0;
+            for (Count &f : firstRef)
+                sum += std::exchange(f, sum);
+        }
 
-    /** Run @p task(0) ... @p task(n - 1) on the pool, or inline. */
-    template <typename Task>
-    void
-    forEach(std::size_t n, Task &&task)
-    {
-        forEachIndex(pool_ ? &*pool_ : nullptr, n, task);
+        std::vector<Chunk> parts =
+            mapChunks(trace, workers_, [&](ChunkReader &r) {
+                Partitioner p(geom_, buckets_, cfg_.interval,
+                              firstRef.empty() ? 0 : firstRef[r.index()]);
+                MemRecord batch[maxTraceBatch];
+                std::size_t got;
+                while ((got = r.read(batch, maxTraceBatch)) > 0)
+                    p.add(got, [&](std::size_t i) { return batch[i]; });
+                return p.finish();
+            });
+        // An empty trace is one empty chunk, so the join sees K buckets.
+        if (parts.empty())
+            parts.push_back(
+                Partitioner(geom_, buckets_, cfg_.interval, 0).finish());
+        return joinChunks(std::move(parts), cfg_.interval);
     }
 
     /** Run every shard over its buckets and merge the results. */
     ShardedClassifyResult
-    classify(const Partition &part)
+    classify(const Partition &part) const
     {
         ShardedClassifyResult res;
         res.shards = shards_;
@@ -361,14 +391,14 @@ class ShardPlan
         // has a bit-exact sequential reference by construction.
         Mutex mergeMu(LockRank::ShardMerge, "shard-merge");
         obs::Histogram &mergeUs = shardMergeHistogram();
-        forEach(part.shards, [&](std::size_t k) {
+        forEachIndex(part.shards, workers_, [&](std::size_t k) {
             ShardState s = runShard(part, cfg_, k);
             const auto t0 = std::chrono::steady_clock::now();
             {
                 MutexLock lock(mergeMu);
                 mergeShard(res, std::move(s));
             }
-            if (pool_)
+            if (buckets_ > 1)
                 mergeUs.observe(static_cast<std::uint64_t>(
                     std::chrono::duration_cast<
                         std::chrono::microseconds>(
@@ -382,8 +412,6 @@ class ShardPlan
         return res;
     }
 
-    const ShardedClassifyConfig &config() const { return cfg_; }
-
   private:
     static CacheGeometry
     checkedGeometry(const ShardedClassifyConfig &cfg)
@@ -396,67 +424,8 @@ class ShardPlan
     CacheGeometry geom_;
     unsigned shards_;
     std::size_t buckets_;
-    std::optional<ThreadPool> pool_;
+    std::size_t workers_;
 };
-
-/**
- * Partition and classify a viewed input: each of its chunks is read
- * from its own start and partitioned by its own Partitioner, one pool
- * task per chunk.  Windows need each chunk's first global reference
- * index, so with an interval a first parallel pass counts every
- * chunk's references.
- */
-ShardedClassifyResult
-classifyView(ShardPlan &plan, const TraceView &view)
-{
-    const std::vector<TraceChunk> &chunks = view.chunks();
-
-    // Calls fn(batch, n) for each batch of chunk c's records.
-    auto eachBatch = [&](std::size_t c, auto fn) {
-        TracePosition cursor = chunks[c].start;
-        std::size_t left = chunks[c].records;
-        MemRecord batch[maxTraceBatch];
-        while (left > 0) {
-            const std::size_t got =
-                view.read(cursor, batch, std::min(left, maxTraceBatch));
-            if (got == 0)
-                break;
-            fn(batch, got);
-            left -= got;
-        }
-    };
-
-    std::vector<Count> firstRef(chunks.size(), 0);
-    if (plan.config().interval != 0 && chunks.size() > 1) {
-        plan.forEach(chunks.size(), [&](std::size_t c) {
-            Count refs = 0;
-            eachBatch(c, [&](const MemRecord *batch, std::size_t n) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (batch[i].isMem())
-                        ++refs;
-                }
-            });
-            firstRef[c] = refs;
-        });
-        Count sum = 0;
-        for (Count &f : firstRef)
-            sum += std::exchange(f, sum);
-    }
-
-    std::vector<Chunk> parts(chunks.size());
-    plan.forEach(chunks.size(), [&](std::size_t c) {
-        Partitioner p = plan.partitioner(firstRef[c]);
-        eachBatch(c, [&](const MemRecord *batch, std::size_t n) {
-            p.add(n, [&](std::size_t i) { return batch[i]; });
-        });
-        parts[c] = p.finish();
-    });
-    // An empty trace is one empty chunk, so the join sees K buckets.
-    if (parts.empty())
-        parts.push_back(plan.partitioner().finish());
-    return plan.classify(
-        joinChunks(std::move(parts), plan.config().interval));
-}
 
 } // namespace
 
@@ -472,21 +441,8 @@ ShardedClassifyResult
 runShardedClassify(TraceSource &trace,
                    const ShardedClassifyConfig &cfg)
 {
-    ShardPlan plan(cfg);
-    if (const TraceView *view = trace.view())
-        return classifyView(plan, *view);
-
-    // A source without a view is one chunk, partitioned as it is read.
-    trace.reset();
-    Partitioner parts = plan.partitioner();
-    MemRecord chunk[maxTraceBatch];
-    std::size_t got;
-    while ((got = trace.nextBatch(chunk, maxTraceBatch)) > 0)
-        parts.add(got, [&](std::size_t i) { return chunk[i]; });
-    std::vector<Chunk> one;
-    one.push_back(parts.finish());
-    return plan.classify(
-        joinChunks(std::move(one), plan.config().interval));
+    const ShardPlan plan(cfg);
+    return plan.classify(plan.partition(trace));
 }
 
 } // namespace ccm

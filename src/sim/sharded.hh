@@ -12,11 +12,11 @@
  * The input is read once, by a partition pass that drops non-memory
  * records, appends each memory reference (address plus store bit) to
  * its shard's bucket, and at every global interval-window boundary
- * records each bucket's size.  An input with a view (a record span, a
- * packed or delta trace file; trace/source.hh) is partitioned one
- * view chunk per pool task, each chunk into its own K buckets, on the
- * pool that later runs the shards; with an interval, a first parallel
- * pass counts each chunk's references so every chunk knows its global
+ * records each bucket's size.  The pass reads through mapChunks
+ * (trace/source.hh): an input with a view (a record span, a packed or
+ * delta trace file) is partitioned one view chunk per task, each chunk
+ * into its own K buckets; with an interval, a first parallel pass
+ * counts each chunk's references so every chunk knows its global
  * reference offset.  A source without a view (a generator) is one
  * chunk, partitioned on the calling thread as it is read.  With C
  * chunks, shard k then runs over buckets (0, k) ... (C-1, k) in chunk
@@ -26,7 +26,8 @@
  * references.
  *
  * Threads: K shards own min(K, sets) buckets (surplus shards would own
- * no set) and run on a pool of min(buckets, hardware threads) workers.
+ * no set); the partition and the shards each run on min(buckets,
+ * hardware threads) workers (forEachIndex, common/thread_pool.hh).
  * With one bucket everything runs inline on the calling thread.
  *
  * Merge contract (mirrors the suite runner's delivery contract,
@@ -36,8 +37,8 @@
  *     window-index-wise for interval deltas — so merge order cannot
  *     change the result;
  *  2. workers merge under one LockRank::ShardMerge mutex, taken only
- *     inside pool tasks (below ThreadPool's own leaf lock ordering
- *     concerns: the pool lock is released while tasks run);
+ *     inside forEachIndex tasks (below ThreadPool's own leaf lock
+ *     ordering concerns: the pool lock is released while tasks run);
  *  3. the output for any K is bit-identical to shards == 1, which
  *     runs the very same worker body inline — enforced by tests and
  *     the ci.sh sharded-determinism gate.
@@ -147,8 +148,8 @@ ShardedClassifyResult runShardedClassify(
     const ShardedClassifyConfig &cfg);
 
 /**
- * The same run fed from @p trace.  A source with a view is
- * partitioned chunk by chunk in parallel; any other source is
+ * The same run fed from @p trace through mapChunks: a source with a
+ * view is partitioned chunk by chunk in parallel; any other source is
  * reset and streamed batch by batch into one chunk.  No copy of the
  * trace is made either way, so a mapped trace is decoded once,
  * straight into the shards' buckets.

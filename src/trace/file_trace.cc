@@ -332,19 +332,13 @@ allPlausible(const std::uint8_t *body, std::size_t records)
 {
     const std::vector<std::size_t> bounds = packedCheckBounds(records);
     const std::size_t ranges = bounds.size() - 1;
-    auto check = [&](std::size_t r) {
-        bool clean = true;
-        for (std::size_t i = bounds[r]; i < bounds[r + 1]; ++i)
-            clean &= plausibleRecord(body + i * recordBytes);
-        return clean;
-    };
-    if (ranges == 1)
-        return check(0);
     std::vector<char> clean(ranges, 0);
-    ThreadPool pool(ranges);
-    for (std::size_t r = 0; r < ranges; ++r)
-        pool.submit([&, r] { clean[r] = check(r) ? 1 : 0; });
-    pool.waitIdle();
+    forEachIndex(ranges, ranges, [&](std::size_t r) {
+        bool ok = true;
+        for (std::size_t i = bounds[r]; i < bounds[r + 1]; ++i)
+            ok &= plausibleRecord(body + i * recordBytes);
+        clean[r] = ok ? 1 : 0;
+    });
     return std::all_of(clean.begin(), clean.end(),
                        [](char c) { return c != 0; });
 }

@@ -2,16 +2,22 @@
  * @file
  * Abstract producer of MemRecords.  Workload generators, file readers
  * and in-memory traces all implement this interface; the core and the
- * functional experiment drivers consume it.
+ * functional experiment drivers consume it.  A finite source may also
+ * offer a random-access view (TraceView); whole-trace readers go
+ * through mapChunks(), which reads the view's chunks in parallel or a
+ * forward-only source in one piece.
  */
 
 #ifndef CCM_TRACE_SOURCE_HH
 #define CCM_TRACE_SOURCE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "trace/delta.hh"
 #include "trace/record.hh"
 
@@ -113,9 +119,9 @@ class TraceSource
     }
 
     /**
-     * Random access to the same records, for consumers that read a
-     * whole trace in parallel chunks; nullptr when the source only
-     * decodes forward (a generator).
+     * Random access to the same records; nullptr when the source only
+     * decodes forward (a generator).  Consumers that read a whole
+     * trace go through mapChunks() below, not through the view.
      */
     virtual const TraceView *view() const { return nullptr; }
 
@@ -125,6 +131,90 @@ class TraceSource
     /** Human-readable name (used as a row label in result tables). */
     virtual std::string name() const = 0;
 };
+
+/**
+ * One piece of a source, as mapChunks() hands it out: a view chunk
+ * read at its own cursor, or the whole of a forward-only source.
+ */
+class ChunkReader
+{
+  public:
+    /** Chunk @p chunk of @p view, the @p index-th in stream order. */
+    ChunkReader(const TraceView &view, const TraceChunk &chunk,
+                std::size_t index)
+        : view_(&view), cursor_(chunk.start), left_(chunk.records),
+          index_(index)
+    {}
+
+    /** All of @p source, from where it stands. */
+    explicit ChunkReader(TraceSource &source) : source_(&source) {}
+
+    /**
+     * Decode up to @p n of the piece's next records into @p out, in
+     * stream order.  @return records decoded (0 iff the piece is done)
+     */
+    std::size_t
+    read(MemRecord *out, std::size_t n)
+    {
+        if (source_ != nullptr)
+            return source_->nextBatch(out, n);
+        n = std::min(n, left_);
+        const std::size_t got = n > 0 ? view_->read(cursor_, out, n) : 0;
+        left_ -= got;
+        return got;
+    }
+
+    /**
+     * Where the next record decodes, as a cursor of the source's view;
+     * nullptr for a forward-only source.
+     */
+    const TracePosition *
+    position() const
+    {
+        return view_ != nullptr ? &cursor_ : nullptr;
+    }
+
+    /** The piece's place in stream order (0 for a whole source). */
+    std::size_t index() const { return index_; }
+
+  private:
+    const TraceView *view_ = nullptr;
+    TraceSource *source_ = nullptr;
+    TracePosition cursor_;
+    std::size_t left_ = 0;
+    std::size_t index_ = 0;
+};
+
+/**
+ * The one way to read a whole trace: return @p fn(reader) for each
+ * piece of @p trace, in stream order.  A source with a view is one
+ * piece per view chunk (none for an empty trace), the pieces read
+ * concurrently on up to @p workers threads (forEachIndex); any other
+ * source is reset and read through as one piece on the calling
+ * thread.  @p fn must not throw, and its result type must be
+ * default-constructible.
+ */
+template <typename Fn>
+auto
+mapChunks(TraceSource &trace, std::size_t workers, Fn &&fn)
+    -> std::vector<std::invoke_result_t<Fn &, ChunkReader &>>
+{
+    std::vector<std::invoke_result_t<Fn &, ChunkReader &>> out;
+    const TraceView *view = trace.view();
+    if (view == nullptr) {
+        trace.reset();
+        ChunkReader whole(trace);
+        out.push_back(fn(whole));
+        return out;
+    }
+    const std::vector<TraceChunk> &chunks = view->chunks();
+    out.resize(chunks.size());
+    forEachIndex(chunks.size(), workers, [&](std::size_t c) {
+        ChunkReader piece(*view, chunks[c], c);
+        out[c] = fn(piece);
+    });
+    return out;
+}
 
 } // namespace ccm
 

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
 
@@ -173,6 +174,15 @@ TEST(Experiment, ArchTableNamesEveryValidConfig)
               ErrorCode::BadConfig);
 }
 
+/** A suite factory over the synthetic workload registry. */
+SuiteTraceFactory
+registryFactory(std::size_t refs, std::uint64_t seed)
+{
+    return [=](const std::string &name) {
+        return makeWorkloadChecked(name, refs, seed);
+    };
+}
+
 TEST(Suite, CompletesDespiteOneFailingWorkload)
 {
     std::vector<std::string> names = {"go", "gcc", "perl"};
@@ -183,7 +193,7 @@ TEST(Suite, CompletesDespiteOneFailingWorkload)
         return makeWorkloadChecked(name, 2000, 3);
     };
     SuiteReport report =
-        runSuite(names, factory, baselineConfig());
+        runSuiteParallel(names, factory, baselineConfig());
 
     ASSERT_EQ(report.rows.size(), 3u);
     EXPECT_EQ(report.failures(), 1u);
@@ -207,8 +217,8 @@ TEST(Suite, CompletesDespiteOneFailingWorkload)
 
 TEST(Suite, UnknownWorkloadBecomesErroredRow)
 {
-    SuiteReport report = runSuite({"go", "nonesuch"}, 2000, 3,
-                                  baselineConfig());
+    SuiteReport report = runSuiteParallel(
+        {"go", "nonesuch"}, registryFactory(2000, 3), baselineConfig());
     ASSERT_EQ(report.rows.size(), 2u);
     EXPECT_TRUE(report.rows[0].ok());
     EXPECT_FALSE(report.rows[1].ok());
@@ -224,7 +234,7 @@ TEST(Suite, ThrowingFactoryIsIsolated)
         return makeWorkloadChecked(name, 1000, 3);
     };
     SuiteReport report =
-        runSuite({"go", "perl"}, factory, baselineConfig());
+        runSuiteParallel({"go", "perl"}, factory, baselineConfig());
     EXPECT_FALSE(report.rows[0].ok());
     EXPECT_EQ(report.rows[0].status.code(), ErrorCode::Internal);
     EXPECT_TRUE(report.rows[1].ok());
@@ -232,8 +242,8 @@ TEST(Suite, ThrowingFactoryIsIsolated)
 
 TEST(Suite, FullSuiteSweepAllOk)
 {
-    SuiteReport report =
-        runSuite(workloadNames(), 1000, 3, baselineConfig());
+    SuiteReport report = runSuiteParallel(
+        workloadNames(), registryFactory(1000, 3), baselineConfig());
     EXPECT_EQ(report.rows.size(), 16u);
     EXPECT_TRUE(report.allOk());
 }

@@ -28,6 +28,7 @@
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/sharded.hh"
 #include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
@@ -295,7 +296,7 @@ validDocuments()
     RunOutput r = observedRun(&sampler, &events);
     docs["run"] = obs::runDocument("go", r, &sampler, &events);
 
-    docs["suite"] = obs::suiteDocument(runSuite(
+    docs["suite"] = obs::suiteDocument(runSuiteParallel(
         {"go"},
         [](const std::string &name)
             -> Expected<std::unique_ptr<TraceSource>> {
@@ -731,7 +732,7 @@ TEST(ObsSink, StatsTargetTakesOneDestination)
 
 TEST(ObsSink, SuiteDocumentRecordsErrorRows)
 {
-    SuiteReport report = runSuite(
+    SuiteReport report = runSuiteParallel(
         {"go", "no-such-workload"},
         [&](const std::string &name)
             -> Expected<std::unique_ptr<TraceSource>> {

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel suite execution engine: the worker pool
- * itself, sequential-vs-parallel report equality, failure isolation
- * under concurrency, and the hook-delivery contract of
- * sim/parallel.hh.  This binary is additionally run under
+ * Tests for the parallel suite execution engine: the worker pool and
+ * the one parallel-for over it, sequential-vs-parallel report
+ * equality, failure isolation under concurrency, and the
+ * hook-delivery contract of sim/parallel.hh.  This binary is additionally run under
  * ThreadSanitizer by tools/ci.sh (the "tsan" preset), so the stress
  * tests double as data-race detectors.
  */
@@ -15,6 +15,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -88,6 +89,57 @@ TEST(ThreadPool, DestructorDrainsPendingTasks)
     EXPECT_EQ(ran.load(), 64u);
 }
 
+// ---- forEachIndex ---------------------------------------------------
+
+TEST(ForEachIndex, RunsInlineInIndexOrderWhenOneWorker)
+{
+    // workers resolving to 1, or n <= 1, never leave the calling
+    // thread, and the tasks run in index order.
+    const std::thread::id caller = std::this_thread::get_id();
+    struct Case
+    {
+        std::size_t n;
+        std::size_t workers;
+    };
+    for (const Case c : {Case{5, 1}, Case{1, 8}, Case{1, 0}, Case{0, 8}}) {
+        SCOPED_TRACE("n=" + std::to_string(c.n) +
+                     " workers=" + std::to_string(c.workers));
+        std::vector<std::size_t> order;
+        forEachIndex(c.n, c.workers, [&](std::size_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            order.push_back(i);
+        });
+        std::vector<std::size_t> want(c.n);
+        for (std::size_t i = 0; i < c.n; ++i)
+            want[i] = i;
+        EXPECT_EQ(order, want);
+    }
+}
+
+TEST(ForEachIndex, RunsEachIndexExactlyOnce)
+{
+    // Fewer tasks than workers, and more: every index once, and the
+    // slots the tasks wrote are visible once forEachIndex returns.
+    struct Case
+    {
+        std::size_t n;
+        std::size_t workers;
+    };
+    for (const Case c : {Case{3, 8}, Case{500, 4}, Case{64, 0}}) {
+        SCOPED_TRACE("n=" + std::to_string(c.n) +
+                     " workers=" + std::to_string(c.workers));
+        std::vector<int> hits(c.n, 0); // disjoint slots, tsan-checked
+        std::atomic<std::size_t> total{0};
+        forEachIndex(c.n, c.workers, [&](std::size_t i) {
+            hits[i] += 1;
+            total.fetch_add(1, std::memory_order_relaxed);
+        });
+        EXPECT_EQ(total.load(), c.n);
+        for (std::size_t i = 0; i < c.n; ++i)
+            EXPECT_EQ(hits[i], 1) << "index " << i;
+    }
+}
+
 // ---- Sequential vs parallel report equality ------------------------
 
 void
@@ -121,8 +173,11 @@ TEST(ParallelSuite, BitIdenticalToSequentialAcrossJobCounts)
         return makeWorkloadChecked(name, 3000, 7);
     };
 
-    SuiteReport sequential = runSuite(names, factory, cfg);
-    ASSERT_EQ(sequential.rows.size(), names.size());
+    // The reference: a plain loop over the unit of work, on this
+    // thread, with no runner involved.
+    SuiteReport sequential;
+    for (const std::string &name : names)
+        sequential.rows.push_back(runSuiteCell(name, factory, cfg));
 
     for (std::size_t jobs : {1u, 2u, 8u}) {
         ParallelSuiteOptions opts;
@@ -143,8 +198,12 @@ TEST(ParallelSuite, BitIdenticalToSequentialAcrossJobCounts)
 
 TEST(ParallelSuite, RowsCarryWallTime)
 {
-    SuiteReport report =
-        runSuite({"go", "perl"}, 4000, 3, baselineConfig());
+    SuiteReport report = runSuiteParallel(
+        {"go", "perl"},
+        [](const std::string &name) {
+            return makeWorkloadChecked(name, 4000, 3);
+        },
+        baselineConfig());
     double total = 0;
     for (const auto &row : report.rows) {
         EXPECT_GE(row.wallSeconds, 0.0);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the random-access trace view (trace/source.hh) and the
- * consumers that read it in parallel chunks: the sample lane's scan
- * and interval replay, and the sharded classify partition.
+ * Tests for the random-access trace view (trace/source.hh), the one
+ * chunked read over it (mapChunks), and the consumers that read a
+ * trace in parallel chunks: the sample lane's scan and interval
+ * replay, and the sharded classify partition.
  *
  * Every case runs each consumer twice over the same records: through
  * the view, and through a wrapper that hides it, which takes the
@@ -139,6 +140,62 @@ expectChunksTile(const TraceView &view, const std::vector<MemRecord> &recs)
     expectSameRecords(recs, got);
 }
 
+/** Every record of one mapChunks() piece, and where it started. */
+struct Piece
+{
+    std::size_t index = 0;
+    bool positioned = false;
+    std::vector<MemRecord> records;
+};
+
+std::vector<Piece>
+readPieces(TraceSource &src)
+{
+    return mapChunks(src, 4, [](ChunkReader &r) {
+        Piece p;
+        p.index = r.index();
+        p.positioned = r.position() != nullptr;
+        MemRecord batch[7];
+        std::size_t got;
+        while ((got = r.read(batch, 7)) > 0)
+            p.records.insert(p.records.end(), batch, batch + got);
+        return p;
+    });
+}
+
+/**
+ * mapChunks() gives one piece per view chunk, in stream order, each
+ * holding that chunk's records (none for an empty view), and over the
+ * same source with its view hidden one piece of every record with no
+ * position.
+ */
+void
+expectSamePieces(TraceSource &src, const std::vector<MemRecord> &recs)
+{
+    const std::vector<TraceChunk> &chunks = src.view()->chunks();
+    const std::vector<Piece> pieces = readPieces(src);
+    ASSERT_EQ(pieces.size(), chunks.size());
+    std::vector<MemRecord> all;
+    for (std::size_t c = 0; c < pieces.size(); ++c) {
+        SCOPED_TRACE("piece " + std::to_string(c));
+        EXPECT_EQ(pieces[c].index, c);
+        EXPECT_TRUE(pieces[c].positioned);
+        EXPECT_EQ(pieces[c].records.size(), chunks[c].records);
+        all.insert(all.end(), pieces[c].records.begin(),
+                   pieces[c].records.end());
+    }
+    expectSameRecords(recs, all);
+
+    StreamOnly streamed(src);
+    MemRecord skipped;
+    streamed.next(skipped); // mapChunks resets a streamed source
+    const std::vector<Piece> whole = readPieces(streamed);
+    ASSERT_EQ(whole.size(), 1u);
+    EXPECT_EQ(whole[0].index, 0u);
+    EXPECT_FALSE(whole[0].positioned);
+    expectSameRecords(recs, whole[0].records);
+}
+
 /**
  * scanTrace through the view keeps the streamed scan's references,
  * ordinals and buckets in order, and each checkpoint's cursor is
@@ -256,6 +313,10 @@ expectViewAgrees(TraceSource &src, const std::vector<MemRecord> &recs)
         expectChunksTile(*src.view(), recs);
     }
     {
+        SCOPED_TRACE("mapChunks");
+        expectSamePieces(src, recs);
+    }
+    {
         SCOPED_TRACE("scan");
         expectSameScan(src, recs);
     }
@@ -323,6 +384,7 @@ TEST_F(TraceViewTest, EmptyBodyHasNoChunks)
     const std::vector<MemRecord> none;
     SpanTrace span(none.data(), 0);
     EXPECT_TRUE(span.chunks().empty());
+    EXPECT_TRUE(readPieces(span).empty());
     for (TraceEncoding enc : {TraceEncoding::Packed, TraceEncoding::Delta}) {
         const std::string path = file(toString(enc));
         writeTrace(path, enc, none);

@@ -47,7 +47,9 @@
 #      depth, the §5.4/§5.6 studies, the I-cache extension) must
 #      print the tables in bench/baselines/tables/ byte for byte, and
 #      Figure 2's full-tag row must equal Figure 1's 16KB-DM pooled
-#      conf%/cap%
+#      conf%/cap%;
+#      examples: each of the seven examples/ programs runs once in a
+#      scratch directory and exits 0
 #   9. perf smoke: the benchmark (perfbench/run.py, BENCHMARK.json)
 #      on classify-trace with the per-layer pass; its result line must
 #      say "correct": true and "failed": 0, i.e. every document matched
@@ -476,6 +478,23 @@ if [ -z "$fig1_dm" ] || [ "$fig1_dm" != "$fig2_full" ]; then
          "16KB-DM pooled row '$fig1_dm'" >&2
     exit 1
 fi
+
+step "examples (each examples/ program runs and exits 0)"
+# The examples build in tier-1; running them keeps them working.
+# trace_roundtrip writes its trace into the scratch directory.
+mkdir -p "$obs_tmp/examples"
+for e in quickstart classify_workload victim_filter_tuning amb_explorer \
+         trace_roundtrip coschedule_advisor paper_tour; do
+    args=()
+    if [ "$e" = trace_roundtrip ]; then
+        args=(compress "$obs_tmp/examples/roundtrip.trace")
+    fi
+    if ! (cd "$obs_tmp/examples" &&
+          "$repo_root/build/examples/$e" "${args[@]}") > /dev/null; then
+        echo "FAIL: example $e exited nonzero" >&2
+        exit 1
+    fi
+done
 
 step "perf smoke (perfbench/run.py classify-trace, per-layer pass)"
 # One short digest-checked run of the benchmark: it builds into
