@@ -104,7 +104,6 @@ enum class LockRank : int
     ServeStream = 30,       ///< StreamPipeline::mu (state machine)
     ObsLive = 40,           ///< obs::LiveStatsCell (live snapshots)
     ServeQueue = 50,        ///< serve::RecordQueue (ring + condvars)
-    SuiteInstrumentGate = 60,   ///< runSuiteParallel instrument serializer
     ShardMerge = 75,        ///< runShardedClassify result merge
     ThreadPool = 80,        ///< ThreadPool task queue (leaf)
     ObsMetrics = 90,        ///< obs::MetricsRegistry (register/render)

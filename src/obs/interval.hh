@@ -8,9 +8,12 @@
  * cluster in phases, and aggregates hide that.
  *
  * Timing runs attach the sampler via MemorySystem::setAccessHook and
- * call onAccess() with the live MemStats; finish(finalStats) flushes
- * the residual window.  runShardedClassify cuts the same
- * IntervalSample windows itself, per shard.
+ * call onAccess() with the live MemStats; once the run ends,
+ * RunOutput::adoptWindows flushes the residual window and moves the
+ * series into the run's result, where documents read it.
+ * runShardedClassify cuts the same IntervalSample windows itself, per
+ * shard.  The ccm-serve streams are the one consumer that keeps a
+ * sampler for the whole run: they publish its rolling window mid-run.
  *
  * Invariant: the counter-wise sum of every sample's delta equals the
  * final aggregate counters (tested in test_obs).
@@ -19,6 +22,7 @@
 #ifndef CCM_OBS_INTERVAL_HH
 #define CCM_OBS_INTERVAL_HH
 
+#include <utility>
 #include <vector>
 
 #include "hierarchy/memstats.hh"
@@ -92,6 +96,12 @@ class IntervalSampler
     const std::vector<IntervalSample> &samples() const
     {
         return samples_;
+    }
+
+    /** Hand the series over; the sampler keeps none of it. */
+    std::vector<IntervalSample> takeSamples()
+    {
+        return std::exchange(samples_, {});
     }
 
   private:

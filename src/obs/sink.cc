@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <numeric>
+#include <type_traits>
 
 namespace ccm::obs
 {
@@ -227,56 +228,74 @@ documentHeader(const char *kind)
     return doc;
 }
 
+/** The result section of a timing run: its core's totals. */
 void
-fillRunBody(JsonValue &doc, const std::string &workload,
-            const RunOutput &out, const IntervalSampler *intervals,
-            const ClassifyEventTrace *events)
+setResultSection(JsonValue &doc, const RunOutput &out)
+{
+    doc.set("sim", simResultToJson(out.sim));
+}
+
+/** The result section of a classify run: its reference and miss totals. */
+void
+setResultSection(JsonValue &doc, const ShardedClassifyResult &out)
+{
+    JsonValue cls = JsonValue::object();
+    cls.set("references", JsonValue::uint(out.references));
+    cls.set("misses", JsonValue::uint(out.misses));
+    cls.set("miss_rate_pct", JsonValue::real(out.missRate * 100.0));
+    doc.set("classify", std::move(cls));
+}
+
+/**
+ * Body of a kind:"run" or kind:"classify" document and of each ok
+ * suite row: the result section, counters, heatmap and windows.
+ */
+template <typename Out>
+void
+fillBody(JsonValue &doc, const std::string &workload, const Out &out)
 {
     doc.set("workload", JsonValue::str(workload));
-    doc.set("sim", simResultToJson(out.sim));
+    setResultSection(doc, out);
     doc.set("mem", memStatsToJson(out.mem));
     if (!out.heat.empty())
         doc.set("heatmap", setHistogramsToJson(out.heat));
-    if (intervals && !intervals->samples().empty())
-        doc.set("intervals", intervalsToJson(*intervals));
-    if (events && events->seen() > 0)
-        doc.set("events", eventsToJson(*events));
+    if (!out.intervals.empty())
+        doc.set("intervals",
+                intervalSamplesToJson(out.interval, out.intervals));
 }
 
-} // namespace
-
+/** The rows/summary document shared by both suite kinds. */
+template <typename Out>
 JsonValue
-runDocument(const std::string &workload, const RunOutput &out,
-            const IntervalSampler *intervals,
-            const ClassifyEventTrace *events)
+suiteRowsDocument(const char *kind, const SuiteReportOf<Out> &report)
 {
-    JsonValue doc = documentHeader("run");
-    fillRunBody(doc, workload, out, intervals, events);
-    return doc;
-}
-
-JsonValue
-suiteDocument(
-    const SuiteReport &report,
-    const std::function<const IntervalSampler *(const std::string &)>
-        &intervals_for)
-{
-    JsonValue doc = documentHeader("suite");
+    JsonValue doc = documentHeader(kind);
     JsonValue rows = JsonValue::array();
     double wall_total = 0.0;
-    for (const SuiteRow &r : report.rows) {
+    for (const SuiteRowOf<Out> &r : report.rows) {
         JsonValue row = JsonValue::object();
         if (r.ok()) {
-            const IntervalSampler *iv =
-                intervals_for ? intervals_for(r.workload) : nullptr;
-            fillRunBody(row, r.workload, r.out, iv, nullptr);
+            fillBody(row, r.workload, r.out);
         } else {
             row.set("workload", JsonValue::str(r.workload));
             row.set("error", JsonValue::str(r.status.toString()));
         }
-        // The one nondeterministic field in the document: everything
-        // else is byte-identical across --jobs settings.
+        // The nondeterministic fields of the document (ci strips them
+        // before byte-diffs): everything else is byte-identical across
+        // --jobs and --shards settings.  A classify row adds its
+        // throughput: trace records (non-memory included) per second
+        // of the row's open-to-result time, the unit of the CLI's
+        // records/sec and perfbench's Mrec/s.
         row.set("wall_seconds", JsonValue::real(r.wallSeconds));
+        if constexpr (std::is_same_v<Out, ShardedClassifyResult>) {
+            if (r.ok())
+                row.set("records_per_sec",
+                        JsonValue::real(
+                            r.wallSeconds > 0.0
+                                ? static_cast<double>(r.out.records) /
+                                      r.wallSeconds
+                                : 0.0));
+        }
         wall_total += r.wallSeconds;
         rows.push(std::move(row));
     }
@@ -289,80 +308,37 @@ suiteDocument(
     return doc;
 }
 
-namespace
-{
+} // namespace
 
-/** Shared body of kind:"classify" docs and classify-suite rows. */
-void
-fillClassifyBody(JsonValue &doc, const std::string &workload,
-                 const ShardedClassifyResult &out)
+JsonValue
+runDocument(const std::string &workload, const RunOutput &out,
+            const ClassifyEventTrace *events)
 {
-    doc.set("workload", JsonValue::str(workload));
-    JsonValue cls = JsonValue::object();
-    cls.set("references", JsonValue::uint(out.references));
-    cls.set("misses", JsonValue::uint(out.misses));
-    cls.set("miss_rate_pct", JsonValue::real(out.missRate * 100.0));
-    doc.set("classify", std::move(cls));
-    doc.set("mem", memStatsToJson(out.mem));
-    if (!out.heat.empty())
-        doc.set("heatmap", setHistogramsToJson(out.heat));
-    if (!out.intervals.empty())
-        doc.set("intervals",
-                intervalSamplesToJson(out.interval, out.intervals));
+    JsonValue doc = documentHeader("run");
+    fillBody(doc, workload, out);
+    if (events && events->seen() > 0)
+        doc.set("events", eventsToJson(*events));
+    return doc;
 }
 
-} // namespace
+JsonValue
+suiteDocument(const SuiteReport &report)
+{
+    return suiteRowsDocument("suite", report);
+}
+
+JsonValue
+suiteDocument(const ClassifySuiteReport &report)
+{
+    return suiteRowsDocument("classify-suite", report);
+}
 
 JsonValue
 classifyDocument(const std::string &workload,
                  const ShardedClassifyResult &out)
 {
     JsonValue doc = documentHeader("classify");
-    fillClassifyBody(doc, workload, out);
-    return doc;
-}
-
-JsonValue
-classifySuiteDocument(const std::vector<ClassifyRow> &rows)
-{
-    JsonValue doc = documentHeader("classify-suite");
-    JsonValue out_rows = JsonValue::array();
-    double wall_total = 0.0;
-    for (const ClassifyRow &r : rows) {
-        JsonValue row = JsonValue::object();
-        if (r.ok()) {
-            fillClassifyBody(row, r.workload, r.out);
-        } else {
-            row.set("workload", JsonValue::str(r.workload));
-            row.set("error", JsonValue::str(r.status.toString()));
-        }
-        // As in suite documents: wall_seconds is nondeterministic
-        // (ci strips it before byte-diffs), and so is the throughput
-        // derived from it — trace records (non-memory included) per
-        // second of the row's open-to-result time, the unit of the
-        // CLI's records/sec and perfbench's Mrec/s.
-        row.set("wall_seconds", JsonValue::real(r.wallSeconds));
-        if (r.ok()) {
-            const double rps =
-                r.wallSeconds > 0.0
-                    ? static_cast<double>(r.out.records) /
-                          r.wallSeconds
-                    : 0.0;
-            row.set("records_per_sec", JsonValue::real(rps));
-        }
-        wall_total += r.wallSeconds;
-        out_rows.push(std::move(row));
-    }
-    doc.set("rows", std::move(out_rows));
-    JsonValue summary = JsonValue::object();
-    summary.set("runs", JsonValue::uint(rows.size()));
-    std::uint64_t errored = 0;
-    for (const ClassifyRow &r : rows)
-        if (!r.ok())
-            ++errored;
-    summary.set("errored", JsonValue::uint(errored));
-    summary.set("wall_seconds_total", JsonValue::real(wall_total));
-    doc.set("summary", std::move(summary));
+    fillBody(doc, workload, out);
     return doc;
 }
 

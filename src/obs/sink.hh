@@ -21,7 +21,6 @@
 #ifndef CCM_OBS_SINK_HH
 #define CCM_OBS_SINK_HH
 
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -33,8 +32,7 @@
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "sample/engine.hh"
-#include "sim/experiment.hh"
-#include "sim/sharded.hh"
+#include "sim/parallel.hh"
 
 namespace ccm::obs
 {
@@ -74,15 +72,20 @@ JsonValue simResultToJson(const SimResult &sim);
 JsonValue setHistogramsToJson(const SetHistograms &heat,
                               std::size_t top_sets = 8);
 
-/** Interval time-series section: {"every", "samples": [...]}. */
-JsonValue intervalsToJson(const IntervalSampler &sampler);
-
 /**
- * Same section from a bare sample vector (the merged series of a
- * sharded classification run, which never owns a sampler).
+ * Interval time-series section of a finished run's windows:
+ * {"every", "samples": [...]}.  Every batch document writes its
+ * windows through this.
  */
 JsonValue intervalSamplesToJson(
     Count every, const std::vector<IntervalSample> &samples);
+
+/**
+ * The same section from a live rolling sampler (the ccm-serve
+ * streams, which publish windows mid-run), plus "dropped_samples"
+ * once its rolling cap has evicted any.
+ */
+JsonValue intervalsToJson(const IntervalSampler &sampler);
 
 /** Event-trace section: rate-limit totals + the recorded events. */
 JsonValue eventsToJson(const ClassifyEventTrace &trace);
@@ -90,39 +93,28 @@ JsonValue eventsToJson(const ClassifyEventTrace &trace);
 // ---- Document builders --------------------------------------------
 
 /**
- * Build a kind:"run" document for one finished timing run.
- * @p intervals and @p events are optional sections (nullptr = omit;
- * an empty sampler/trace is also omitted).  Callers may set() extra
- * top-level fields (e.g. "config") afterwards.
+ * Build a kind:"run" document for one finished timing run, its
+ * interval windows (out.intervals) included when it has any.
+ * @p events is an optional section (nullptr or an empty trace =
+ * omit).  Callers may set() extra top-level fields (e.g. "config")
+ * afterwards.
  */
 JsonValue runDocument(const std::string &workload, const RunOutput &out,
-                      const IntervalSampler *intervals = nullptr,
                       const ClassifyEventTrace *events = nullptr);
 
 /**
- * Build a kind:"suite" document.  Errored rows become
- * {"workload", "error"} stubs; @p intervals_for (optional) maps a
- * workload name to its sampler, nullptr meaning none.
+ * Build a kind:"suite" document: one row per timing run, errored rows
+ * as {"workload", "error"} stubs, and a runs/errored/wall-time
+ * summary.
  */
-JsonValue suiteDocument(
-    const SuiteReport &report,
-    const std::function<const IntervalSampler *(const std::string &)>
-        &intervals_for = {});
+JsonValue suiteDocument(const SuiteReport &report);
 
 /**
- * One row of a classify sweep (the sharded fast path's analogue of
- * SuiteRow): a result, or why this workload's run failed.
+ * Build a kind:"classify-suite" document: the same rows/summary shape
+ * as kind:"suite", with classify bodies, no sim section, and each ok
+ * row's records_per_sec.
  */
-struct ClassifyRow
-{
-    std::string workload;
-    Status status;
-    ShardedClassifyResult out; ///< meaningful only when status.isOk()
-    /** Wall time for this row; the one nondeterministic field. */
-    double wallSeconds = 0.0;
-
-    bool ok() const { return status.isOk(); }
-};
+JsonValue suiteDocument(const ClassifySuiteReport &report);
 
 /**
  * Build a kind:"classify" document for one sharded classification
@@ -132,12 +124,6 @@ struct ClassifyRow
  */
 JsonValue classifyDocument(const std::string &workload,
                            const ShardedClassifyResult &out);
-
-/**
- * Build a kind:"classify-suite" document: the same rows/summary shape
- * as kind:"suite", with classify bodies and no sim section.
- */
-JsonValue classifySuiteDocument(const std::vector<ClassifyRow> &rows);
 
 /**
  * Build a kind:"sample" document for one sampling analysis

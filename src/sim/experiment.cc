@@ -1,11 +1,8 @@
 #include "sim/experiment.hh"
 
-#include <chrono>
 #include <exception>
 
 #include "hierarchy/memsys.hh"
-#include "obs/metrics.hh"
-#include "obs/span.hh"
 
 namespace ccm
 {
@@ -25,6 +22,14 @@ runTiming(TraceSource &trace, const SystemConfig &config,
     return out;
 }
 
+void
+RunOutput::adoptWindows(obs::IntervalSampler &sampler)
+{
+    sampler.finish(mem);
+    interval = sampler.every();
+    intervals = sampler.takeSamples();
+}
+
 Expected<RunOutput>
 tryRunTiming(TraceSource &trace, const SystemConfig &config,
              const MemSysInstrument &instrument)
@@ -37,76 +42,6 @@ tryRunTiming(TraceSource &trace, const SystemConfig &config,
     } catch (const std::exception &e) {
         return Status::internal("run failed: ", e.what());
     }
-}
-
-const SuiteRow *
-SuiteReport::row(const std::string &name) const
-{
-    for (const auto &r : rows) {
-        if (r.workload == name)
-            return &r;
-    }
-    return nullptr;
-}
-
-SuiteRow
-runSuiteCell(const std::string &name, const SuiteTraceFactory &factory,
-             const SystemConfig &config,
-             const SuiteInstrument &instrument)
-{
-    // Suite telemetry: one span and one wall-time sample per row, at
-    // every --jobs value.
-    static obs::Histogram &row_wall_us =
-        obs::MetricsRegistry::global().histogram(
-            "ccm_suite_row_wall_us", "Suite row wall time (us)");
-    static obs::Counter &rows_total =
-        obs::MetricsRegistry::global().counter(
-            "ccm_suite_rows_total", "Suite rows executed");
-    obs::ScopedSpan span("row:" + name, "suite");
-
-    const auto start = std::chrono::steady_clock::now();
-    SuiteRow row;
-    row.workload = name;
-
-    auto trace = [&]() -> Expected<std::unique_ptr<TraceSource>> {
-        try {
-            return factory(name);
-        } catch (const std::exception &e) {
-            return Status::internal("trace factory failed: ",
-                                    e.what());
-        }
-    }();
-
-    if (!trace.ok()) {
-        row.status =
-            trace.status().withContext("workload '" + name + "'");
-    } else if (!trace.value()) {
-        row.status = Status::internal(
-            "trace factory returned null for '", name, "'");
-    } else {
-        MemSysInstrument per_run;
-        if (instrument) {
-            per_run = [&](MemorySystem &m) {
-                instrument(name, m);
-            };
-        }
-        Expected<RunOutput> run =
-            tryRunTiming(*trace.value(), config, per_run);
-        if (run.ok()) {
-            row.out = run.take();
-        } else {
-            row.status = run.status().withContext("workload '" +
-                                                  name + "'");
-        }
-    }
-    row.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    row_wall_us.observe(
-        static_cast<std::uint64_t>(row.wallSeconds * 1e6));
-    rows_total.inc();
-    return row;
 }
 
 double

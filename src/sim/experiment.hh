@@ -1,15 +1,19 @@
 /**
  * @file
  * Experiment driver shared by the benchmark binaries and examples:
- * whole-system configuration, single timing runs, suite sweeps, and
- * the named policy configurations of paper §5.
+ * whole-system configuration, single timing runs and the named policy
+ * configurations of paper §5.  Suite sweeps are in sim/parallel.hh.
+ *
+ * A run's interval windows are part of its result (RunOutput::
+ * intervals), as they are of a sharded classify run's: whoever attaches
+ * the IntervalSampler hands its windows over with adoptWindows() once
+ * the run ends, so no document builder needs the sampler itself.
  */
 
 #ifndef CCM_SIM_EXPERIMENT_HH
 #define CCM_SIM_EXPERIMENT_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "cpu/core.hh"
 #include "hierarchy/config.hh"
 #include "hierarchy/memstats.hh"
+#include "obs/interval.hh"
 #include "trace/source.hh"
 
 namespace ccm
@@ -36,6 +41,18 @@ struct RunOutput
     MemStats mem;
     /** Per-set activity histograms (heatmap source). */
     SetHistograms heat;
+
+    /** Interval series (empty when no sampler was attached). */
+    std::vector<obs::IntervalSample> intervals;
+
+    /** Window length the series was sampled at; 0 = no series. */
+    Count interval = 0;
+
+    /**
+     * Flush @p sampler's last window against this run's final
+     * counters and move its series into intervals.
+     */
+    void adoptWindows(obs::IntervalSampler &sampler);
 };
 
 /**
@@ -61,74 +78,6 @@ Expected<RunOutput> tryRunTiming(TraceSource &trace,
 
 /** Speedup of @p test over @p base (cycles ratio). */
 double speedup(const RunOutput &base, const RunOutput &test);
-
-// ---- Suite sweeps with per-workload failure isolation -------------
-
-/** One row of a suite sweep: a result, or why this run failed. */
-struct SuiteRow
-{
-    std::string workload;
-    Status status;
-    RunOutput out; ///< meaningful only when status.isOk()
-
-    /**
-     * Wall-clock time spent producing this row (trace factory +
-     * simulation), in seconds.  The only nondeterministic field: two
-     * sweeps of the same suite agree on everything else bit-for-bit
-     * regardless of --jobs (tested in test_parallel).
-     */
-    double wallSeconds = 0.0;
-
-    bool ok() const { return status.isOk(); }
-};
-
-/** Every row of a sweep, failed runs included. */
-struct SuiteReport
-{
-    std::vector<SuiteRow> rows;
-
-    std::size_t
-    failures() const
-    {
-        std::size_t n = 0;
-        for (const auto &r : rows)
-            if (!r.ok())
-                ++n;
-        return n;
-    }
-
-    bool allOk() const { return failures() == 0; }
-
-    /** Row for @p name, or nullptr when absent. */
-    const SuiteRow *row(const std::string &name) const;
-};
-
-/**
- * Produces the trace for one named suite entry — or the Status that
- * explains why it can't (unknown workload, corrupt trace file, ...).
- */
-using SuiteTraceFactory = std::function<
-    Expected<std::unique_ptr<TraceSource>>(const std::string &name)>;
-
-/**
- * Per-run instrumentation for suite sweeps: called with the workload
- * name and the machine about to run it.
- */
-using SuiteInstrument =
-    std::function<void(const std::string &name, MemorySystem &)>;
-
-/**
- * Produce the row for one suite cell: run the trace factory and the
- * simulation with every error status (and any exception) captured
- * into the row's status, and the cell's wall time measured.  This is
- * the unit of work of the suite runner (runSuiteParallel,
- * sim/parallel.hh) at every --jobs value, so two sweeps' rows can only
- * differ in wallSeconds.
- */
-SuiteRow runSuiteCell(const std::string &name,
-                      const SuiteTraceFactory &factory,
-                      const SystemConfig &config,
-                      const SuiteInstrument &instrument = {});
 
 // ---- Named configurations from paper §5 ---------------------------
 

@@ -1,41 +1,30 @@
 /**
  * @file
- * Suite execution: run the (workload, config) cells of a suite sweep,
- * one after another or fanned out over worker threads
- * (forEachIndex, common/thread_pool.hh).  This is the one suite
- * runner; jobs == 1 is the sequential sweep.
+ * Suite execution: one row per named workload, each row a trace from
+ * the suite's factory run through one simulation.  One row loop serves
+ * both suite kinds: the timing suite (runSuiteParallel) spreads its
+ * rows over worker threads (forEachIndex, common/thread_pool.hh;
+ * jobs == 1 is the sequential sweep), and the classify suite
+ * (runClassifySuite) runs its rows one after another, each sharded
+ * cfg.shards ways (sim/sharded.hh), since stacking --jobs on --shards
+ * would just oversubscribe.
  *
- * Every cell of the paper's evaluation cross-product — 16 workloads ×
- * {victim, prefetch, exclusion, pseudo-associative, AMB} × filter
- * variants — is an independent deterministic simulation, so the sweep
- * parallelizes without touching the simulation layers.  For every
- * jobs value the runner keeps the sequential contract:
+ * Every cell of the paper's evaluation cross-product is an independent
+ * deterministic simulation, so for every jobs value the runner keeps
+ * the sequential contract:
  *
  *  - row order matches @p names;
- *  - per-row failure isolation (a throwing cell becomes an errored
- *    SuiteRow; the rest of the suite completes);
- *  - bit-identical stats to a plain loop over runSuiteCell — a row
- *    can differ from its sequential twin only in
- *    SuiteRow::wallSeconds (tested in tests/test_parallel.cc).
+ *  - per-row failure isolation (a failing or throwing cell becomes an
+ *    errored row; the rest of the suite completes);
+ *  - bit-identical results to a plain loop over runTiming — a row can
+ *    differ from such a run only in wallSeconds (tested in
+ *    tests/test_parallel.cc).
  *
- * ## Hook-delivery thread-safety contract
- *
- * Observability attaches through callbacks, and the runner makes
- * their threading explicit so obs sinks need no locking of their own
- * (docs/OBSERVABILITY.md "Hooks under --jobs"):
- *
- *  1. `instrument` (SuiteInstrument) calls are **mutually excluded**:
- *     at most one executes at any time, on the worker thread that is
- *     about to run the row.  Instruments may therefore mutate shared
- *     containers (e.g. a name→sampler map) without locking.
- *  2. Hooks an instrument attaches to a machine (access hooks, MCT
- *     lookup hooks) fire **only on the single worker thread running
- *     that row** — per-row observer state is single-threaded.
- *     Observers shared across rows are the one thing that would need
- *     their own synchronization; prefer per-row observers.
- *  3. Rows reach the caller only through the returned report, after
- *     every worker has finished: cross-row aggregation reads the
- *     report on the calling thread and needs no locking.
+ * A row's interval windows are part of its result.  The row owns its
+ * IntervalSampler, whose hook fires only on the worker running that
+ * row, and rows reach the caller only through the returned report,
+ * after every worker has finished: nothing needs a lock
+ * (docs/OBSERVABILITY.md "Hooks under --jobs").
  */
 
 #ifndef CCM_SIM_PARALLEL_HH
@@ -43,15 +32,80 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/status.hh"
 #include "sim/experiment.hh"
+#include "sim/sharded.hh"
 
 namespace ccm
 {
 
-/** How a parallel sweep runs and reports. */
+/** One row of a suite sweep: a result, or why this run failed. */
+template <typename Out>
+struct SuiteRowOf
+{
+    std::string workload;
+    Status status;
+    Out out; ///< meaningful only when status.isOk()
+
+    /**
+     * Wall-clock time spent producing this row (trace factory +
+     * simulation), in seconds.  The only nondeterministic field: two
+     * sweeps of the same suite agree on everything else bit-for-bit
+     * regardless of --jobs or --shards.
+     */
+    double wallSeconds = 0.0;
+
+    bool ok() const { return status.isOk(); }
+};
+
+/** Every row of a sweep, failed runs included. */
+template <typename Out>
+struct SuiteReportOf
+{
+    std::vector<SuiteRowOf<Out>> rows;
+
+    std::size_t
+    failures() const
+    {
+        std::size_t n = 0;
+        for (const auto &r : rows)
+            if (!r.ok())
+                ++n;
+        return n;
+    }
+
+    bool allOk() const { return failures() == 0; }
+
+    /** Row for @p name, or nullptr when absent. */
+    const SuiteRowOf<Out> *
+    row(const std::string &name) const
+    {
+        for (const auto &r : rows)
+            if (r.workload == name)
+                return &r;
+        return nullptr;
+    }
+};
+
+/** Timing-suite rows: one runTiming each. */
+using SuiteRow = SuiteRowOf<RunOutput>;
+using SuiteReport = SuiteReportOf<RunOutput>;
+
+/** Classify-suite rows: one runShardedClassify each. */
+using ClassifySuiteReport = SuiteReportOf<ShardedClassifyResult>;
+
+/**
+ * Produces the trace for one named suite entry — or the Status that
+ * explains why it can't (unknown workload, corrupt trace file, ...).
+ */
+using SuiteTraceFactory = std::function<
+    Expected<std::unique_ptr<TraceSource>>(const std::string &name)>;
+
+/** How a timing sweep runs and reports. */
 struct ParallelSuiteOptions
 {
     /**
@@ -61,8 +115,11 @@ struct ParallelSuiteOptions
      */
     std::size_t jobs = 1;
 
-    /** Per-row instrumentation; serialized (contract point 1). */
-    SuiteInstrument instrument;
+    /**
+     * Interval-sample window in memory references; 0 = no series.
+     * Each row samples its own run into SuiteRow::out.intervals.
+     */
+    Count interval = 0;
 
     /**
      * Per-workload configuration override: called once per row with
@@ -79,10 +136,10 @@ struct ParallelSuiteOptions
 
 /**
  * Sweep @p config over every workload in @p names, isolating
- * failures: a run whose trace can't be produced or whose config
- * validate() rejects is recorded as an errored row and the rest of
- * the suite still completes.  Row order matches @p names.  With
- * opts.jobs == 1 the rows run on the calling thread; with more
+ * failures: a run whose trace can't be produced, whose config
+ * validate() rejects or that throws is recorded as an errored row and
+ * the rest of the suite still completes.  Row order matches @p names.
+ * With opts.jobs == 1 the rows run on the calling thread; with more
  * workers they compute concurrently and the report is identical
  * except for wallSeconds.
  */
@@ -90,6 +147,16 @@ SuiteReport runSuiteParallel(const std::vector<std::string> &names,
                              const SuiteTraceFactory &factory,
                              const SystemConfig &config,
                              const ParallelSuiteOptions &opts = {});
+
+/**
+ * Classify every workload in @p names through runShardedClassify,
+ * one row at a time on the calling thread, with the same failure
+ * isolation and wall-time accounting as runSuiteParallel.  @p cfg
+ * must already pass ClassifyGeometry::validate().
+ */
+ClassifySuiteReport runClassifySuite(const std::vector<std::string> &names,
+                                     const SuiteTraceFactory &factory,
+                                     const ShardedClassifyConfig &cfg);
 
 } // namespace ccm
 

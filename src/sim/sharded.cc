@@ -40,6 +40,11 @@ struct Bucket
 {
     std::vector<Addr> addrs;
     std::vector<std::uint64_t> stores;
+    /**
+     * Chunk-local reference index of each entry (its place among the
+     * chunk's memory references), kept only when windows are cut.
+     */
+    std::vector<Count> refs;
 
     void
     push(Addr addr, bool store)
@@ -60,16 +65,11 @@ struct Bucket
 
 /**
  * One chunk of the input, split by set: bucket k holds the chunk's
- * references whose set satisfies set % K == k, in stream order, and
- * each global window the chunk closes records where its buckets stood.
+ * references whose set satisfies set % K == k, in stream order.
  */
 struct Chunk
 {
     std::vector<Bucket> buckets;
-    /** Global reference index of each window this chunk closes. */
-    std::vector<Count> windowEnds;
-    /** cuts[j * K + k]: size of bucket k when window j closed. */
-    std::vector<std::size_t> cuts;
     Count records = 0;    ///< trace records read, non-memory included
     Count references = 0; ///< memory references among them
 };
@@ -94,20 +94,16 @@ struct Partition
 
 /**
  * Builds one Chunk in one streaming pass: non-memory records are
- * dropped, each memory reference goes to its set's bucket, and window
- * boundaries are stamped as the global reference count crosses them.
- * The chunk starts @p firstRef references into the trace.
+ * dropped and each memory reference goes to its set's bucket, with
+ * its chunk-local reference index when @p indexed (windows are cut
+ * later, once every chunk's global offset is known).
  */
 class Partitioner
 {
   public:
     Partitioner(const CacheGeometry &geom, std::size_t shards,
-                Count interval, Count firstRef)
-        : geom_(geom), interval_(interval), firstRef_(firstRef),
-          refs_(firstRef),
-          nextBoundary_(interval != 0
-                            ? (firstRef / interval + 1) * interval
-                            : ~Count{0})
+                bool indexed)
+        : geom_(geom), indexed_(indexed)
     {
         chunk_.buckets.resize(shards);
     }
@@ -123,42 +119,30 @@ class Partitioner
             if (!r.isMem())
                 continue;
             const std::size_t set = geom_.setOf(r.dataAddr()).value();
-            chunk_.buckets[set % shards].push(r.addr, r.isStore());
-            if (++refs_ == nextBoundary_)
-                closeWindow();
+            Bucket &b = chunk_.buckets[set % shards];
+            b.push(r.addr, r.isStore());
+            if (indexed_)
+                b.refs.push_back(chunk_.references);
+            ++chunk_.references;
         }
         chunk_.records += count;
     }
 
-    Chunk
-    finish()
-    {
-        chunk_.references = refs_ - firstRef_;
-        return std::move(chunk_);
-    }
+    Chunk finish() { return std::move(chunk_); }
 
   private:
-    void
-    closeWindow()
-    {
-        chunk_.windowEnds.push_back(refs_);
-        for (const Bucket &b : chunk_.buckets)
-            chunk_.cuts.push_back(b.addrs.size());
-        nextBoundary_ += interval_;
-    }
-
     CacheGeometry geom_;
-    Count interval_;
-    Count firstRef_;
-    Count refs_;
-    Count nextBoundary_;
+    bool indexed_;
     Chunk chunk_;
 };
 
 /**
- * Join @p chunks, in stream order, into one Partition: each chunk's
- * cuts become per-shard positions by adding the sizes of the earlier
- * chunks' buckets, and the trailing partial window, if any, closes.
+ * Join @p chunks, in stream order, into one Partition.  A prefix sum
+ * over the chunks' reference counts gives each chunk its global
+ * offset; every window boundary inside a chunk becomes per-shard
+ * positions by counting each bucket's entries before it (the
+ * chunk-local indices are sorted) and adding the sizes of the earlier
+ * chunks' buckets.  The trailing partial window, if any, closes last.
  */
 Partition
 joinChunks(std::vector<Chunk> chunks, Count interval)
@@ -166,12 +150,21 @@ joinChunks(std::vector<Chunk> chunks, Count interval)
     Partition part;
     part.shards = chunks.front().buckets.size();
     std::vector<std::size_t> base(part.shards, 0);
+    Count nextEnd = interval; // global reference index closing the next window
     for (const Chunk &c : chunks) {
-        for (std::size_t j = 0; j < c.windowEnds.size(); ++j) {
-            part.windowEnds.push_back(c.windowEnds[j]);
-            for (std::size_t k = 0; k < part.shards; ++k)
-                part.cuts.push_back(base[k] +
-                                    c.cuts[j * part.shards + k]);
+        const Count first = part.references;
+        for (; interval != 0 && nextEnd <= first + c.references;
+             nextEnd += interval) {
+            part.windowEnds.push_back(nextEnd);
+            for (std::size_t k = 0; k < part.shards; ++k) {
+                const std::vector<Count> &refs = c.buckets[k].refs;
+                part.cuts.push_back(
+                    base[k] + static_cast<std::size_t>(
+                                  std::lower_bound(refs.begin(),
+                                                   refs.end(),
+                                                   nextEnd - first) -
+                                  refs.begin()));
+            }
         }
         for (std::size_t k = 0; k < part.shards; ++k)
             base[k] += c.buckets[k].addrs.size();
@@ -332,39 +325,16 @@ class ShardPlan
 
     /**
      * Partition @p trace: each piece of it is read from its own start
-     * by its own Partitioner.  Windows need each piece's first global
-     * reference index, so with an interval a first pass counts every
-     * view chunk's references (a forward-only source is one piece,
-     * which starts at reference 0).
+     * by its own Partitioner, in one pass; joinChunks then cuts the
+     * windows.
      */
     Partition
     partition(TraceSource &trace) const
     {
-        std::vector<Count> firstRef;
-        if (cfg_.interval != 0) {
-            firstRef = mapChunks(trace, workers_, [](ChunkReader &r) {
-                Count refs = 0;
-                if (r.position() == nullptr)
-                    return refs;
-                MemRecord batch[maxTraceBatch];
-                std::size_t got;
-                while ((got = r.read(batch, maxTraceBatch)) > 0) {
-                    for (std::size_t i = 0; i < got; ++i) {
-                        if (batch[i].isMem())
-                            ++refs;
-                    }
-                }
-                return refs;
-            });
-            Count sum = 0;
-            for (Count &f : firstRef)
-                sum += std::exchange(f, sum);
-        }
-
+        const bool indexed = cfg_.interval != 0;
         std::vector<Chunk> parts =
             mapChunks(trace, workers_, [&](ChunkReader &r) {
-                Partitioner p(geom_, buckets_, cfg_.interval,
-                              firstRef.empty() ? 0 : firstRef[r.index()]);
+                Partitioner p(geom_, buckets_, indexed);
                 MemRecord batch[maxTraceBatch];
                 std::size_t got;
                 while ((got = r.read(batch, maxTraceBatch)) > 0)
@@ -373,8 +343,7 @@ class ShardPlan
             });
         // An empty trace is one empty chunk, so the join sees K buckets.
         if (parts.empty())
-            parts.push_back(
-                Partitioner(geom_, buckets_, cfg_.interval, 0).finish());
+            parts.push_back(Partitioner(geom_, buckets_, indexed).finish());
         return joinChunks(std::move(parts), cfg_.interval);
     }
 

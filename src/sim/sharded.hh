@@ -10,20 +10,20 @@
  * other shard can observe or perturb it.
  *
  * The input is read once, by a partition pass that drops non-memory
- * records, appends each memory reference (address plus store bit) to
- * its shard's bucket, and at every global interval-window boundary
- * records each bucket's size.  The pass reads through mapChunks
+ * records and appends each memory reference (address plus store bit)
+ * to its shard's bucket.  The pass reads through mapChunks
  * (trace/source.hh): an input with a view (a record span, a packed or
  * delta trace file) is partitioned one view chunk per task, each chunk
- * into its own K buckets; with an interval, a first parallel pass
- * counts each chunk's references so every chunk knows its global
- * reference offset.  A source without a view (a generator) is one
- * chunk, partitioned on the calling thread as it is read.  With C
+ * into its own K buckets; a source without a view (a generator) is one
+ * chunk, partitioned on the calling thread as it is read.  With an
+ * interval, each bucket entry also keeps its chunk-local reference
+ * index, and the join cuts every global window boundary into
+ * per-bucket positions once a prefix sum over the chunks' reference
+ * counts has placed each chunk, so no chunk is decoded twice.  With C
  * chunks, shard k then runs over buckets (0, k) ... (C-1, k) in chunk
  * order, which is its references in stream order, and emits its
- * windows at the recorded per-shard positions, so all shards agree on
- * the global window sequence without ever seeing each other's
- * references.
+ * windows at the cut positions, so all shards agree on the global
+ * window sequence without ever seeing each other's references.
  *
  * Threads: K shards own min(K, sets) buckets (surplus shards would own
  * no set); the partition and the shards each run on min(buckets,

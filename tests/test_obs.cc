@@ -56,8 +56,13 @@ observedRun(TraceSource &trace, obs::IntervalSampler *sampler,
         if (events)
             mem.mct().setLookupHook(events->hook());
     });
-    if (sampler)
+    if (sampler) {
+        // As RunOutput::adoptWindows, but the sampler keeps its own
+        // copy for the tests that read it.
         sampler->finish(r.mem);
+        r.interval = sampler->every();
+        r.intervals = sampler->samples();
+    }
     return r;
 }
 
@@ -141,7 +146,7 @@ TEST(ObsSchema, RunDocumentGolden)
 {
     obs::IntervalSampler sampler(1000);
     RunOutput r = observedRun(&sampler, nullptr);
-    JsonValue doc = obs::runDocument("go", r, &sampler);
+    JsonValue doc = obs::runDocument("go", r);
 
     // Golden header: these are the pinned on-disk values.  If this
     // test breaks, readers of old files break too — bump
@@ -182,7 +187,7 @@ TEST(ObsSchema, ValidatorRejectsTampering)
 {
     obs::IntervalSampler sampler(1000);
     RunOutput r = observedRun(&sampler, nullptr);
-    JsonValue doc = obs::runDocument("go", r, &sampler);
+    JsonValue doc = obs::runDocument("go", r);
 
     JsonValue wrong_version = doc;
     wrong_version.set("schema_version", JsonValue::uint(99));
@@ -294,26 +299,28 @@ validDocuments()
     obs::IntervalSampler sampler(1000);
     obs::ClassifyEventTrace events;
     RunOutput r = observedRun(&sampler, &events);
-    docs["run"] = obs::runDocument("go", r, &sampler, &events);
+    docs["run"] = obs::runDocument("go", r, &events);
 
+    ParallelSuiteOptions windowed;
+    windowed.interval = 500;
     docs["suite"] = obs::suiteDocument(runSuiteParallel(
         {"go"},
         [](const std::string &name)
             -> Expected<std::unique_ptr<TraceSource>> {
             return makeWorkloadChecked(name, 2000, 3);
         },
-        baselineConfig()));
+        baselineConfig(), windowed));
 
     const std::vector<MemRecord> recs =
         VectorTrace::capture(*makeWorkload("go", 20000, 7)).records();
     ShardedClassifyConfig ccfg;
     ccfg.interval = 5000;
-    obs::ClassifyRow row{"go", Status::ok(),
-                         runShardedClassify(recs.data(), recs.size(),
-                                            ccfg),
-                         0.0};
-    docs["classify"] = obs::classifyDocument("go", row.out);
-    docs["classify-suite"] = obs::classifySuiteDocument({row});
+    ClassifySuiteReport classified;
+    classified.rows.push_back(
+        {"go", Status::ok(),
+         runShardedClassify(recs.data(), recs.size(), ccfg), 0.0});
+    docs["classify"] = obs::classifyDocument("go", classified.rows[0].out);
+    docs["classify-suite"] = obs::suiteDocument(classified);
 
     docs["serve"] = serveDocument();
 
@@ -426,6 +433,8 @@ TEST(ObsSchema, RejectsMalformedDocuments)
         {"suite", "rows.0.mem.counters.accesses", J::str("lots"),
          "mem.counters.accesses"},
         {"suite", "rows.0.workload", J::uint(1), "suite row 0"},
+        {"suite", "rows.0.intervals.samples.0.first_ref", J::uint(2),
+         "start at ref 1"},
         {"suite", "summary", drop, "summary"},
         {"suite", "summary.runs", J::uint(2), "summary.runs"},
         {"suite", "summary.errored", J::uint(1), "summary.errored"},
@@ -568,7 +577,8 @@ TEST(ObsInterval, RollingWindowBoundsSamplesAndValidates)
     JsonValue iv = obs::intervalsToJson(sampler);
     EXPECT_EQ(iv.at("dropped_samples").asU64(),
               sampler.droppedSamples());
-    JsonValue doc = obs::runDocument("go", r, &sampler);
+    JsonValue doc = obs::runDocument("go", r);
+    doc.set("intervals", iv);
     Status s = obs::validateStatsDoc(doc);
     EXPECT_TRUE(s.isOk()) << s.toString();
 }
@@ -670,7 +680,7 @@ TEST(ObsSink, TextAndCsvAreFlattenedViews)
 {
     obs::IntervalSampler sampler(2500);
     RunOutput r = observedRun(&sampler, nullptr);
-    JsonValue doc = obs::runDocument("go", r, &sampler);
+    JsonValue doc = obs::runDocument("go", r);
 
     std::ostringstream text;
     obs::writeDocument(text, doc, obs::StatsFormat::Text);

@@ -1,16 +1,15 @@
 /**
  * @file
- * Tests for the parallel suite execution engine: the worker pool and
- * the one parallel-for over it, sequential-vs-parallel report
- * equality, failure isolation under concurrency, and the
- * hook-delivery contract of sim/parallel.hh.  This binary is additionally run under
- * ThreadSanitizer by tools/ci.sh (the "tsan" preset), so the stress
- * tests double as data-race detectors.
+ * Tests for the suite execution engine: the worker pool and the one
+ * parallel-for over it, sequential-vs-parallel report equality,
+ * failure isolation under concurrency, each row's interval windows,
+ * and the classify suite through the same row loop.  This binary is
+ * additionally run under ThreadSanitizer by tools/ci.sh (the "tsan"
+ * preset), so the stress tests double as data-race detectors.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -19,6 +18,8 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "hierarchy/memsys.hh"
+#include "obs/interval.hh"
 #include "sim/parallel.hh"
 #include "workloads/registry.hh"
 
@@ -173,11 +174,15 @@ TEST(ParallelSuite, BitIdenticalToSequentialAcrossJobCounts)
         return makeWorkloadChecked(name, 3000, 7);
     };
 
-    // The reference: a plain loop over the unit of work, on this
-    // thread, with no runner involved.
+    // The reference: a plain loop of timing runs, on this thread,
+    // with no runner involved.
     SuiteReport sequential;
-    for (const std::string &name : names)
-        sequential.rows.push_back(runSuiteCell(name, factory, cfg));
+    for (const std::string &name : names) {
+        auto trace = factory(name);
+        ASSERT_TRUE(trace.ok()) << name;
+        sequential.rows.push_back(
+            {name, Status::ok(), runTiming(*trace.value(), cfg), 0.0});
+    }
 
     for (std::size_t jobs : {1u, 2u, 8u}) {
         ParallelSuiteOptions opts;
@@ -255,60 +260,112 @@ TEST(ParallelSuite, ErroredRowsStayIsolatedUnderConcurrency)
     }
 }
 
-// ---- Hook-delivery contract ----------------------------------------
+// ---- Windows in the result ----------------------------------------
 
-TEST(ParallelSuite, InstrumentCallsAreSerialized)
+TEST(ParallelSuite, IntervalWindowsMatchASingleRun)
 {
-    // Contract point 1: the instrument may mutate shared state with
-    // no locking of its own.  Under tsan (ci.sh) this test fails if
-    // two instrument bodies ever overlap.
+    // Each row samples its own run on its own worker: the windows a
+    // row carries are those of a plain runTiming with a hand-attached
+    // sampler, at every jobs value.  Under tsan (ci.sh) this also
+    // checks that no sampler is shared across rows.
     const std::vector<std::string> names = workloadNames();
-    std::vector<std::string> seen; // deliberately unsynchronized
-    int in_flight = 0;
-
-    ParallelSuiteOptions opts;
-    opts.jobs = 8;
-    opts.instrument = [&](const std::string &name, MemorySystem &) {
-        ++in_flight;
-        EXPECT_EQ(in_flight, 1) << "overlapping instrument calls";
-        seen.push_back(name);
-        --in_flight;
+    const SystemConfig cfg = victimConfig(true, true);
+    constexpr Count every = 700; // deliberately not a divisor
+    auto factory = [](const std::string &name) {
+        return makeWorkloadChecked(name, 3000, 7);
     };
-    SuiteReport report = runSuiteParallel(
-        names,
-        [](const std::string &name) {
-            return makeWorkloadChecked(name, 1000, 3);
-        },
-        baselineConfig(), opts);
 
-    EXPECT_TRUE(report.allOk());
-    ASSERT_EQ(seen.size(), names.size());
-    // Every workload was instrumented exactly once (order is the
-    // completion order, not names order).
-    for (const auto &name : names)
-        EXPECT_NE(std::find(seen.begin(), seen.end(), name),
-                  seen.end())
-            << name;
+    std::vector<std::vector<obs::IntervalSample>> want;
+    for (const std::string &name : names) {
+        auto trace = factory(name);
+        ASSERT_TRUE(trace.ok()) << name;
+        obs::IntervalSampler sampler(every);
+        RunOutput r =
+            runTiming(*trace.value(), cfg, [&](MemorySystem &mem) {
+                mem.setAccessHook(
+                    [&](const AccessResult &, const MemStats &st) {
+                        sampler.onAccess(st);
+                    });
+            });
+        sampler.finish(r.mem);
+        ASSERT_FALSE(sampler.samples().empty()) << name;
+        want.push_back(sampler.samples());
+    }
+
+    for (std::size_t jobs : {1u, 8u}) {
+        ParallelSuiteOptions opts;
+        opts.jobs = jobs;
+        opts.interval = every;
+        SuiteReport report = runSuiteParallel(names, factory, cfg, opts);
+        ASSERT_EQ(report.rows.size(), names.size());
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            SCOPED_TRACE("jobs=" + std::to_string(jobs) + " " +
+                         names[i]);
+            const RunOutput &out = report.rows[i].out;
+            ASSERT_TRUE(report.rows[i].ok());
+            EXPECT_EQ(out.interval, every);
+            ASSERT_EQ(out.intervals.size(), want[i].size());
+            for (std::size_t w = 0; w < want[i].size(); ++w) {
+                EXPECT_EQ(out.intervals[w].firstRef, want[i][w].firstRef);
+                EXPECT_EQ(out.intervals[w].lastRef, want[i][w].lastRef);
+                MemStats::forEachField(
+                    [&](const char *field, Count MemStats::*f) {
+                        EXPECT_EQ(out.intervals[w].delta.*f,
+                                  want[i][w].delta.*f)
+                            << "window " << w << " counter " << field;
+                    });
+            }
+        }
+    }
+
+    // No interval, no windows.
+    SuiteReport plain = runSuiteParallel({"go"}, factory, cfg);
+    ASSERT_TRUE(plain.allOk());
+    EXPECT_TRUE(plain.rows[0].out.intervals.empty());
+    EXPECT_EQ(plain.rows[0].out.interval, 0u);
 }
 
-TEST(ParallelSuite, JobsOneMatchesSequentialIncludingCallbacks)
+// ---- The classify suite through the same row loop ------------------
+
+TEST(ClassifySuite, ThrowingFactoryBecomesAnErroredRow)
 {
-    // jobs == 1 must be today's behaviour exactly, callbacks and all.
-    std::vector<std::string> instrumented;
-    ParallelSuiteOptions opts;
-    opts.jobs = 1;
-    opts.instrument = [&](const std::string &name, MemorySystem &) {
-        instrumented.push_back(name);
+    const std::vector<std::string> names = {"go", "swim", "gcc"};
+    auto factory = [](const std::string &name)
+        -> Expected<std::unique_ptr<TraceSource>> {
+        if (name == "swim")
+            throw std::runtime_error("factory exploded");
+        if (name == "gcc")
+            return Status::corruptTrace("bad trace magic in gcc.bin");
+        return makeWorkloadChecked(name, 2000, 3);
     };
-    const std::vector<std::string> names = {"go", "perl", "tomcatv"};
-    SuiteReport report = runSuiteParallel(
-        names,
-        [](const std::string &name) {
-            return makeWorkloadChecked(name, 2000, 3);
-        },
-        baselineConfig(), opts);
-    EXPECT_TRUE(report.allOk());
-    EXPECT_EQ(instrumented, names);
+    ShardedClassifyConfig cfg;
+    cfg.shards = 4;
+    ClassifySuiteReport report = runClassifySuite(names, factory, cfg);
+
+    ASSERT_EQ(report.rows.size(), names.size());
+    EXPECT_EQ(report.failures(), 2u);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(report.rows[i].workload, names[i]);
+        EXPECT_GE(report.rows[i].wallSeconds, 0.0);
+    }
+
+    const auto *thrown = report.row("swim");
+    ASSERT_NE(thrown, nullptr);
+    EXPECT_EQ(thrown->status.code(), ErrorCode::Internal);
+    EXPECT_NE(thrown->status.message().find("factory exploded"),
+              std::string::npos);
+    EXPECT_NE(thrown->status.message().find("workload 'swim'"),
+              std::string::npos);
+
+    const auto *corrupt = report.row("gcc");
+    ASSERT_NE(corrupt, nullptr);
+    EXPECT_EQ(corrupt->status.code(), ErrorCode::CorruptTrace);
+
+    const auto *go = report.row("go");
+    ASSERT_NE(go, nullptr);
+    ASSERT_TRUE(go->ok());
+    EXPECT_EQ(go->out.references, 2000u);
+    EXPECT_EQ(go->out.shards, 4u);
 }
 
 } // namespace

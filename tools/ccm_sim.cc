@@ -21,6 +21,7 @@
  * mode: one bad-config line and exit 1, before any suite row runs.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -108,8 +109,9 @@ struct Options
 };
 
 /**
- * Observability state for one run: an interval sampler and/or an MCT
- * event trace, attached to the machine right before it runs.
+ * Observability state for one single run: an interval sampler and/or
+ * an MCT event trace, attached to the machine right before it runs
+ * through its one access hook.
  */
 struct RunObservers
 {
@@ -134,14 +136,6 @@ struct RunObservers
         }
         if (ev)
             mem.mct().setLookupHook(ev->hook());
-    }
-
-    /** Flush the sampler's final window against the run's end state. */
-    void
-    finish(const MemStats &final_stats)
-    {
-        if (sampler)
-            sampler->finish(final_stats);
     }
 };
 
@@ -181,7 +175,8 @@ usage()
         "  --list                     list synthetic workloads\n"
         "  --workload NAME            synthetic workload (default "
         "tomcatv)\n"
-        "  --trace PATH               binary trace file instead\n"
+        "  --trace PATH               binary trace file instead (single\n"
+        "                             runs; a suite takes --trace-dir)\n"
         "  --suite                    sweep the whole suite; failed\n"
         "                             runs become ERROR rows\n"
         "  --trace-dir DIR            suite traces from DIR/NAME.bin\n"
@@ -335,14 +330,91 @@ buildConfig(const Options &o)
     return cfg;
 }
 
-/** Open a trace file under --budget / --tolerate-truncation. */
+/**
+ * The trace for workload @p name: DIR/NAME.bin under --trace-dir,
+ * else the --trace file (never with --suite), else the generator.
+ * Both suites and both single-run modes read through this.
+ */
 Expected<std::unique_ptr<TraceSource>>
-openTraceFile(const Options &o, const std::string &path)
+openTrace(const Options &o, const std::string &name)
 {
     TraceReadOptions ropts;
     ropts.corruptionBudget = o.budget;
     ropts.tolerateTruncatedTail = o.tolerateTruncation;
-    return openTraceMappedOrFile(path, ropts);
+    if (!o.traceDir.empty())
+        return openTraceMappedOrFile(o.traceDir + "/" + name + ".bin",
+                                     ropts);
+    if (!o.tracePath.empty())
+        return openTraceMappedOrFile(o.tracePath, ropts);
+    return makeWorkloadChecked(name, o.refs, o.seed);
+}
+
+/** The numeric columns of one ok timing row: cycles, ipc, miss%. */
+void
+setRowColumns(TextTable &table, std::size_t r, const RunOutput &out)
+{
+    table.set(r, 2, std::to_string(out.sim.cycles));
+    table.setNum(r, 3, out.sim.ipc);
+    table.setNum(r, 4, out.mem.missRatePct());
+}
+
+/** The numeric columns of one ok classify row: refs, miss%, conflict%. */
+void
+setRowColumns(TextTable &table, std::size_t r,
+              const ShardedClassifyResult &out)
+{
+    table.set(r, 2, std::to_string(out.references));
+    table.setNum(r, 3, out.mem.missRatePct());
+    table.setNum(r, 4, pct(out.mem.conflictMisses, out.mem.l1Misses));
+}
+
+/**
+ * Print a finished sweep under @p title (its table, one error line
+ * per errored row, the ok/errored footer) and write its document.
+ * @return 0, 2 when a row errored, 1 when the document can't be
+ * written
+ */
+template <typename Out>
+int
+reportSuite(const Options &o, const std::string &title,
+            std::vector<std::string> columns,
+            const SuiteReportOf<Out> &report)
+{
+    TextTable table(std::move(columns));
+    for (const auto &row : report.rows) {
+        std::size_t r = table.addRow(row.workload);
+        if (row.ok()) {
+            table.set(r, 1, "ok");
+            setRowColumns(table, r, row.out);
+        } else {
+            table.set(r, 1,
+                      std::string("ERROR[") +
+                          errorCodeName(row.status.code()) + "]");
+            table.set(r, 2, "-");
+            table.set(r, 3, "-");
+            table.set(r, 4, "-");
+        }
+        table.setNum(r, 5, row.wallSeconds * 1000.0, 1);
+    }
+    std::cout << "== " << title << " ==\n";
+    table.print(std::cout);
+
+    for (const auto &row : report.rows) {
+        if (!row.ok())
+            CCM_LOG_ERROR(row.status.toString());
+    }
+    std::cout << report.rows.size() - report.failures() << "/"
+              << report.rows.size() << " runs ok, "
+              << report.failures() << " errored\n";
+
+    if (!o.stats.path.empty()) {
+        obs::JsonValue doc = obs::suiteDocument(report);
+        doc.set("arch", obs::JsonValue::str(o.arch));
+        int rc = emitStatsDoc(o, std::move(doc));
+        if (rc != 0)
+            return rc;
+    }
+    return report.allOk() ? 0 : 2;
 }
 
 int
@@ -350,36 +422,12 @@ runSuiteMode(const Options &o, const SystemConfig &cfg)
 {
     obs::ScopedSpan span("suite:" + o.arch, "sim");
 
-    auto factory = [&](const std::string &name)
-        -> Expected<std::unique_ptr<TraceSource>> {
-        if (o.traceDir.empty())
-            return makeWorkloadChecked(name, o.refs, o.seed);
-        return openTraceFile(o, o.traceDir + "/" + name + ".bin");
+    auto factory = [&o](const std::string &name) {
+        return openTrace(o, name);
     };
-
-    // Per-workload interval samplers, attached as each machine is
-    // built and finished against that run's final counters below.
-    std::map<std::string, std::unique_ptr<obs::IntervalSampler>>
-        samplers;
-    SuiteInstrument instrument;
-    if (o.interval > 0) {
-        instrument = [&](const std::string &name, MemorySystem &mem) {
-            auto sp = std::make_unique<obs::IntervalSampler>(o.interval);
-            obs::IntervalSampler *raw = sp.get();
-            mem.setAccessHook(
-                [raw](const AccessResult &, const MemStats &st) {
-                    raw->onAccess(st);
-                });
-            samplers[name] = std::move(sp);
-        };
-    }
-
-    // The instrument body mutates the shared sampler map; the runner
-    // serializes instrument calls (parallel.hh contract point 1), so
-    // this needs no locking even under --jobs N.
     ParallelSuiteOptions popts;
     popts.jobs = o.jobs;
-    popts.instrument = instrument;
+    popts.interval = o.interval;
 
     // --auto-size: one cheap SHARDS pass per workload sizes its
     // assist geometry before the sweep (src/sample/recommend.hh).
@@ -414,59 +462,12 @@ runSuiteMode(const Options &o, const SystemConfig &cfg)
         };
     }
 
-    SuiteReport report =
-        runSuiteParallel(workloadNames(), factory, cfg, popts);
-    for (const auto &row : report.rows) {
-        auto it = samplers.find(row.workload);
-        if (it != samplers.end() && row.ok())
-            it->second->finish(row.out.mem);
-    }
-
-    TextTable table(
-        {"workload", "status", "cycles", "ipc", "miss%", "wall ms"});
-    for (const auto &row : report.rows) {
-        std::size_t r = table.addRow(row.workload);
-        if (row.ok()) {
-            table.set(r, 1, "ok");
-            table.set(r, 2, std::to_string(row.out.sim.cycles));
-            table.setNum(r, 3, row.out.sim.ipc);
-            table.setNum(r, 4, row.out.mem.missRatePct());
-        } else {
-            table.set(r, 1,
-                      std::string("ERROR[") +
-                          errorCodeName(row.status.code()) + "]");
-            table.set(r, 2, "-");
-            table.set(r, 3, "-");
-            table.set(r, 4, "-");
-        }
-        table.setNum(r, 5, row.wallSeconds * 1000.0, 1);
-    }
-    std::cout << "== ccm-sim suite: " << o.arch << " (jobs "
-              << resolveJobCount(o.jobs) << ") ==\n";
-    table.print(std::cout);
-
-    for (const auto &row : report.rows) {
-        if (!row.ok())
-            CCM_LOG_ERROR(row.status.toString());
-    }
-    std::cout << report.rows.size() - report.failures() << "/"
-              << report.rows.size() << " runs ok, "
-              << report.failures() << " errored\n";
-
-    if (!o.stats.path.empty()) {
-        obs::JsonValue doc = obs::suiteDocument(
-            report,
-            [&](const std::string &name) -> const obs::IntervalSampler * {
-                auto it = samplers.find(name);
-                return it == samplers.end() ? nullptr
-                                            : it->second.get();
-            });
-        doc.set("arch", obs::JsonValue::str(o.arch));
-        int rc = emitStatsDoc(o, std::move(doc));
-        if (rc != 0)
-            return rc;
-    }
-    return report.allOk() ? 0 : 2;
+    return reportSuite(
+        o,
+        "ccm-sim suite: " + o.arch + " (jobs " +
+            std::to_string(resolveJobCount(o.jobs)) + ")",
+        {"workload", "status", "cycles", "ipc", "miss%", "wall ms"},
+        runSuiteParallel(workloadNames(), factory, cfg, popts));
 }
 
 /** The classify config from @p o, or why it is invalid. */
@@ -486,82 +487,20 @@ buildClassifyConfig(const Options &o)
     return cfg;
 }
 
-/** Classify-mode trace factory: file or synthetic. */
-Expected<std::unique_ptr<TraceSource>>
-openClassifyTrace(const Options &o, const std::string &name)
-{
-    if (!o.traceDir.empty())
-        return openTraceFile(o, o.traceDir + "/" + name + ".bin");
-    if (!o.tracePath.empty())
-        return openTraceFile(o, o.tracePath);
-    return makeWorkloadChecked(name, o.refs, o.seed);
-}
-
 int
 runClassifySuiteMode(const Options &o, const ShardedClassifyConfig &ccfg)
 {
     obs::ScopedSpan span("classify-suite", "sim");
-
-    // Rows run sequentially: --shards already parallelizes within
-    // each run, and stacking --jobs on top would just oversubscribe.
-    std::vector<obs::ClassifyRow> rows;
-    for (const auto &name : workloadNames()) {
-        obs::ClassifyRow row;
-        row.workload = name;
-        const auto start = std::chrono::steady_clock::now();
-        auto trace = openClassifyTrace(o, name);
-        if (!trace.ok()) {
-            row.status = trace.status();
-        } else {
-            row.out = runShardedClassify(*trace.value(), ccfg);
-        }
-        row.wallSeconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-        rows.push_back(std::move(row));
-    }
-
-    TextTable table({"workload", "status", "refs", "miss%",
-                     "conflict%", "wall ms"});
-    std::size_t errored = 0;
-    for (const auto &row : rows) {
-        std::size_t r = table.addRow(row.workload);
-        if (row.ok()) {
-            table.set(r, 1, "ok");
-            table.set(r, 2, std::to_string(row.out.references));
-            table.setNum(r, 3, row.out.mem.missRatePct());
-            table.setNum(r, 4,
-                         pct(row.out.mem.conflictMisses,
-                             row.out.mem.l1Misses));
-        } else {
-            table.set(r, 1,
-                      std::string("ERROR[") +
-                          errorCodeName(row.status.code()) + "]");
-            table.set(r, 2, "-");
-            table.set(r, 3, "-");
-            table.set(r, 4, "-");
-            ++errored;
-        }
-        table.setNum(r, 5, row.wallSeconds * 1000.0, 1);
-    }
-    std::cout << "== ccm-sim classify suite (shards "
-              << (o.shards == 0 ? 1U : o.shards) << ") ==\n";
-    table.print(std::cout);
-    for (const auto &row : rows) {
-        if (!row.ok())
-            CCM_LOG_ERROR(row.status.toString());
-    }
-    std::cout << rows.size() - errored << "/" << rows.size()
-              << " runs ok, " << errored << " errored\n";
-
-    if (!o.stats.path.empty()) {
-        obs::JsonValue doc = obs::classifySuiteDocument(rows);
-        doc.set("arch", obs::JsonValue::str(o.arch));
-        int rc = emitStatsDoc(o, std::move(doc));
-        if (rc != 0)
-            return rc;
-    }
-    return errored == 0 ? 0 : 2;
+    return reportSuite(
+        o,
+        "ccm-sim classify suite (shards " +
+            std::to_string(std::max(o.shards, 1U)) + ")",
+        {"workload", "status", "refs", "miss%", "conflict%", "wall ms"},
+        runClassifySuite(workloadNames(),
+                         [&o](const std::string &name) {
+                             return openTrace(o, name);
+                         },
+                         ccfg));
 }
 
 int
@@ -578,7 +517,7 @@ runClassifyMode(const Options &o)
     // records/sec: every trace record (non-memory included) over the
     // open-to-result wall time, the unit perfbench's Mrec/s uses.
     const auto start = std::chrono::steady_clock::now();
-    auto trace = openClassifyTrace(o, o.workload);
+    auto trace = openTrace(o, o.workload);
     if (!trace.ok()) {
         CCM_LOG_ERROR(trace.status().toString());
         return 1;
@@ -745,6 +684,13 @@ main(int argc, char **argv)
                           .toString());
         return 1;
     }
+    if (o.suite && !o.tracePath.empty()) {
+        CCM_LOG_ERROR(Status::badConfig(
+                          "--suite reads one trace per workload: use "
+                          "--trace-dir, not --trace")
+                          .toString());
+        return 1;
+    }
     if (o.autoSize && (!o.suite || o.classify)) {
         CCM_LOG_ERROR(Status::badConfig(
                           "--auto-size requires the timing suite "
@@ -777,9 +723,7 @@ main(int argc, char **argv)
         return rc;
     }
 
-    auto opened = o.tracePath.empty()
-                      ? makeWorkloadChecked(o.workload, o.refs, o.seed)
-                      : openTraceFile(o, o.tracePath);
+    auto opened = openTrace(o, o.workload);
     if (!opened.ok()) {
         CCM_LOG_ERROR(opened.status().toString());
         return 1;
@@ -792,7 +736,8 @@ main(int argc, char **argv)
             obsv.attach(mem);
         });
     }();
-    obsv.finish(r.mem);
+    if (obsv.sampler)
+        r.adoptWindows(*obsv.sampler);
     const MemStats &m = r.mem;
 
     std::cout << "== ccm-sim: " << src->name() << " on " << o.arch
@@ -828,8 +773,8 @@ main(int argc, char **argv)
 
     int rc = 0;
     if (!o.stats.path.empty()) {
-        obs::JsonValue doc = obs::runDocument(
-            src->name(), r, obsv.sampler.get(), obsv.events.get());
+        obs::JsonValue doc =
+            obs::runDocument(src->name(), r, obsv.events.get());
         doc.set("arch", obs::JsonValue::str(o.arch));
         rc = emitStatsDoc(o, std::move(doc));
     }

@@ -16,7 +16,8 @@
 #   7. doc links: tools/check-doc-links.sh over the markdown tree
 #   8. observability smoke: ccm-sim --stats-json on a tiny suite run,
 #      validated and rendered by ccm-report; --jobs 2 must produce a
-#      stats document identical to --jobs 1 modulo wall-time fields;
+#      stats document, interval windows included, identical to
+#      --jobs 1 modulo wall-time fields;
 #      the sharded classify engine (--classify --suite --shards 4)
 #      must produce a stats document byte-identical to --shards 1,
 #      and so must a gcc trace file long enough for the parallel open
@@ -24,7 +25,8 @@
 #      --interval 997 and --shards 1, 3 and 4;
 #      a bad geometry, MCT shape, --pref-kind, --shards or --refs 0
 #      (ccm-sim single, --suite, --classify; ccm-sample; ccm-trace
-#      gen; a ccm-serve --config file), and a malformed number on
+#      gen; a ccm-serve --config file), --suite or --classify --suite
+#      with --trace, and a malformed number on
 #      every tool (sign, letters, trailing text, out of the field's
 #      range, two stats targets), must give one bad-config line and
 #      exit 1, never a fatal: exit, and ccm-trace gen to /dev/full
@@ -43,8 +45,9 @@
 #      byte, a gcc generator and its packed and delta traces must give
 #      one document (and the two traces one --exact document), and
 #      the sampling_accuracy gate must hold;
-#      reproduction tables: eight paper benches (partial tags, MCT
-#      depth, the §5.4/§5.6 studies, the I-cache extension) must
+#      reproduction tables: fourteen paper benches (partial tags, MCT
+#      depth, the §5.4/§5.6 studies, the I-cache extension, and the
+#      §5 timing results: Figures 3-7 and Table 1, at --jobs 4) must
 #      print the tables in bench/baselines/tables/ byte for byte, and
 #      Figure 2's full-tag row must equal Figure 1's 16KB-DM pooled
 #      conf%/cap%;
@@ -175,10 +178,12 @@ build/tools/ccm-report "$obs_tmp/suite.json" > /dev/null
 
 # Parallel determinism: the suite document at --jobs 2 must match
 # --jobs 1 byte for byte once the wall-time fields are stripped.
+# The interval windows each row samples on its own worker are
+# diffed with the rest.
 build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
-    --stats-json "$obs_tmp/seq.json" > /dev/null
+    --interval 1000 --stats-json "$obs_tmp/seq.json" > /dev/null
 build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 2 \
-    --stats-json "$obs_tmp/par.json" > /dev/null
+    --interval 1000 --stats-json "$obs_tmp/par.json" > /dev/null
 diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/seq.json") \
      <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/par.json")
 build/tools/ccm-report --check "$obs_tmp/seq.json"
@@ -251,6 +256,10 @@ expect_code bad-config build/tools/ccm-sim --classify --suite --shards 4 \
 expect_code bad-config build/tools/ccm-sample --exact --mct-depth 0
 expect_code bad-config build/tools/ccm-sim --workload gcc --l1-kb 3
 expect_code bad-config build/tools/ccm-sim --suite --l1-kb 3
+# A suite reads one trace per workload (--trace-dir), never one --trace.
+expect_code bad-config build/tools/ccm-sim --suite --trace "$obs_tmp/x.bin"
+expect_code bad-config build/tools/ccm-sim --classify --suite \
+    --trace "$obs_tmp/x.bin"
 expect_code bad-config build/tools/ccm-sim --arch victim --buf-entries 0
 expect_code bad-config build/tools/ccm-sim --arch prefetch --pref-kind bogus
 expect_code bad-config build/tools/ccm-sim --refs 0
@@ -456,13 +465,21 @@ step "reproduction tables (paper benches vs bench/baselines/tables)"
 # does not reach: partial tags in the timing lane, MCT depth > 1, and
 # the pseudo-associative, biased, multithread and remap studies, and
 # the I-cache extension (ext_icache, the one other bench that scores
-# the oracle).  Run in a scratch directory: fig1_accuracy also writes
-# its BENCH_*.json.
+# the oracle), and the paper's §5 timing results (Figures 3-7, Table
+# 1), which print the same bytes at every --jobs and run at --jobs 4
+# (fig7 takes no flag).  Run in a scratch directory: the benches also
+# write their BENCH_*.json.
 mkdir -p "$obs_tmp/tables"
 for b in fig1_accuracy fig2_tag_bits ablation_mct_depth \
          sec54_pseudo_assoc sec56_assoc_bias sec56_multithread \
-         sec56_page_remap ext_icache; do
-    if ! (cd "$obs_tmp/tables" && "$repo_root/build/bench/$b") \
+         sec56_page_remap ext_icache fig3_victim fig4_prefetch \
+         fig5_exclusion fig6_amb fig7_amb_hit_components \
+         table1_victim_rates; do
+    args=()
+    case $b in
+        fig3_* | fig4_* | fig5_* | fig6_* | table1_*) args=(--jobs 4) ;;
+    esac
+    if ! (cd "$obs_tmp/tables" && "$repo_root/build/bench/$b" "${args[@]}") \
              > "$obs_tmp/tables/$b.out" ||
        ! diff "bench/baselines/tables/$b.txt" "$obs_tmp/tables/$b.out"; then
         echo "FAIL: $b no longer prints bench/baselines/tables/$b.txt" >&2
@@ -645,7 +662,7 @@ step "telemetry smoke (span tracing + overhead budget)"
 # Spans on must not change a single byte of the stats document (the
 # seq.json reference was produced without tracing above).
 build/tools/ccm-sim --suite --refs 5000 --arch victim --jobs 1 \
-    --trace-spans "$obs_tmp/spans.json" \
+    --interval 1000 --trace-spans "$obs_tmp/spans.json" \
     --stats-json "$obs_tmp/traced.json" > /dev/null
 diff <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/seq.json") \
      <(grep -v -e wall_seconds -e records_per_sec "$obs_tmp/traced.json")
