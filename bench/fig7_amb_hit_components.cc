@@ -10,6 +10,7 @@
  * rate over the best individual policy.
  */
 
+#include <array>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -17,10 +18,12 @@
 #include "sim/experiment.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace ccm;
     using namespace ccm::bench;
+
+    const std::size_t jobs = parseJobs(argc, argv);
 
     struct Policy
     {
@@ -43,23 +46,31 @@ main()
     TextTable table({"policy", "D$", "victim", "prefetch", "bypass",
                      "total", "miss"});
 
-    std::vector<VectorTrace> traces;
-    for (const auto &name : timingSuite())
-        traces.push_back(captureWorkload(name));
-    const double n = double(traces.size());
+    // One task per workload; each owns its trace and its result
+    // slots.  The suite averages are summed afterwards in workload
+    // order, so every --jobs prints the same bytes.
+    constexpr std::size_t n_pol = std::size(policies);
+    const auto &suite = timingSuite();
+    std::vector<std::array<MemStats, n_pol>> mem(suite.size());
+    forEachIndex(suite.size(), jobs, [&](std::size_t w) {
+        VectorTrace trace = captureWorkload(suite[w]);
+        for (std::size_t p = 0; p < n_pol; ++p)
+            mem[w][p] = runTiming(trace, policies[p].cfg).mem;
+    });
+    const double n = double(suite.size());
 
-    for (const auto &p : policies) {
+    for (std::size_t p = 0; p < n_pol; ++p) {
         double d = 0, v = 0, pf = 0, by = 0, tot = 0, miss = 0;
-        for (auto &trace : traces) {
-            RunOutput r = runTiming(trace, p.cfg);
-            d += r.mem.l1HitRatePct();
-            v += pct(r.mem.bufHitVictim, r.mem.accesses);
-            pf += pct(r.mem.bufHitPrefetch, r.mem.accesses);
-            by += pct(r.mem.bufHitBypass, r.mem.accesses);
-            tot += r.mem.totalHitRatePct();
-            miss += r.mem.missRatePct();
+        for (const auto &per_policy : mem) {
+            const MemStats &m = per_policy[p];
+            d += m.l1HitRatePct();
+            v += pct(m.bufHitVictim, m.accesses);
+            pf += pct(m.bufHitPrefetch, m.accesses);
+            by += pct(m.bufHitBypass, m.accesses);
+            tot += m.totalHitRatePct();
+            miss += m.missRatePct();
         }
-        auto row = table.addRow(p.label);
+        auto row = table.addRow(policies[p].label);
         table.setNum(row, 1, d / n, 1);
         table.setNum(row, 2, v / n, 1);
         table.setNum(row, 3, pf / n, 1);

@@ -17,6 +17,7 @@
 
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/log.hh"
@@ -175,6 +176,18 @@ class Expected
     {
         if (err.isOk())
             ccm_panic("Expected constructed from an Ok status");
+    }
+
+    /**
+     * The value or error of @p other, its value converted to T (an
+     * Expected<std::unique_ptr<Derived>> into one of a base pointer).
+     */
+    template <typename U,
+              typename = std::enable_if_t<std::is_convertible_v<U, T>>>
+    Expected(Expected<U> &&other) : err(other.status())
+    {
+        if (other.ok())
+            val.emplace(other.take());
     }
 
     bool ok() const { return val.has_value(); }

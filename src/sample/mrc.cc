@@ -9,6 +9,7 @@
 #include "cache/fa_lru.hh"
 #include "cache/geometry.hh"
 #include "common/sample_hash.hh"
+#include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "trace/batch_reader.hh"
 #include "trace/vector_trace.hh"
@@ -211,30 +212,26 @@ admissionCap(const MrcConfig &cfg)
         cfg.seed);
 }
 
-/** One sampling pass with @p sampler over @p stream; cfg pre-validated. */
-MrcResult
-buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
-             const std::vector<std::size_t> &capacities,
-             SamplingPredicate sampler)
+/** A fixed-size threshold halving, as each bank replays it. */
+struct Halving
 {
-    std::vector<Bank> banks(capacities.size());
-    for (std::size_t i = 0; i < capacities.size(); ++i) {
-        Bank &b = banks[i];
-        b.capacityLines = capacities[i] / cfg.lineBytes;
-        b.effLines = scaledLines(b.capacityLines, sampler.threshold());
-        if (b.effLines > 0)
-            b.lru = std::make_unique<FaLru>(b.effLines);
-    }
+    Count after = 0; ///< admitted references before it takes effect
+    std::uint64_t threshold = 0; ///< the halved threshold
+    std::vector<Addr> purged;    ///< the lines that fell out of the sample
+};
 
-    MrcResult res;
-    res.totalRefs = stream.totalRefs;
-    res.configuredRate = sampler.rate();
-    res.seed = cfg.seed;
-    res.lineBytes = cfg.lineBytes;
-    res.variant = cfg.variant;
-    res.rateCorrected = cfg.rateCorrection;
-    res.windowRefs = cfg.windowRefs;
-    res.checkpoints = stream.checkpoints;
+/**
+ * Lane 0 of a pass: everything but the banks.  Walks @p stream once
+ * at @p sampler's threshold, fills @p res's reference and line counts,
+ * final rate and windows (their sampledMisses still empty), and
+ * returns the halving schedule the banks replay (empty for
+ * fixed-rate).
+ */
+std::vector<Halving>
+trackLines(const SampledStream &stream, const MrcConfig &cfg,
+           SamplingPredicate sampler, MrcResult &res)
+{
+    std::vector<Halving> schedule;
 
     // Tracked sampled lines -> admission bucket (so a threshold
     // halving can purge exactly the lines that fell out of the
@@ -250,7 +247,6 @@ buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
     // Window bookkeeping (cfg.windowRefs > 0 only).  A window closes
     // at its ordinal boundary whether or not a sampled reference fell
     // inside it.
-    std::vector<Count> window_base(banks.size(), 0);
     Count last_boundary = 0;
     Count window_sampled_base = 0;
     Count window_new_lines = 0;
@@ -261,12 +257,6 @@ buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
         w.lastRef = upto;
         w.sampledRefs = res.sampledRefs - window_sampled_base;
         window_sampled_base = res.sampledRefs;
-        w.sampledMisses.reserve(banks.size());
-        for (std::size_t i = 0; i < banks.size(); ++i) {
-            w.sampledMisses.push_back(banks[i].sampledMisses -
-                                      window_base[i]);
-            window_base[i] = banks[i].sampledMisses;
-        }
         w.sampledNewLines = window_new_lines;
         w.sampledUniqueLines = window_unique_lines;
         window_new_lines = 0;
@@ -293,7 +283,6 @@ buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
                 continue;
             emitWindowsBefore(ref.ordinal);
 
-            const LineAddr line{ref.line};
             ++res.sampledRefs;
             res.weightedRefs += weight;
 
@@ -310,33 +299,24 @@ buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
                 ++window_unique_lines;
             }
 
-            for (Bank &b : banks)
-                b.access(line, weight);
-
-            // Fixed-size: over budget -> halve the threshold, purge the
-            // lines that fell out of the sample, shrink the banks to the
-            // new scaled capacities.
+            // Fixed-size: over budget -> halve the threshold and purge
+            // the lines that fell out of the sample.
             if (cfg.variant == ShardsVariant::FixedSize &&
                 tracked.size() > cfg.maxSampledLines &&
                 sampler.threshold() > 1) {
-                const std::uint64_t new_thr = sampler.threshold() / 2;
-                sampler.lowerThreshold(new_thr);
+                Halving h{res.sampledRefs, sampler.threshold() / 2, {}};
+                sampler.lowerThreshold(h.threshold);
                 ++res.thresholdHalvings;
                 weight = 1.0 / sampler.rate();
                 for (auto it2 = tracked.begin(); it2 != tracked.end();) {
-                    if (it2->second.bucket >= new_thr) {
-                        for (Bank &b : banks)
-                            b.drop(LineAddr{it2->first});
+                    if (it2->second.bucket >= h.threshold) {
+                        h.purged.push_back(it2->first);
                         it2 = tracked.erase(it2);
                     } else {
                         ++it2;
                     }
                 }
-                for (Bank &b : banks) {
-                    b.effLines =
-                        scaledLines(b.capacityLines, sampler.threshold());
-                    b.trim();
-                }
+                schedule.push_back(std::move(h));
             }
         }
     }
@@ -345,23 +325,144 @@ buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
         if (res.totalRefs > last_boundary)
             emitWindow(res.totalRefs);
     }
-
     res.finalRate = sampler.rate();
+    return schedule;
+}
+
+/**
+ * One bank's lane: the bank, and its misses at the end of each window
+ * that closed before its last admitted reference (every later window
+ * ends at the bank's final count).
+ */
+struct BankRun
+{
+    Bank bank; ///< its LRU released once the lane ends
+    std::vector<Count> missesAtWindowEnd;
+
+    Count
+    missesAtEndOf(std::size_t window) const
+    {
+        return window < missesAtWindowEnd.size()
+                   ? missesAtWindowEnd[window]
+                   : bank.sampledMisses;
+    }
+};
+
+/**
+ * One bank's lane of a pass: the references lane 0 admits, replayed
+ * against a bank of @p capacity_lines lines, with @p schedule's drops
+ * and trims applied after the admitted reference each follows.
+ * Weights are added in stream order, as a single walk adds them.
+ */
+BankRun
+replayBank(const SampledStream &stream, const MrcConfig &cfg,
+           std::size_t capacity_lines, SamplingPredicate sampler,
+           const std::vector<Halving> &schedule)
+{
+    BankRun run;
+    Bank &b = run.bank;
+    b.capacityLines = capacity_lines;
+    b.effLines = scaledLines(b.capacityLines, sampler.threshold());
+    if (b.effLines > 0)
+        b.lru = std::make_unique<FaLru>(b.effLines);
+    Count next_window_boundary =
+        cfg.windowRefs != 0 ? cfg.windowRefs
+                            : std::numeric_limits<Count>::max();
+    double weight = 1.0 / sampler.rate();
+    Count admitted = 0;
+    auto next_halving = schedule.begin();
+
+    for (const std::vector<SampledRef> &segment : stream.segments) {
+        for (const SampledRef &ref : segment) {
+            if (ref.bucket >= sampler.threshold())
+                continue;
+            while (next_window_boundary < ref.ordinal) {
+                run.missesAtWindowEnd.push_back(b.sampledMisses);
+                next_window_boundary += cfg.windowRefs;
+            }
+            b.access(LineAddr{ref.line}, weight);
+            ++admitted;
+            if (next_halving != schedule.end() &&
+                next_halving->after == admitted) {
+                sampler.lowerThreshold(next_halving->threshold);
+                weight = 1.0 / sampler.rate();
+                for (Addr line : next_halving->purged)
+                    b.drop(LineAddr{line});
+                b.effLines =
+                    scaledLines(b.capacityLines, sampler.threshold());
+                b.trim();
+                ++next_halving;
+            }
+        }
+    }
+    b.lru.reset();
+    return run;
+}
+
+/**
+ * One sampling pass with @p sampler over @p stream; cfg pre-validated.
+ * Lane 0 (trackLines) and one lane per curve point (replayBank) run
+ * on their own threads.  A fixed-rate pass never halves, so its bank
+ * lanes need nothing from lane 0 and all lanes start at once; a
+ * fixed-size pass runs lane 0 first for its halving schedule.
+ */
+MrcResult
+buildMrcPass(const SampledStream &stream, const MrcConfig &cfg,
+             const std::vector<std::size_t> &capacities,
+             SamplingPredicate sampler)
+{
+    MrcResult res;
+    res.totalRefs = stream.totalRefs;
+    res.configuredRate = sampler.rate();
+    res.seed = cfg.seed;
+    res.lineBytes = cfg.lineBytes;
+    res.variant = cfg.variant;
+    res.rateCorrected = cfg.rateCorrection;
+    res.windowRefs = cfg.windowRefs;
+    res.checkpoints = stream.checkpoints;
+
+    std::vector<Halving> schedule;
+    std::vector<BankRun> banks(capacities.size());
+    auto bank = [&](std::size_t i) {
+        banks[i] = replayBank(stream, cfg, capacities[i] / cfg.lineBytes,
+                              sampler, schedule);
+    };
+    if (cfg.variant == ShardsVariant::FixedRate) {
+        forEachIndex(banks.size() + 1, 0, [&](std::size_t lane) {
+            if (lane == 0)
+                trackLines(stream, cfg, sampler, res);
+            else
+                bank(lane - 1);
+        });
+    } else {
+        schedule = trackLines(stream, cfg, sampler, res);
+        forEachIndex(banks.size(), 0, bank);
+    }
+
+    // Each window's misses per point: the bank's count at the
+    // window's end less its count at the one before.
+    for (std::size_t w = 0; w < res.windows.size(); ++w) {
+        std::vector<Count> &misses = res.windows[w].sampledMisses;
+        misses.reserve(banks.size());
+        for (const BankRun &b : banks)
+            misses.push_back(b.missesAtEndOf(w) -
+                             (w > 0 ? b.missesAtEndOf(w - 1) : 0));
+    }
 
     // Rate correction: misses are measured; the reference mass is
     // corrected to its expectation (N for weighted units), so an
     // unlucky sample shifts hits, not the measured miss weight.
     const double total = static_cast<double>(res.totalRefs);
     for (std::size_t i = 0; i < banks.size(); ++i) {
+        const Bank &b = banks[i].bank;
         MrcPoint p;
         p.capacityBytes = capacities[i];
-        p.capacityLines = banks[i].capacityLines;
-        p.bankLines = banks[i].effLines;
-        p.sampledMisses = banks[i].sampledMisses;
+        p.capacityLines = b.capacityLines;
+        p.bankLines = b.effLines;
+        p.sampledMisses = b.sampledMisses;
         const double denom =
             cfg.rateCorrection ? total : res.weightedRefs;
-        const double mr =
-            denom > 0.0 ? banks[i].weightedMisses / denom : 0.0;
+        const double mr = denom > 0.0 ? b.weightedMisses / denom : 0.0;
         p.missRatio = std::clamp(mr, 0.0, 1.0);
         res.points.push_back(p);
     }

@@ -14,7 +14,11 @@
  * references each bank misses.  Each bank operation is O(1) expected
  * (open-addressed hash + intrusive list; src/cache/fa_lru.hh), and
  * the grid has a fixed handful of points, so the per-reference cost
- * is O(points) = O(1) — not the naive O(N) Mattson list walk.
+ * is O(points) = O(1) — not the naive O(N) Mattson list walk.  Each
+ * bank runs in its own lane (thread), beside a lane that tracks the
+ * sampled lines and windows and fixes the fixed-size variant's
+ * halving schedule (below); the banks replay that schedule, so every
+ * count and weighted sum is the one-walk pass's, bit for bit.
  *
  * ## SHARDS sampling
  *

@@ -443,27 +443,52 @@ TraceFileReader::resyncPacked(const TraceReadOptions &opts,
 namespace
 {
 
+/** Body bytes per range of the parallel delta open. */
+constexpr std::size_t deltaRangeBytes = std::size_t{1} << 20;
+/** Records a guessed range start must decode to be taken. */
+constexpr std::size_t probeRecords = 16;
+/** Token starts guessRangeStart() tries before it gives up. */
+constexpr int probeTries = 4;
+/** A range start no guess was found for; equals no range's exit. */
+constexpr std::size_t noGuess = ~std::size_t{0};
+
 /**
- * Decode the delta body [@p body, @p body + @p size) until it ends or
- * a record fails to decode, appending a view chunk start (offset and
- * codec state, record count still 0) every traceChunkRecords records.
- * @p off and @p records are set to where decoding stopped.  This loop
- * is a delta open's whole cost.  It lives apart from scanDelta's
- * error reporting, with its cursor in locals: inlined there it ran
- * ~30 against ~20 ms on a 4M-record trace (GCC 12, -O2).
+ * One range of a delta body, decoded from a zero codec.  `codec` and
+ * the chunk starts' codecs are relative to the range's base (the
+ * codec its first record decodes against): decodeRecord only adds
+ * deltas mod 2^64, so adding the base makes them exact.
  */
-delta::DecodeStatus
-decodeDeltaBody(const std::uint8_t *body, std::size_t size,
-                std::size_t &off, std::size_t &records,
-                std::vector<TraceChunk> &chunks)
+struct DeltaRange
 {
+    std::size_t start = noGuess; ///< body offset decoding began at
+    std::size_t exit = 0;        ///< body offset decoding stopped at
+    std::size_t records = 0;
+    delta::Codec codec; ///< after the last record, relative
+    /** A start every traceChunkRecords records, relative codecs. */
+    std::vector<TraceChunk> chunks;
+    delta::DecodeStatus status = delta::DecodeStatus::Ok;
+};
+
+/**
+ * Decode the delta body [@p body, @p body + @p size) from @p from up
+ * to the first record boundary at or past @p end, or to the first
+ * record that fails to decode.  This loop is a delta open's whole
+ * cost.  Its cursor lives in locals, apart from scanDelta's error
+ * reporting: inlined there it ran ~30 against ~20 ms on a 4M-record
+ * trace (GCC 12, -O2).
+ */
+DeltaRange
+decodeDeltaRange(const std::uint8_t *body, std::size_t size,
+                 std::size_t from, std::size_t end)
+{
+    DeltaRange out;
     delta::Codec codec;
-    std::size_t at = 0;
+    std::size_t at = from;
     std::size_t n = 0;
     delta::DecodeStatus st = delta::DecodeStatus::Ok;
-    while (at < size) {
+    while (at < end) {
         if (n % traceChunkRecords == 0)
-            chunks.push_back({{at, 0, codec}, 0});
+            out.chunks.push_back({{at, 0, codec}, 0});
         MemRecord r;
         std::size_t used = 0;
         st = delta::decodeRecord(codec, body + at, body + size, r, used);
@@ -472,9 +497,52 @@ decodeDeltaBody(const std::uint8_t *body, std::size_t size,
         at += used;
         ++n;
     }
-    off = at;
-    records = n;
-    return st;
+    // A chunk cannot start at the record that failed to decode.
+    if (st != delta::DecodeStatus::Ok && n % traceChunkRecords == 0)
+        out.chunks.pop_back();
+    for (std::size_t i = 0; i < out.chunks.size(); ++i)
+        out.chunks[i].records =
+            std::min(traceChunkRecords, n - i * traceChunkRecords);
+    out.start = from;
+    out.exit = at;
+    out.records = n;
+    out.codec = codec;
+    out.status = st;
+    return out;
+}
+
+/**
+ * Guess the first record boundary in [@p from, @p end): a token start
+ * (the byte after one below 0x80, which ends every control byte and
+ * varint) from which probeRecords records, or all up to the end of
+ * the body, decode.  Tries probeTries token starts in order.
+ * @return the guess, or noGuess
+ */
+std::size_t
+guessRangeStart(const std::uint8_t *body, std::size_t size,
+                std::size_t from, std::size_t end)
+{
+    std::size_t at = from;
+    for (int tries = 0; tries < probeTries; ++tries, ++at) {
+        while (at < end && body[at - 1] >= 0x80)
+            ++at;
+        if (at >= end)
+            return noGuess;
+        delta::Codec codec;
+        std::size_t p = at;
+        std::size_t n = 0;
+        MemRecord r;
+        std::size_t used = 0;
+        while (n < probeRecords && p < size &&
+               delta::decodeRecord(codec, body + p, body + size, r,
+                                   used) == delta::DecodeStatus::Ok) {
+            p += used;
+            ++n;
+        }
+        if (n == probeRecords || p == size)
+            return at;
+    }
+    return noGuess;
 }
 
 } // namespace
@@ -486,18 +554,51 @@ TraceFileReader::scanDelta(const TraceReadOptions &opts)
     // it), so the corruption budget does not apply: a bad control
     // byte or varint is an error even when a budget is set, and only
     // a clean truncation at end-of-body can be tolerated.
+    //
+    // The body is cut into deltaRangeBytes ranges (the last one takes
+    // the remainder, so a body under two ranges is one), each decoded
+    // in parallel from a guessed start.  The walk below then takes
+    // range r only if it starts where range r - 1 stopped, which
+    // makes it the serial decode's; any other range is decoded again
+    // from there.  The first defect of a taken range is the serial
+    // first defect.
     const std::string &path = label_;
+    const std::size_t size = validBytes_;
+    const std::size_t ranges =
+        std::max<std::size_t>(1, size / deltaRangeBytes);
+    auto endOf = [&](std::size_t r) {
+        return r + 1 == ranges ? size : (r + 1) * deltaRangeBytes;
+    };
+    std::vector<DeltaRange> decoded(ranges);
+    forEachIndex(ranges, 0, [&](std::size_t r) {
+        const std::size_t from =
+            r == 0 ? 0
+                   : guessRangeStart(body_, size, r * deltaRangeBytes,
+                                     endOf(r));
+        if (from != noGuess)
+            decoded[r] = decodeDeltaRange(body_, size, from, endOf(r));
+    });
+
+    delta::Codec base;
     std::size_t off = 0;
     std::size_t records = 0;
-    const delta::DecodeStatus st =
-        decodeDeltaBody(body_, validBytes_, off, records, chunks_);
-    // A chunk cannot start at the record that failed to decode.
-    if (!chunks_.empty() && chunks_.back().start.at == off &&
-        st != delta::DecodeStatus::Ok)
-        chunks_.pop_back();
-    for (std::size_t i = 0; i < chunks_.size(); ++i)
-        chunks_[i].records = std::min(traceChunkRecords,
-                                      records - i * traceChunkRecords);
+    delta::DecodeStatus st = delta::DecodeStatus::Ok;
+    for (std::size_t r = 0; r < ranges && st == delta::DecodeStatus::Ok;
+         ++r) {
+        DeltaRange &range = decoded[r];
+        if (range.start != off)
+            range = decodeDeltaRange(body_, size, off, endOf(r));
+        for (TraceChunk &c : range.chunks) {
+            c.start.codec.prevPc += base.prevPc;
+            c.start.codec.prevMemAddr += base.prevMemAddr;
+            chunks_.push_back(c);
+        }
+        base.prevPc += range.codec.prevPc;
+        base.prevMemAddr += range.codec.prevMemAddr;
+        off = range.exit;
+        records += range.records;
+        st = range.status;
+    }
     stats_.recordsRead = records;
 
     const std::size_t at = headerBytes + off;

@@ -186,7 +186,8 @@ std::vector<std::size_t> packedCheckBounds(std::size_t records);
  * nextBatch() decode straight from the bytes along that map and
  * cannot fail.  The reader is also its own TraceView: the scan cuts
  * the trace into chunks of traceChunkRecords records (packed: within
- * each run; delta: at the offset and codec state it reached), so
+ * each run; delta: within each byte range, at the offset and codec
+ * state it reached), so
  * consumers can decode a whole file in parallel.
  *
  * A packed body is first checked optimistically: its whole records
@@ -194,6 +195,12 @@ std::vector<std::size_t> packedCheckBounds(std::size_t records);
  * each.  Only when a range holds an implausible record does the
  * serial resync scan run, from byte 0, so every Status, byte offset,
  * TraceReadStats field and warning is the serial scan's own.
+ *
+ * A delta body is decoded in fixed 1 MiB byte ranges in parallel,
+ * each from a guessed first record boundary; a range is kept only if
+ * it starts where the one before it stopped, else it is decoded again
+ * from there, so the chunks, counts and first defect are the serial
+ * decode's.  Its chunks restart at each range.
  */
 class TraceFileReader : public TraceSource, public TraceView
 {

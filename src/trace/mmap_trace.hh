@@ -3,8 +3,9 @@
  * openTraceMappedOrFile: a trace file opened as a plain TraceSource.
  *
  * TraceFileReader (trace/file_trace.hh) is the one trace reader, and
- * it already maps the file; this is only its TraceSource upcast, kept
- * under its historical name for callers that hold a TraceSource.
+ * it already maps the file; this is only its TraceSource upcast under
+ * its historical name.  Call TraceFileReader::open instead: only
+ * perfbench/perfbench_layers.cc still uses this name.
  */
 
 #ifndef CCM_TRACE_MMAP_TRACE_HH
@@ -25,10 +26,7 @@ inline Expected<std::unique_ptr<TraceSource>>
 openTraceMappedOrFile(const std::string &path,
                       const TraceReadOptions &opts = {})
 {
-    auto rd = TraceFileReader::open(path, opts);
-    if (!rd.ok())
-        return rd.status();
-    return std::unique_ptr<TraceSource>(rd.take().release());
+    return TraceFileReader::open(path, opts);
 }
 
 } // namespace ccm

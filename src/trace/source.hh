@@ -62,8 +62,9 @@ class TraceView
 
     /**
      * The chunks in stream order, traceChunkRecords records each
-     * except where a packed run or the trace ends; together they
-     * hold every record once.  Empty for an empty trace.
+     * except where a packed run, a delta range or the trace ends;
+     * together they hold every record once.  Empty for an empty
+     * trace.
      */
     virtual const std::vector<TraceChunk> &chunks() const = 0;
 

@@ -35,6 +35,19 @@ namespace ccm
 namespace
 {
 
+/** Write @p bytes to @p path. */
+void
+writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!bytes.empty()) {
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+    }
+    std::fclose(f);
+}
+
 class CorruptTraceTest : public ::testing::Test
 {
   protected:
@@ -52,13 +65,7 @@ class CorruptTraceTest : public ::testing::Test
     void
     writeBytes(const std::vector<std::uint8_t> &bytes)
     {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        if (!bytes.empty()) {
-            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                      bytes.size());
-        }
-        std::fclose(f);
+        writeFile(path, bytes);
     }
 
     static std::vector<std::uint8_t>
@@ -345,6 +352,12 @@ expectSameRecords(const std::vector<MemRecord> &want,
                   const std::vector<MemRecord> &got)
 {
     ASSERT_EQ(got.size(), want.size());
+    auto same = [](const MemRecord &a, const MemRecord &b) {
+        return a.pc == b.pc && a.addr == b.addr && a.type == b.type &&
+               a.dependsOnPrevLoad == b.dependsOnPrevLoad;
+    };
+    if (std::equal(want.begin(), want.end(), got.begin(), same))
+        return;
     for (std::size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(got[i].pc, want[i].pc) << "record " << i;
         ASSERT_EQ(got[i].addr, want[i].addr) << "record " << i;
@@ -623,6 +636,77 @@ varintRecords(std::size_t n, std::uint64_t seed)
     return recs;
 }
 
+/**
+ * Write the delta trace @p bytes to @p path and judge its opens by a
+ * byte-loop decoder written from the format (tests/ref): a strict open
+ * fails with its first defect and " at byte N" offset, a tolerant one
+ * cuts a partial tail where it does (and counts into @p opened), and
+ * whatever opens decodes, chunk by chunk, to its records.  The chunks
+ * tile the records: each ends where the next starts, none is empty or
+ * longer than traceChunkRecords, and none starts past the cut.
+ */
+void
+expectDeltaOpenMatchesReference(const std::string &path,
+                                const std::vector<std::uint8_t> &bytes,
+                                std::size_t &opened)
+{
+    const ref::RefDeltaDecode want = ref::refDecodeDelta(bytes);
+    writeFile(path, bytes);
+
+    TraceReadStats stats;
+    auto strict = TraceFileReader::open(path, {}, &stats);
+    EXPECT_EQ(stats.firstDefect, want.defect);
+    if (want.defect == TraceDefect::None) {
+        ASSERT_TRUE(strict.ok()) << strict.status().toString();
+    } else {
+        ASSERT_FALSE(strict.ok());
+        if (want.defect == TraceDefect::BadControlByte ||
+            want.defect == TraceDefect::BadVarint) {
+            const std::string msg = strict.status().message();
+            EXPECT_NE(msg.find(" at byte " + std::to_string(want.offset) +
+                               " "),
+                      std::string::npos)
+                << msg;
+        }
+    }
+
+    TraceReadOptions tolerant;
+    tolerant.corruptionBudget = 8;
+    tolerant.tolerateTruncatedTail = true;
+    tolerant.quiet = true;
+    auto rd = TraceFileReader::open(path, tolerant, &stats);
+    const bool opens = want.defect == TraceDefect::None ||
+                       want.defect == TraceDefect::PartialTail;
+    ASSERT_EQ(rd.ok(), opens) << rd.status().toString();
+    if (!opens)
+        return;
+    ++opened;
+    EXPECT_EQ(bytes.size() - stats.bytesSkipped, want.offset);
+    EXPECT_EQ(rd.value()->size(), want.records.size());
+    const std::vector<TraceChunk> &chunks = rd.value()->chunks();
+    std::vector<MemRecord> got;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        const TraceChunk &c = chunks[i];
+        EXPECT_LT(c.start.at + 16, want.offset);
+        ASSERT_GT(c.records, 0u);
+        ASSERT_LE(c.records, traceChunkRecords);
+        TracePosition at = c.start;
+        std::vector<MemRecord> buf(c.records);
+        ASSERT_EQ(rd.value()->read(at, buf.data(), c.records), c.records);
+        got.insert(got.end(), buf.begin(), buf.end());
+        if (i + 1 < chunks.size()) {
+            const TracePosition &next = chunks[i + 1].start;
+            ASSERT_EQ(at.at, next.at) << "chunk " << i;
+            ASSERT_EQ(at.codec.prevPc, next.codec.prevPc) << "chunk " << i;
+            ASSERT_EQ(at.codec.prevMemAddr, next.codec.prevMemAddr)
+                << "chunk " << i;
+        } else {
+            EXPECT_EQ(at.at + 16, want.offset);
+        }
+    }
+    expectSameRecords(want.records, got);
+}
+
 TEST_F(CorruptTraceTest, DeltaDecoderMatchesANaiveReference)
 {
     // Seeded bit flips, truncation at every byte, and forged control
@@ -649,48 +733,7 @@ TEST_F(CorruptTraceTest, DeltaDecoderMatchesANaiveReference)
     auto check = [&](const std::vector<std::uint8_t> &bytes) {
         SCOPED_TRACE("mutant " + std::to_string(checked));
         ++checked;
-        const ref::RefDeltaDecode want = ref::refDecodeDelta(bytes);
-        writeBytes(bytes);
-
-        TraceReadStats stats;
-        auto strict = TraceFileReader::open(path, {}, &stats);
-        EXPECT_EQ(stats.firstDefect, want.defect);
-        if (want.defect == TraceDefect::None) {
-            ASSERT_TRUE(strict.ok()) << strict.status().toString();
-        } else {
-            ASSERT_FALSE(strict.ok());
-            if (want.defect == TraceDefect::BadControlByte ||
-                want.defect == TraceDefect::BadVarint) {
-                const std::string msg = strict.status().message();
-                EXPECT_NE(msg.find(" at byte " +
-                                   std::to_string(want.offset) + " "),
-                          std::string::npos)
-                    << msg;
-            }
-        }
-
-        TraceReadOptions tolerant;
-        tolerant.corruptionBudget = 8;
-        tolerant.tolerateTruncatedTail = true;
-        tolerant.quiet = true;
-        auto rd = TraceFileReader::open(path, tolerant, &stats);
-        const bool opens = want.defect == TraceDefect::None ||
-                           want.defect == TraceDefect::PartialTail;
-        ASSERT_EQ(rd.ok(), opens) << rd.status().toString();
-        if (!opens)
-            return;
-        ++opened;
-        EXPECT_EQ(bytes.size() - stats.bytesSkipped, want.offset);
-        std::vector<MemRecord> got;
-        for (const TraceChunk &c : rd.value()->chunks()) {
-            EXPECT_LT(c.start.at + 16, want.offset);
-            TracePosition at = c.start;
-            std::vector<MemRecord> buf(c.records);
-            ASSERT_EQ(rd.value()->read(at, buf.data(), c.records),
-                      c.records);
-            got.insert(got.end(), buf.begin(), buf.end());
-        }
-        expectSameRecords(want.records, got);
+        expectDeltaOpenMatchesReference(path, bytes, opened);
     };
 
     check(clean);
@@ -789,6 +832,167 @@ TEST_F(CorruptTraceTest, TruncatedDeltaTailLeavesNoChunkPastTheCut)
                 want.records.end()),
             last);
     }
+}
+
+/** The delta open's byte range, as docs/TRACE_FORMAT.md gives it. */
+constexpr std::size_t deltaRange = std::size_t{1} << 20;
+
+/**
+ * Varint-heavy records filling a delta body of at least @p body_bytes
+ * bytes; @p boundaries receives each record's file offset.
+ */
+std::vector<std::uint8_t>
+deltaFileOfAtLeast(std::size_t body_bytes, std::uint64_t seed,
+                   std::vector<std::size_t> &boundaries)
+{
+    std::vector<MemRecord> recs;
+    boundaries.clear();
+    delta::Codec codec;
+    std::uint8_t buf[delta::maxRecordBytes];
+    std::size_t at = 16;
+    while (at - 16 < body_bytes) {
+        for (const MemRecord &r : varintRecords(4'096, seed++)) {
+            recs.push_back(r);
+            boundaries.push_back(at);
+            at += delta::encodeRecord(codec, r, buf);
+        }
+    }
+    return deltaFileBytes(recs);
+}
+
+TEST_F(CorruptTraceTest, ParallelDeltaOpenMatchesTheReferenceAtEverySeam)
+{
+    // A body of four byte ranges, damaged within a record's length of
+    // each seam and inside the probe records after it: seeded bit
+    // flips, cuts, and forged control bytes and overlong varints
+    // spliced in at record boundaries.  Every open must be the serial
+    // decode's, as the byte-loop reference decoder has it.
+    std::vector<std::size_t> boundaries;
+    const std::vector<std::uint8_t> clean =
+        deltaFileOfAtLeast(4 * deltaRange + deltaRange / 2, 31, boundaries);
+    ASSERT_LT(clean.size() - 16, 5 * deltaRange);
+
+    const std::vector<std::vector<std::uint8_t>> forged = {
+        {0x08, 0x01, 0x01},                         // reserved bit
+        {0x03, 0x01, 0x01},                         // type 3
+        {0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+         0x02},                                     // pc varint overflow
+        {0x01, 0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+         0x80, 0x80, 0x00},                         // 11-byte addr varint
+    };
+
+    std::size_t checked = 0;
+    std::size_t opened = 0;
+    auto check = [&](const std::vector<std::uint8_t> &bytes) {
+        SCOPED_TRACE("mutant " + std::to_string(checked));
+        ++checked;
+        expectDeltaOpenMatchesReference(path, bytes, opened);
+    };
+    check(clean);
+
+    std::mt19937_64 rng(77);
+    for (std::size_t seam = 16 + deltaRange; seam < clean.size() - deltaRange;
+         seam += deltaRange) {
+        SCOPED_TRACE("seam at file byte " + std::to_string(seam));
+        for (std::size_t at = seam - 21; at <= seam + 21; at += 6) {
+            std::vector<std::uint8_t> bytes = clean;
+            bytes[at] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+            check(bytes);
+        }
+        for (std::size_t len : {seam - 21, seam - 1, seam, seam + 1,
+                                seam + 21})
+            check(std::vector<std::uint8_t>(
+                clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(len)));
+
+        // The last boundary before the seam, then the first after it
+        // and those 7 and 15 records on: all inside the probe.
+        const auto first = std::lower_bound(boundaries.begin(),
+                                            boundaries.end(), seam);
+        for (auto b : {first - 1, first, first + 7, first + 15}) {
+            for (const std::vector<std::uint8_t> &f : forged) {
+                std::vector<std::uint8_t> bytes = clean;
+                bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(*b),
+                             f.begin(), f.end());
+                check(bytes);
+            }
+        }
+    }
+    EXPECT_EQ(checked, 3 * (8 + 5 + 16) + 1);
+    EXPECT_GT(opened, 3 * 8u);
+}
+
+TEST_F(CorruptTraceTest, ParallelDeltaOpenRedecodesAMisalignedProbe)
+{
+    // Every byte of an all-zero body decodes: "00 00" is a non-memory
+    // record with a zero pc delta, so each range's probe succeeds at
+    // any offset.  After one leading 3-byte load, the true boundaries
+    // are odd and every guessed range start is even, so only the check
+    // that a range starts where the one before it stopped keeps the
+    // decode serial: the odd-sized body ends in a whole record, not in
+    // the partial one an even parse leaves.
+    for (const bool odd : {false, true}) {
+        SCOPED_TRACE(odd ? "odd boundaries" : "even boundaries");
+        std::vector<std::uint8_t> bytes(16, 0);
+        std::copy(delta::magic, delta::magic + 8, bytes.begin());
+        bytes[8] = 1;
+        if (odd)
+            bytes.insert(bytes.end(), {0x01, 0x00, 0x00});
+        bytes.resize(bytes.size() + 4 * deltaRange + 2 * 12'345, 0x00);
+        std::size_t opened = 0;
+        expectDeltaOpenMatchesReference(path, bytes, opened);
+        EXPECT_EQ(opened, 1u);
+
+        auto rd = TraceFileReader::open(path);
+        ASSERT_TRUE(rd.ok()) << rd.status().toString();
+        EXPECT_EQ(rd.value()->size(),
+                  (odd ? 1u : 0u) + (4 * deltaRange + 2 * 12'345) / 2);
+    }
+}
+
+TEST_F(CorruptTraceTest, ParallelDeltaOpenReportsADefectInsideAProbe)
+{
+    // A bad control byte five records after the second seam: that
+    // range's probe fails and the guess moves on, but the walk still
+    // stops at the defect, at the serial decode's byte.
+    std::vector<std::size_t> boundaries;
+    std::vector<std::uint8_t> bytes =
+        deltaFileOfAtLeast(4 * deltaRange, 5, boundaries);
+    const std::size_t bad = *(std::lower_bound(boundaries.begin(),
+                                               boundaries.end(),
+                                               16 + 2 * deltaRange) +
+                              5);
+    bytes[bad] = 0x40;
+    std::size_t opened = 0;
+    expectDeltaOpenMatchesReference(path, bytes, opened);
+    EXPECT_EQ(opened, 0u);
+    auto rd = TraceFileReader::open(path);
+    ASSERT_FALSE(rd.ok());
+    EXPECT_NE(rd.status().message().find(" at byte " + std::to_string(bad) +
+                                         " "),
+              std::string::npos)
+        << rd.status().message();
+}
+
+TEST_F(CorruptTraceTest, ParallelDeltaTailCutNearARangeSeam)
+{
+    // Cuts within a record's length of where the fourth range would
+    // start: the body is three or four ranges, the last one ends in a
+    // partial record, and a tolerant open must leave no chunk past the
+    // cut, chunks that tile, and none longer than traceChunkRecords.
+    std::vector<std::size_t> boundaries;
+    const std::vector<std::uint8_t> clean =
+        deltaFileOfAtLeast(4 * deltaRange + 64, 13, boundaries);
+    std::size_t opened = 0;
+    for (std::size_t len = 16 + 4 * deltaRange - 21;
+         len <= 16 + 4 * deltaRange + 21; len += 3) {
+        SCOPED_TRACE(len);
+        expectDeltaOpenMatchesReference(
+            path,
+            std::vector<std::uint8_t>(
+                clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(len)),
+            opened);
+    }
+    EXPECT_EQ(opened, 15u);
 }
 
 TEST_F(CorruptTraceTest, PipeIsReadNotMapped)

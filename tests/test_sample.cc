@@ -16,7 +16,9 @@
  *  - the one-pass sample lane gives the same analysis from every
  *    kind of source (generator, packed and delta files, a span), and
  *    its stream, boost re-run and checkpointed replay each equal a naive
- *    model of what they replace.
+ *    model of what they replace;
+ *  - the curve, built one lane per point, equals a naive one-list-per-
+ *    point SHARDS reference (tests/ref/mrc_ref.hh) bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -26,11 +28,13 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <list>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/fa_lru.hh"
+#include "common/random.hh"
 #include "common/sample_hash.hh"
 #include "obs/sink.hh"
 #include "sample/engine.hh"
@@ -42,6 +46,8 @@
 #include "trace/vector_trace.hh"
 #include "trace/wire.hh"
 #include "workloads/registry.hh"
+
+#include "ref/mrc_ref.hh"
 
 namespace
 {
@@ -872,6 +878,203 @@ TEST(SampleIntervals, SeekingReplayMatchesANaiveReplay)
                               cfg.classify, warmup);
         }
     }
+}
+
+/** @p got equals the naive reference @p want, field by field. */
+void
+expectMatchesRef(const MrcResult &got, const ref::RefMrc &want)
+{
+    EXPECT_EQ(got.totalRefs, want.totalRefs);
+    EXPECT_EQ(got.sampledRefs, want.sampledRefs);
+    EXPECT_EQ(got.linesSampled, want.linesSampled);
+    EXPECT_EQ(got.weightedRefs, want.weightedRefs);
+    EXPECT_EQ(got.finalRate, want.finalRate);
+    EXPECT_EQ(got.thresholdHalvings, want.halvings);
+    EXPECT_EQ(got.minLinesBoost, want.boosted);
+    ASSERT_EQ(got.points.size(), want.points.size());
+    for (std::size_t i = 0; i < got.points.size(); ++i) {
+        SCOPED_TRACE(got.points[i].capacityBytes);
+        EXPECT_EQ(got.points[i].capacityLines, want.points[i].capacityLines);
+        EXPECT_EQ(got.points[i].bankLines, want.points[i].bankLines);
+        EXPECT_EQ(got.points[i].sampledMisses, want.points[i].misses);
+        EXPECT_EQ(got.points[i].missRatio, want.points[i].missRatio);
+    }
+    ASSERT_EQ(got.windows.size(), want.windows.size());
+    for (std::size_t w = 0; w < got.windows.size(); ++w) {
+        SCOPED_TRACE(w);
+        const WindowSignature &g = got.windows[w];
+        const ref::RefMrcWindow &r = want.windows[w];
+        EXPECT_EQ(g.firstRef, r.firstRef);
+        EXPECT_EQ(g.lastRef, r.lastRef);
+        EXPECT_EQ(g.sampledRefs, r.sampledRefs);
+        EXPECT_EQ(g.sampledMisses, r.misses);
+        EXPECT_EQ(g.sampledNewLines, r.newLines);
+        EXPECT_EQ(g.sampledUniqueLines, r.uniqueLines);
+    }
+}
+
+/** @p refs seeded random records over @p lines 64-byte lines. */
+std::vector<MemRecord>
+randomRecords(std::uint64_t seed, std::size_t refs, std::uint32_t lines)
+{
+    Pcg32 rng(seed);
+    std::vector<MemRecord> out;
+    // A hot set of a sixteenth of the lines takes half the references,
+    // so the small points hit as well as miss.
+    for (std::size_t i = 0; i < refs; ++i) {
+        MemRecord r;
+        r.pc = 0x400000 + 4 * i;
+        const std::uint32_t kind = rng.below(8);
+        if (kind < 2) {
+            out.push_back(r); // non-memory
+            continue;
+        }
+        r.type = kind < 6 ? RecordType::Load : RecordType::Store;
+        const std::uint32_t line =
+            rng.below(2) == 0 ? rng.below(std::max(1u, lines / 16))
+                              : rng.below(lines);
+        r.addr = 0x10000000 + std::uint64_t{line} * 64 + rng.below(64);
+        out.push_back(r);
+    }
+    return out;
+}
+
+TEST(SampleMrc, LanesMatchANaiveReferenceOnRandomTraces)
+{
+    struct Case
+    {
+        const char *name;
+        double rate;
+        ShardsVariant variant;
+        std::size_t maxLines;
+        Count windowRefs;
+        bool correction;
+        std::size_t minLines;
+    };
+    const Case cases[] = {
+        {"exact", 1.0, ShardsVariant::FixedRate, 0, 0, true, 0},
+        {"rate 0.3 windows", 0.3, ShardsVariant::FixedRate, 0, 997, true,
+         0},
+        {"uncorrected", 0.3, ShardsVariant::FixedRate, 0, 1'000, false,
+         0},
+        {"fixed-size", 1.0, ShardsVariant::FixedSize, 150, 613, true, 0},
+        {"fixed-size deep", 0.5, ShardsVariant::FixedSize, 40, 2'000,
+         true, 0},
+        {"boost", 0.02, ShardsVariant::FixedRate, 0, 1'500, true, 400},
+        {"fixed-size boost", 0.02, ShardsVariant::FixedSize, 30, 1'500,
+         true, 400},
+    };
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        const auto recs = randomRecords(seed, 12'000, 1'200);
+        for (const Case &c : cases) {
+            SCOPED_TRACE(std::string(c.name) + " seed " +
+                         std::to_string(seed));
+            MrcConfig cfg;
+            cfg.capacitiesBytes = {64, 1'024, 2'048, 4'096, 16'384,
+                                   65'536, 262'144};
+            cfg.rate = c.rate;
+            cfg.seed = seed * 11;
+            cfg.variant = c.variant;
+            cfg.maxSampledLines = c.maxLines;
+            cfg.windowRefs = c.windowRefs;
+            cfg.rateCorrection = c.correction;
+            cfg.minSampledLines = c.minLines;
+            cfg.maxBoostedRate = 0.5;
+            auto got = buildMrc(recs.data(), recs.size(), cfg);
+            ASSERT_TRUE(got.ok()) << got.status().toString();
+            expectMatchesRef(got.value(), ref::refMrc(recs, cfg));
+            if (c.variant == ShardsVariant::FixedSize) {
+                EXPECT_GT(got.value().thresholdHalvings, 0u);
+            }
+            if (c.minLines > 0) {
+                EXPECT_TRUE(got.value().minLinesBoost);
+            }
+        }
+    }
+}
+
+TEST(SampleMrc, LanesMatchANaiveReferenceOnWorkloadShapes)
+{
+    for (const char *name : {"gcc", "li", "tomcatv"}) {
+        const auto recs = captureRecords(name, 40'000);
+        for (ShardsVariant variant :
+             {ShardsVariant::FixedRate, ShardsVariant::FixedSize}) {
+            SCOPED_TRACE(std::string(name) + " " + toString(variant));
+            MrcConfig cfg;
+            cfg.capacitiesBytes = defaultCapacities();
+            cfg.rate = 0.05;
+            cfg.variant = variant;
+            cfg.maxSampledLines = 40;
+            cfg.windowRefs = 1'250;
+            auto got = buildMrc(recs.data(), recs.size(), cfg);
+            ASSERT_TRUE(got.ok()) << got.status().toString();
+            expectMatchesRef(got.value(), ref::refMrc(recs, cfg));
+            if (variant == ShardsVariant::FixedSize) {
+                EXPECT_GT(got.value().thresholdHalvings, 0u);
+            }
+        }
+    }
+}
+
+TEST(SampleMrc, PurgeBreaksInclusionAndTheBanksFollowEachPoint)
+{
+    // Under fixed-size purges a bank is not the top of one LRU stack:
+    // a bank of 4 lines holds [c b a d] when the halving purges a, b
+    // and c and shrinks it to 2, so it keeps [d] only, while the
+    // stack's top 2 after the purge is [d f].  The next reference to
+    // f misses the bank but sits at stack depth 2.
+    const std::uint64_t seed = 42;
+    const SamplingPredicate hash = SamplingPredicate::make(1.0, seed).value();
+    const std::uint64_t half = SamplingPredicate::kModulus / 2;
+    std::vector<Addr> low, high;
+    for (Addr line = 64; low.size() < 3 || high.size() < 3; line += 64)
+        (hash.bucketOf(LineAddr{line}) < half ? low : high)
+            .push_back(line);
+    const Addr e = low[0], f = low[1], d = low[2];
+    const Addr a = high[0], b = high[1], c = high[2];
+    std::vector<MemRecord> recs;
+    for (Addr line : {e, f, d, a, b, c, f}) {
+        MemRecord r;
+        r.type = RecordType::Load;
+        r.addr = line;
+        recs.push_back(r);
+    }
+
+    MrcConfig cfg;
+    cfg.capacitiesBytes = {4 * 64};
+    cfg.rate = 1.0;
+    cfg.seed = seed;
+    cfg.variant = ShardsVariant::FixedSize;
+    cfg.maxSampledLines = 5;
+    cfg.minSampledLines = 0;
+    auto got = buildMrc(recs.data(), recs.size(), cfg);
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    EXPECT_EQ(got.value().thresholdHalvings, 1u);
+    EXPECT_EQ(got.value().points[0].bankLines, 2u);
+    EXPECT_EQ(got.value().points[0].sampledMisses, 7u);
+    expectMatchesRef(got.value(), ref::refMrc(recs, cfg));
+
+    // One LRU stack, purged alike, read at depth <= the point's lines.
+    std::list<Addr> stack;
+    std::size_t lines = 4;
+    Count stack_misses = 0;
+    for (const MemRecord &r : recs) {
+        const auto it = std::find(stack.begin(), stack.end(), r.addr);
+        if (it == stack.end() ||
+            std::distance(stack.begin(), it) >=
+                static_cast<std::ptrdiff_t>(lines))
+            ++stack_misses;
+        if (it != stack.end())
+            stack.erase(it);
+        stack.push_front(r.addr);
+        if (r.addr == c) {
+            stack.remove(a);
+            stack.remove(b);
+            stack.remove(c);
+            lines = 2;
+        }
+    }
+    EXPECT_EQ(stack_misses, 6u);
 }
 
 } // namespace

@@ -39,7 +39,6 @@
 #include "sim/sharded.hh"
 #include "trace/delta.hh"
 #include "trace/file_trace.hh"
-#include "trace/mmap_trace.hh"
 #include "trace/vector_trace.hh"
 #include "trace/wire.hh"
 #include "workloads/registry.hh"
@@ -545,7 +544,7 @@ TEST_F(MappedTraceTest, TolerantOpenDeliversTheStrictStream)
 {
     writeWorkload("swim", 1'000);
 
-    auto strict = openTraceMappedOrFile(path, {});
+    auto strict = TraceFileReader::open(path);
     ASSERT_TRUE(strict.ok()) << strict.status().toString();
 
     // Tolerance changes nothing on a clean file: same stream.
@@ -553,7 +552,7 @@ TEST_F(MappedTraceTest, TolerantOpenDeliversTheStrictStream)
     tolerant.corruptionBudget = 4;
     tolerant.tolerateTruncatedTail = true;
     tolerant.quiet = true;
-    auto relaxed = openTraceMappedOrFile(path, tolerant);
+    auto relaxed = TraceFileReader::open(path, tolerant);
     ASSERT_TRUE(relaxed.ok()) << relaxed.status().toString();
 
     expectSameRecords(written, *strict.value());
@@ -567,14 +566,14 @@ TEST_F(MappedTraceTest, OpenMappedOrFileHandlesDeltaTraces)
     // dependent-load bits the delta control byte packs.
     writeWorkload("vortex", 10'000, TraceEncoding::Delta);
 
-    auto strict = openTraceMappedOrFile(path, {});
+    auto strict = TraceFileReader::open(path);
     ASSERT_TRUE(strict.ok()) << strict.status().toString();
     expectSameRecords(written, *strict.value());
 
     TraceReadOptions tolerant;
     tolerant.tolerateTruncatedTail = true;
     tolerant.quiet = true;
-    auto relaxed = openTraceMappedOrFile(path, tolerant);
+    auto relaxed = TraceFileReader::open(path, tolerant);
     ASSERT_TRUE(relaxed.ok()) << relaxed.status().toString();
     expectSameRecords(written, *relaxed.value());
 }

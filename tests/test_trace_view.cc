@@ -497,17 +497,14 @@ TEST_F(TraceViewTest, TolerantPackedDefectMapOfThreeRuns)
     expectViewAgrees(*rd.value(), recs);
 }
 
-TEST_F(TraceViewTest, ManyThreadsReadOneViewAtOnce)
+/**
+ * Four threads decode every chunk of @p view at once; each must get
+ * @p recs, what a lone reader gets.
+ */
+void
+expectThreadsReadAlike(const TraceView &view,
+                       const std::vector<MemRecord> &recs)
 {
-    // read() is const and touches only the caller's cursor: threads
-    // decoding every chunk of one delta view at once each get the
-    // records a lone reader gets.
-    const std::vector<MemRecord> recs = gccRecords(5 * traceChunkRecords);
-    const std::string path = file("delta");
-    writeTrace(path, TraceEncoding::Delta, recs);
-    auto rd = TraceFileReader::open(path);
-    ASSERT_TRUE(rd.ok()) << rd.status().toString();
-    const TraceView &view = *rd.value();
     std::vector<std::vector<MemRecord>> got(4);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < got.size(); ++t) {
@@ -524,6 +521,40 @@ TEST_F(TraceViewTest, ManyThreadsReadOneViewAtOnce)
         t.join();
     for (const std::vector<MemRecord> &g : got)
         expectSameRecords(recs, g);
+}
+
+TEST_F(TraceViewTest, ManyThreadsReadOneViewAtOnce)
+{
+    // read() is const and touches only the caller's cursor: threads
+    // decoding every chunk of one delta view at once each get the
+    // records a lone reader gets.
+    const std::vector<MemRecord> recs = gccRecords(5 * traceChunkRecords);
+    const std::string path = file("delta");
+    writeTrace(path, TraceEncoding::Delta, recs);
+    auto rd = TraceFileReader::open(path);
+    ASSERT_TRUE(rd.ok()) << rd.status().toString();
+    expectThreadsReadAlike(*rd.value(), recs);
+}
+
+TEST_F(TraceViewTest, ManyThreadsReadOneMultiRangeDeltaView)
+{
+    // A delta body of five 1 MiB byte ranges, decoded in parallel at
+    // open: its chunks restart at each range, so some are short, and
+    // every consumer and four threads decoding every chunk at once
+    // still get the records a lone reader gets.
+    auto wl = makeWorkload("gcc", 350'000, 42);
+    const std::vector<MemRecord> recs = VectorTrace::capture(*wl).records();
+    const std::string path = file("ranges");
+    writeTrace(path, TraceEncoding::Delta, recs);
+    auto rd = TraceFileReader::open(path);
+    ASSERT_TRUE(rd.ok()) << rd.status().toString();
+    const TraceView &view = *rd.value();
+    std::size_t short_chunks = 0;
+    for (const TraceChunk &c : view.chunks())
+        short_chunks += c.records < traceChunkRecords ? 1 : 0;
+    EXPECT_GE(short_chunks, 4u);
+    expectViewAgrees(*rd.value(), recs);
+    expectThreadsReadAlike(view, recs);
 }
 
 } // namespace

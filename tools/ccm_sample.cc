@@ -22,7 +22,7 @@
 #include "common/log.hh"
 #include "obs/sink.hh"
 #include "sample/engine.hh"
-#include "trace/mmap_trace.hh"
+#include "trace/file_trace.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -113,9 +113,8 @@ run(const Options &o)
     }
 
     Expected<std::unique_ptr<TraceSource>> trace =
-        o.tracePath.empty()
-            ? makeWorkloadChecked(o.workload, o.refs, o.seed)
-            : openTraceMappedOrFile(o.tracePath, TraceReadOptions{});
+        o.tracePath.empty() ? makeWorkloadChecked(o.workload, o.refs, o.seed)
+                            : TraceFileReader::open(o.tracePath);
     if (!trace.ok()) {
         CCM_LOG_ERROR(trace.status().toString());
         return 1;

@@ -45,7 +45,6 @@
 #include "sim/parallel.hh"
 #include "sim/sharded.hh"
 #include "trace/file_trace.hh"
-#include "trace/mmap_trace.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -342,10 +341,10 @@ openTrace(const Options &o, const std::string &name)
     ropts.corruptionBudget = o.budget;
     ropts.tolerateTruncatedTail = o.tolerateTruncation;
     if (!o.traceDir.empty())
-        return openTraceMappedOrFile(o.traceDir + "/" + name + ".bin",
+        return TraceFileReader::open(o.traceDir + "/" + name + ".bin",
                                      ropts);
     if (!o.tracePath.empty())
-        return openTraceMappedOrFile(o.tracePath, ropts);
+        return TraceFileReader::open(o.tracePath, ropts);
     return makeWorkloadChecked(name, o.refs, o.seed);
 }
 

@@ -21,8 +21,10 @@
 #      the sharded classify engine (--classify --suite --shards 4)
 #      must produce a stats document byte-identical to --shards 1,
 #      and so must a gcc trace file long enough for the parallel open
-#      check and partition to split it, packed and delta-encoded, at
-#      --interval 997 and --shards 1, 3 and 4;
+#      check and partition to split it, and one whose delta body holds
+#      four or more byte ranges of the parallel delta open, each
+#      packed and delta-encoded, at --interval 997 and --shards 1, 3
+#      and 4;
 #      a bad geometry, MCT shape, --pref-kind, --shards or --refs 0
 #      (ccm-sim single, --suite, --classify; ccm-sample; ccm-trace
 #      gen; a ccm-serve --config file), --suite or --classify --suite
@@ -151,8 +153,10 @@ TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     build-tsan/tests/test_sharded \
     --gtest_filter='ShardedClassify.*:MappedTraceTest.*'
-# The sample lane's scan and replay, and every view consumer, read
-# one trace view from several threads.
+# The sample lane's scan, per-point MRC lanes and replay, and every
+# view consumer, read one trace view from several threads; the
+# delta open decodes its byte ranges on several (the *Delta* tests,
+# the multi-range view test among test_trace_view's).
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     build-tsan/tests/test_sample \
     --gtest_filter='SampleMrc.*:SampleIntervals.*:SampleEngine.*'
@@ -210,29 +214,41 @@ fi
 build/tools/ccm-report --check "$obs_tmp/classify_s1.json"
 build/tools/ccm-report --check "$obs_tmp/classify_s4.json"
 build/tools/ccm-report "$obs_tmp/classify_s1.json" > /dev/null
-# The file lanes: one gcc trace, packed and delta-encoded, at
-# --shards 1, 3 and 4.  At 70k refs (280k records) the packed open
-# check splits into several ranges and the partition reads five view
-# chunks; the prime interval puts window boundaries off every chunk
-# boundary.  All six documents must agree once wall time and
-# the trace path (the workload field) are stripped.
-build/tools/ccm-trace gen gcc "$obs_tmp/gcc.bin" --refs 70000 --seed 7 \
-    > /dev/null
-build/tools/ccm-trace pack "$obs_tmp/gcc.bin" "$obs_tmp/gcc.d.bin" \
-    > /dev/null
-for enc in bin d.bin; do
-    for k in 1 3 4; do
-        build/tools/ccm-sim --classify --trace "$obs_tmp/gcc.$enc" \
-            --interval 997 --shards "$k" \
-            --stats-json "$obs_tmp/file_$enc.s$k.json" > /dev/null
-        if ! diff <(grep -v -e wall_seconds -e records_per_sec \
-                        -e '"workload"' "$obs_tmp/file_bin.s1.json") \
-                  <(grep -v -e wall_seconds -e records_per_sec \
-                        -e '"workload"' "$obs_tmp/file_$enc.s$k.json"); then
-            echo "FAIL: classify of gcc.$enc at --shards $k differs" >&2
-            exit 1
-        fi
-        build/tools/ccm-report --check "$obs_tmp/file_$enc.s$k.json"
+# The file lanes: gcc traces, packed and delta-encoded, at --shards
+# 1, 3 and 4.  At 70k refs (280k records) the packed open check
+# splits into several ranges and the partition reads five view
+# chunks; at 300k refs the delta body is over 4 MiB, so the delta
+# open decodes at least four byte ranges in parallel and the view's
+# chunks restart at each one.  The prime interval puts window
+# boundaries off every chunk boundary.  Per trace, all six documents
+# must agree once wall time and the trace path (the workload field)
+# are stripped.
+for lane in gcc:70000 gcc_ranges:300000; do
+    t=${lane%%:*}
+    refs=${lane#*:}
+    build/tools/ccm-trace gen gcc "$obs_tmp/$t.bin" --refs "$refs" \
+        --seed 7 > /dev/null
+    build/tools/ccm-trace pack "$obs_tmp/$t.bin" "$obs_tmp/$t.d.bin" \
+        > /dev/null
+    if [ "$t" = gcc_ranges ] &&
+       [ "$(stat -c %s "$obs_tmp/$t.d.bin")" -lt $((16 + 4 * 1048576)) ]; then
+        echo "FAIL: $t.d.bin is under four delta byte ranges" >&2
+        exit 1
+    fi
+    for enc in bin d.bin; do
+        for k in 1 3 4; do
+            build/tools/ccm-sim --classify --trace "$obs_tmp/$t.$enc" \
+                --interval 997 --shards "$k" \
+                --stats-json "$obs_tmp/${t}_$enc.s$k.json" > /dev/null
+            if ! diff <(grep -v -e wall_seconds -e records_per_sec \
+                            -e '"workload"' "$obs_tmp/${t}_bin.s1.json") \
+                      <(grep -v -e wall_seconds -e records_per_sec \
+                            -e '"workload"' "$obs_tmp/${t}_$enc.s$k.json"); then
+                echo "FAIL: classify of $t.$enc at --shards $k differs" >&2
+                exit 1
+            fi
+            build/tools/ccm-report --check "$obs_tmp/${t}_$enc.s$k.json"
+        done
     done
 done
 
@@ -466,8 +482,8 @@ step "reproduction tables (paper benches vs bench/baselines/tables)"
 # the pseudo-associative, biased, multithread and remap studies, and
 # the I-cache extension (ext_icache, the one other bench that scores
 # the oracle), and the paper's §5 timing results (Figures 3-7, Table
-# 1), which print the same bytes at every --jobs and run at --jobs 4
-# (fig7 takes no flag).  Run in a scratch directory: the benches also
+# 1), which print the same bytes at every --jobs and run at --jobs 4.
+# Run in a scratch directory: the benches also
 # write their BENCH_*.json.
 mkdir -p "$obs_tmp/tables"
 for b in fig1_accuracy fig2_tag_bits ablation_mct_depth \
@@ -477,7 +493,7 @@ for b in fig1_accuracy fig2_tag_bits ablation_mct_depth \
          table1_victim_rates; do
     args=()
     case $b in
-        fig3_* | fig4_* | fig5_* | fig6_* | table1_*) args=(--jobs 4) ;;
+        fig[3-7]_* | table1_*) args=(--jobs 4) ;;
     esac
     if ! (cd "$obs_tmp/tables" && "$repo_root/build/bench/$b" "${args[@]}") \
              > "$obs_tmp/tables/$b.out" ||
