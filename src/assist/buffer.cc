@@ -29,16 +29,6 @@ AssistBuffer::find(LineAddr line_addr)
     return nullptr;
 }
 
-const BufEntry *
-AssistBuffer::find(LineAddr line_addr) const
-{
-    for (const auto &e : slots) {
-        if (e.valid && e.lineAddr == line_addr)
-            return &e;
-    }
-    return nullptr;
-}
-
 void
 AssistBuffer::recordHit(BufEntry &e)
 {

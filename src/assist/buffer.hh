@@ -92,7 +92,6 @@ class AssistBuffer
 
     /** Look up a line; no replacement-state update. */
     BufEntry *find(LineAddr line_addr);
-    const BufEntry *find(LineAddr line_addr) const;
 
     /**
      * Record a hit on @p e: LRU update, per-source hit counters,

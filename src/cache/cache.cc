@@ -7,63 +7,11 @@
 namespace ccm
 {
 
-Cache::Cache(const CacheGeometry &geometry, ReplPolicy policy,
-             std::uint32_t random_seed)
-    : geom(geometry), repl(policy),
-      lines(geometry.numLines()),
-      rngState(random_seed == 0 ? 1 : random_seed),
+Cache::Cache(const CacheGeometry &geometry)
+    : geom(geometry), lines(geometry.numLines()),
       setMisses_(geometry.numSets(), 0),
       setEvictions_(geometry.numSets(), 0)
 {
-}
-
-const CacheLine *
-Cache::probe(ByteAddr addr) const
-{
-    SetIndex set = geom.setOf(addr);
-    Tag t = geom.tagOf(addr);
-    for (unsigned w = 0; w < geom.assoc(); ++w) {
-        const CacheLine &l = lines[slotOf(set, WayIndex{w})];
-        if (l.valid && l.tag == t)
-            return &l;
-    }
-    return nullptr;
-}
-
-CacheLine *
-Cache::lookupMutable(ByteAddr addr)
-{
-    SetIndex set = geom.setOf(addr);
-    Tag t = geom.tagOf(addr);
-    for (unsigned w = 0; w < geom.assoc(); ++w) {
-        CacheLine &l = lines[slotOf(set, WayIndex{w})];
-        if (l.valid && l.tag == t)
-            return &l;
-    }
-    return nullptr;
-}
-
-CacheLine *
-Cache::findLine(ByteAddr addr)
-{
-    return lookupMutable(addr);
-}
-
-bool
-Cache::access(ByteAddr addr, bool is_store)
-{
-    ++tick;
-    CacheLine *l = lookupMutable(addr);
-    if (l) {
-        l->lastUse = tick;
-        if (is_store)
-            l->dirty = true;
-        ++nHits;
-        return true;
-    }
-    ++nMisses;
-    ++setMisses_[geom.setOf(addr).value()];
-    return false;
 }
 
 WayIndex
@@ -77,35 +25,12 @@ Cache::chooseVictimWay(SetIndex set) const
             return WayIndex{w};
     }
 
-    switch (repl) {
-      case ReplPolicy::Lru: {
-        unsigned victim = 0;
-        for (unsigned w = 1; w < geom.assoc(); ++w) {
-            if (base[w].lastUse < base[victim].lastUse)
-                victim = w;
-        }
-        return WayIndex{victim};
-      }
-      case ReplPolicy::Fifo: {
-        unsigned victim = 0;
-        for (unsigned w = 1; w < geom.assoc(); ++w) {
-            if (base[w].insertTime < base[victim].insertTime)
-                victim = w;
-        }
-        return WayIndex{victim};
-      }
-      case ReplPolicy::Random: {
-        // xorshift64*; mutable state so probe/victimFor stay const.
-        std::uint64_t x = rngState;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        rngState = x;
-        return WayIndex{static_cast<unsigned>(
-            (x * 2685821657736338717ULL) % geom.assoc())};
-      }
+    unsigned victim = 0;
+    for (unsigned w = 1; w < geom.assoc(); ++w) {
+        if (base[w].lastUse < base[victim].lastUse)
+            victim = w;
     }
-    ccm_panic("unreachable replacement policy");
+    return WayIndex{victim};
 }
 
 const CacheLine *
@@ -117,8 +42,6 @@ Cache::victimFor(ByteAddr addr) const
         if (!base[w].valid)
             return nullptr;
     }
-    // Note: for ReplPolicy::Random this advances the RNG; the paper's
-    // configurations all use LRU, where this is stateless.
     return &base[chooseVictimWay(set).value()];
 }
 
@@ -157,7 +80,6 @@ Cache::fillWay(ByteAddr addr, WayIndex way, bool conflict_bit,
     l.dirty = is_store;
     l.conflictBit = conflict_bit;
     l.lastUse = tick;
-    l.insertTime = tick;
     ++nFills;
     return evicted;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * A functional set-associative cache with pluggable replacement, line
- * conflict bits, and explicit victim-selection/fill hooks.
+ * A functional set-associative LRU cache with line conflict bits and
+ * explicit victim-selection/fill hooks.
  *
  * The cache is purely functional (tags only; no data payloads — the
  * simulation never needs values).  Timing lives in the hierarchy
@@ -12,6 +12,7 @@
 #define CCM_CACHE_CACHE_HH
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/geometry.hh"
@@ -20,14 +21,6 @@
 
 namespace ccm
 {
-
-/** Replacement policy selector. */
-enum class ReplPolicy
-{
-    Lru,
-    Fifo,
-    Random,
-};
 
 /** What a fill pushed out of the cache. */
 struct EvictedLine
@@ -41,12 +34,11 @@ struct EvictedLine
 /** Result of a fill: the victim (if any). */
 using FillResult = EvictedLine;
 
-/** Functional set-associative cache. */
+/** Functional set-associative LRU cache. */
 class Cache
 {
   public:
-    Cache(const CacheGeometry &geometry, ReplPolicy policy = ReplPolicy::Lru,
-          std::uint32_t random_seed = 1);
+    explicit Cache(const CacheGeometry &geometry);
 
     const CacheGeometry &geometry() const { return geom; }
 
@@ -54,7 +46,18 @@ class Cache
      * Look up @p addr without disturbing replacement state.
      * @return the line, or nullptr on miss
      */
-    const CacheLine *probe(ByteAddr addr) const;
+    const CacheLine *
+    probe(ByteAddr addr) const
+    {
+        const CacheLine *base =
+            &lines[slotOf(geom.setOf(addr), WayIndex{0})];
+        const Tag t = geom.tagOf(addr);
+        for (unsigned w = 0; w < geom.assoc(); ++w) {
+            if (base[w].valid && base[w].tag == t)
+                return &base[w];
+        }
+        return nullptr;
+    }
 
     /**
      * Access @p addr: on a hit, update replacement state and the dirty
@@ -63,7 +66,21 @@ class Cache
      * @retval true hit
      * @retval false miss — caller decides whether/where to fill
      */
-    bool access(ByteAddr addr, bool is_store);
+    bool
+    access(ByteAddr addr, bool is_store)
+    {
+        ++tick;
+        if (CacheLine *l = lookupMutable(addr)) {
+            l->lastUse = tick;
+            if (is_store)
+                l->dirty = true;
+            ++nHits;
+            return true;
+        }
+        ++nMisses;
+        ++setMisses_[geom.setOf(addr).value()];
+        return false;
+    }
 
     /**
      * The line a fill of @p addr would evict (replacement choice), or
@@ -95,9 +112,6 @@ class Cache
     /** Direct set access for policy code (pseudo-assoc, tests). */
     CacheLine &lineAt(SetIndex set, WayIndex way);
     const CacheLine &lineAt(SetIndex set, WayIndex way) const;
-
-    /** Mutable lookup (used to flip conflict bits on resident lines). */
-    CacheLine *findLine(ByteAddr addr);
 
     /** Line-aligned address of the line in (set, way). */
     LineAddr lineAddrAt(SetIndex set, WayIndex way) const;
@@ -143,7 +157,13 @@ class Cache
     }
 
   private:
-    CacheLine *lookupMutable(ByteAddr addr);
+    /** probe()'s mutable form: the same line frame, writable. */
+    CacheLine *
+    lookupMutable(ByteAddr addr)
+    {
+        return const_cast<CacheLine *>(std::as_const(*this).probe(addr));
+    }
+
     WayIndex chooseVictimWay(SetIndex set) const;
 
     /** Flat index of (set, way) in the set-major line array. */
@@ -154,10 +174,8 @@ class Cache
     }
 
     CacheGeometry geom;
-    ReplPolicy repl;
     std::vector<CacheLine> lines;   ///< sets_ * assoc_, set-major
-    Count tick = 0;                 ///< logical access clock for LRU/FIFO
-    mutable std::uint64_t rngState; ///< for ReplPolicy::Random
+    Count tick = 0;                 ///< logical access clock for LRU
     Count nHits = 0;
     Count nMisses = 0;
     Count nFills = 0;

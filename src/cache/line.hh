@@ -27,8 +27,6 @@ struct CacheLine
     bool conflictBit = false;
     /** Global timestamp of last access; drives LRU. */
     Count lastUse = 0;
-    /** Global timestamp of insertion; drives FIFO. */
-    Count insertTime = 0;
 };
 
 } // namespace ccm

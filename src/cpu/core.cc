@@ -24,9 +24,19 @@ Core::run(TraceSource &trace, MemorySystem &mem)
     Pcg32 wp_rng(0xbadb07);
     Addr last_mem_addr = 0;
 
-    // Ring buffer of completion cycles: the reorder window.
-    std::vector<Cycle> rob(cfg.robSize, 0);
+    // The configuration in locals: mem.access() is an opaque call, so
+    // members would be reloaded after every memory reference.
+    const std::size_t rob_size = cfg.robSize;
+    const unsigned fetch_width = cfg.fetchWidth;
+    const unsigned retire_width = cfg.retireWidth;
+    const unsigned lsus = cfg.loadStoreUnits;
+    const unsigned wrong_path_rate = cfg.wrongPathRate;
+
+    // Ring buffer of completion cycles: the reorder window.  Head and
+    // tail wrap by compare, not by a divide per instruction.
+    std::vector<Cycle> rob(rob_size, 0);
     std::size_t head = 0;
+    std::size_t tail = 0;
     std::size_t count = 0;
 
     Cycle now = cfg.pipelineFill;   // fill the 7-stage front end
@@ -40,9 +50,10 @@ Core::run(TraceSource &trace, MemorySystem &mem)
     while (have || count > 0) {
         // In-order retire, up to retireWidth per cycle.
         unsigned retired = 0;
-        while (count > 0 && retired < cfg.retireWidth &&
+        while (count > 0 && retired < retire_width &&
                rob[head] <= now) {
-            head = (head + 1) % cfg.robSize;
+            if (++head == rob_size)
+                head = 0;
             --count;
             ++retired;
         }
@@ -51,11 +62,10 @@ Core::run(TraceSource &trace, MemorySystem &mem)
         // load/store units.
         unsigned dispatched = 0;
         unsigned lsu_used = 0;
-        while (have && dispatched < cfg.fetchWidth &&
-               count < cfg.robSize) {
+        while (have && dispatched < fetch_width && count < rob_size) {
             Cycle complete;
             if (rec.isMem()) {
-                if (lsu_used >= cfg.loadStoreUnits)
+                if (lsu_used >= lsus)
                     break;
                 ++lsu_used;
                 Cycle issue = now;
@@ -79,8 +89,8 @@ Core::run(TraceSource &trace, MemorySystem &mem)
                 // speculative loads near the recent access region —
                 // they disturb the caches and the MCT but never
                 // enter the window.
-                if (cfg.wrongPathRate != 0 &&
-                    wp_rng.below(cfg.wrongPathRate) == 0) {
+                if (wrong_path_rate != 0 &&
+                    wp_rng.below(wrong_path_rate) == 0) {
                     for (unsigned w = 0; w < cfg.wrongPathBurst;
                          ++w) {
                         Addr wild = last_mem_addr +
@@ -91,7 +101,9 @@ Core::run(TraceSource &trace, MemorySystem &mem)
                     }
                 }
             }
-            rob[(head + count) % cfg.robSize] = complete;
+            rob[tail] = complete;
+            if (++tail == rob_size)
+                tail = 0;
             ++count;
             ++instrs;
             ++dispatched;
@@ -101,7 +113,7 @@ Core::run(TraceSource &trace, MemorySystem &mem)
         // Advance time; when the window is blocked, jump straight to
         // the head's completion instead of idling cycle by cycle.
         bool blocked = count > 0 && rob[head] > now &&
-                       (count == cfg.robSize || !have);
+                       (count == rob_size || !have);
         if (blocked)
             now = rob[head];
         else

@@ -16,7 +16,8 @@ namespace
 struct Context
 {
     std::vector<Cycle> rob;   ///< completion cycles, ring buffer
-    std::size_t head = 0;
+    std::size_t head = 0;     ///< oldest entry
+    std::size_t tail = 0;     ///< next free slot, (head + count) wrapped
     std::size_t count = 0;
     Cycle lastLoadComplete = 0;
     MemRecord pending;        ///< next record to dispatch
@@ -77,7 +78,8 @@ SmtCore::run(const std::vector<TraceSource *> &traces,
             Context &c = ctx[t];
             while (c.count > 0 && retired < cfg.retireWidth &&
                    c.rob[c.head] <= now) {
-                c.head = (c.head + 1) % window;
+                if (++c.head == window)
+                    c.head = 0;
                 --c.count;
                 ++retired;
             }
@@ -117,7 +119,9 @@ SmtCore::run(const std::vector<TraceSource *> &traces,
                 } else {
                     complete = now + 1;
                 }
-                c.rob[(c.head + c.count) % window] = complete;
+                c.rob[c.tail] = complete;
+                if (++c.tail == window)
+                    c.tail = 0;
                 ++c.count;
                 ++c.instrs;
                 ++dispatched;

@@ -117,7 +117,6 @@ PseudoAssocCache::access(ByteAddr addr, bool is_store)
         lp.dirty = set_dirty;
         lp.conflictBit = new_conflict;
         lp.lastUse = tick;
-        lp.insertTime = tick;
     };
 
     auto record_eviction = [&](const CacheLine &victim,

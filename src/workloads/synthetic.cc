@@ -1,5 +1,7 @@
 #include "workloads/synthetic.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace ccm
@@ -17,40 +19,36 @@ SyntheticWorkload::SyntheticWorkload(std::string label,
 }
 
 bool
-SyntheticWorkload::emitOne(MemRecord &out)
-{
-    if (memEmitted >= memRefs_)
-        return false;
-
-    if (sinceMem < gap) {
-        ++sinceMem;
-        out = MemRecord{};
-        out.pc = 0x100000 + (fillerPc++ % 4096) * 4;
-        out.type = RecordType::NonMem;
-        return true;
-    }
-
-    sinceMem = 0;
-    out = genMem();
-    ++memEmitted;
-    return true;
-}
-
-bool
 SyntheticWorkload::next(MemRecord &out)
 {
-    return emitOne(out);
+    return nextBatch(&out, 1) == 1;
 }
 
 std::size_t
 SyntheticWorkload::nextBatch(MemRecord *out, std::size_t n)
 {
-    // Tight generation loop: one virtual call per batch instead of
-    // per record (genMem() stays virtual but runs only once per
-    // gap+1 records).
+    // One virtual call per batch instead of per record.  The gap
+    // between memory references is written as one run of filler
+    // records (genMem() stays virtual but runs only once per gap+1
+    // records), and the stream ends right after the last reference.
     std::size_t got = 0;
-    while (got < n && emitOne(out[got]))
-        ++got;
+    while (got < n && memEmitted < memRefs_) {
+        if (sinceMem < gap) {
+            const std::size_t run =
+                std::min<std::size_t>(gap - sinceMem, n - got);
+            for (MemRecord *r = out + got, *end = r + run; r != end;
+                 ++r) {
+                *r = MemRecord{};
+                r->pc = 0x100000 + (fillerPc++ % 4096) * 4;
+            }
+            sinceMem += static_cast<unsigned>(run);
+            got += run;
+            continue;
+        }
+        sinceMem = 0;
+        out[got++] = genMem();
+        ++memEmitted;
+    }
     return got;
 }
 

@@ -80,9 +80,6 @@ class SyntheticWorkload : public TraceSource
     }
 
   private:
-    /** One generation step, shared by next()/nextBatch(). */
-    bool emitOne(MemRecord &out);
-
     std::string label_;
     std::size_t memRefs_;
     unsigned gap;

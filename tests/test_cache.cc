@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the set-associative cache: hits/misses, replacement
- * policies, conflict bits, victim selection, and statistics.
+ * Unit tests for the set-associative cache: hits/misses, LRU
+ * replacement, conflict bits, victim selection, and statistics.
  */
 
 #include <gtest/gtest.h>
@@ -79,35 +79,6 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     ASSERT_TRUE(ev.valid);
     EXPECT_EQ(ev.lineAddr, g.lineOf(b));
     EXPECT_NE(c.probe(a), nullptr);
-    EXPECT_NE(c.probe(d), nullptr);
-}
-
-TEST(Cache, FifoIgnoresAccessRecency)
-{
-    CacheGeometry g = tinyGeom();
-    Cache c(g, ReplPolicy::Fifo);
-    ByteAddr a = mkAddr(g, 0, 1), b = mkAddr(g, 0, 2),
-             d = mkAddr(g, 0, 3);
-    c.fill(a, false, false);
-    c.fill(b, false, false);
-    c.access(a, false);          // would save a under LRU
-    FillResult ev = c.fill(d, false, false);
-    ASSERT_TRUE(ev.valid);
-    EXPECT_EQ(ev.lineAddr, g.lineOf(a));  // FIFO evicts oldest fill
-}
-
-TEST(Cache, RandomReplacementEvictsSomeValidWay)
-{
-    CacheGeometry g = tinyGeom();
-    Cache c(g, ReplPolicy::Random, 99);
-    ByteAddr a = mkAddr(g, 0, 1), b = mkAddr(g, 0, 2),
-             d = mkAddr(g, 0, 3);
-    c.fill(a, false, false);
-    c.fill(b, false, false);
-    FillResult ev = c.fill(d, false, false);
-    ASSERT_TRUE(ev.valid);
-    EXPECT_TRUE(ev.lineAddr == g.lineOf(a) ||
-                ev.lineAddr == g.lineOf(b));
     EXPECT_NE(c.probe(d), nullptr);
 }
 
@@ -232,15 +203,14 @@ TEST(Cache, FillWayPlacesExactly)
               invalidLineAddr);
 }
 
-TEST(Cache, FindLineAllowsBitMutation)
+TEST(Cache, LineAtAllowsBitMutation)
 {
     CacheGeometry g = tinyGeom();
     Cache c(g);
     ByteAddr a = mkAddr(g, 0, 1);
-    c.fill(a, false, false);
-    CacheLine *l = c.findLine(a);
-    ASSERT_NE(l, nullptr);
-    l->conflictBit = true;
+    c.fill(a, false, false);   // an empty set fills way 0
+    c.lineAt(g.setOf(a), WayIndex{0}).conflictBit = true;
+    ASSERT_NE(c.probe(a), nullptr);
     EXPECT_TRUE(c.probe(a)->conflictBit);
 }
 

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the out-of-order core timing model: width limits, window
- * blocking, load/store unit limits, dependent-load serialization.
+ * blocking, load/store unit limits, dependent-load serialization, and
+ * a differential test against the recurrence in tests/ref/core_ref.hh.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "cpu/core.hh"
+#include "ref/core_ref.hh"
 #include "trace/vector_trace.hh"
 #include "workloads/registry.hh"
 
@@ -182,6 +185,109 @@ TEST(Core, PipelineFillAddsStartupCycles)
     MemorySystem mem(fastMem());
     SimResult r = Core(cfg).run(t, mem);
     EXPECT_GE(r.cycles, cfg.pipelineFill);
+}
+
+/**
+ * A seeded random instruction stream: non-memory runs, loads (a
+ * quarter of them dependent on the previous load) and stores, half to
+ * a hot region that aliases in a small L1 and half to a streaming
+ * walk.
+ */
+std::vector<MemRecord>
+randomCoreTrace(std::uint64_t seed, std::size_t n)
+{
+    Pcg32 rng(seed);
+    std::vector<MemRecord> out;
+    Addr stream = 0x4000000;
+    for (std::size_t i = 0; i < n; ++i) {
+        MemRecord r;
+        r.pc = 0x1000 + 4 * Addr(rng.below(512));
+        const unsigned kind = rng.below(10);
+        if (kind >= 4) {
+            r.type = kind < 8 ? RecordType::Load : RecordType::Store;
+            if (rng.below(2) == 0) {
+                r.addr = 0x100000 + 64 * Addr(rng.below(32)) +
+                         4096 * Addr(rng.below(4));
+            } else {
+                r.addr = stream;
+                stream += 64;
+            }
+            r.dependsOnPrevLoad = r.isLoad() && rng.below(4) == 0;
+        }
+        out.push_back(r);
+    }
+    return out;
+}
+
+void
+expectSameStats(const MemStats &got, const MemStats &want,
+                const std::string &where)
+{
+    MemStats::forEachField([&](const char *name, Count MemStats::*f) {
+        EXPECT_EQ(got.*f, want.*f) << where << " " << name;
+    });
+}
+
+TEST(NaiveModel, CoreCyclesMatchARecurrence)
+{
+    // A small baseline hierarchy, and an AMB with two MSHRs whose
+    // prefetches and stalls depend on every issue cycle.
+    MemSysConfig base = fastMem();
+    MemSysConfig amb = fastMem();
+    amb.mode = AssistMode::Amb;
+    amb.amb = {true, true, true};
+    amb.mshrs = 2;
+
+    struct Shape
+    {
+        unsigned fetch, retire, lsus, wrongPathRate;
+        Cycle fill;
+    };
+    const Shape shapes[] = {
+        {3, 2, 1, 0, 7}, {8, 5, 4, 5, 7}, {1, 4, 2, 0, 0},
+        {6, 3, 3, 3, 2},
+    };
+    const unsigned robs[] = {1, 3, 7, 64, 100};
+
+    unsigned seed = 0;
+    for (unsigned rob : robs) {
+        for (const Shape &s : shapes) {
+            for (const MemSysConfig *mc : {&base, &amb}) {
+                CoreConfig cc;
+                cc.robSize = rob;
+                cc.fetchWidth = s.fetch;
+                cc.retireWidth = s.retire;
+                cc.loadStoreUnits = s.lsus;
+                cc.wrongPathRate = s.wrongPathRate;
+                cc.wrongPathBurst = 3;
+                cc.pipelineFill = s.fill;
+                // Every 13th case (four in all) is an empty trace.
+                const std::size_t n = seed % 13 == 0 ? 0 : 2500;
+                std::vector<MemRecord> recs =
+                    randomCoreTrace(++seed, n);
+                const std::string where =
+                    "rob " + std::to_string(rob) + " fetch " +
+                    std::to_string(s.fetch) + " retire " +
+                    std::to_string(s.retire) + " lsus " +
+                    std::to_string(s.lsus) + " wrong-path " +
+                    std::to_string(s.wrongPathRate) + " mode " +
+                    (mc == &amb ? "amb" : "baseline") + " n " +
+                    std::to_string(n);
+
+                VectorTrace t("t", recs);
+                MemorySystem model_mem(*mc), ref_mem(*mc);
+                const SimResult got = Core(cc).run(t, model_mem);
+                const SimResult want =
+                    ref::runCoreRef(recs, cc, ref_mem);
+                EXPECT_EQ(got.cycles, want.cycles) << where;
+                EXPECT_EQ(got.instructions, want.instructions) << where;
+                EXPECT_EQ(got.memRefs, want.memRefs) << where;
+                EXPECT_EQ(got.ipc, want.ipc) << where;
+                expectSameStats(model_mem.stats(), ref_mem.stats(),
+                                where);
+            }
+        }
+    }
 }
 
 } // namespace

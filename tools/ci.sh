@@ -47,18 +47,20 @@
 #      byte, a gcc generator and its packed and delta traces must give
 #      one document (and the two traces one --exact document), and
 #      the sampling_accuracy gate must hold;
-#      reproduction tables: fourteen paper benches (partial tags, MCT
-#      depth, the §5.4/§5.6 studies, the I-cache extension, and the
-#      §5 timing results: Figures 3-7 and Table 1, at --jobs 4) must
+#      reproduction tables: seventeen paper benches (partial tags, MCT
+#      depth, the §5.4/§5.6 studies, the I-cache extension, the §5
+#      timing results: Figures 3-7 and Table 1, at --jobs 4, and the
+#      wrong-path, buffer-organization and SMT AMB studies) must
 #      print the tables in bench/baselines/tables/ byte for byte, and
 #      Figure 2's full-tag row must equal Figure 1's 16KB-DM pooled
 #      conf%/cap%;
 #      examples: each of the seven examples/ programs runs once in a
 #      scratch directory and exits 0
 #   9. perf smoke: the benchmark (perfbench/run.py, BENCHMARK.json)
-#      on classify-trace with the per-layer pass; its result line must
-#      say "correct": true and "failed": 0, i.e. every document matched
-#      perfbench/digests.json and every layer metric was measured;
+#      on classify-trace with the per-layer pass, then on timing-suite;
+#      each result line must say "correct": true and "failed": 0, i.e.
+#      every document matched perfbench/digests.json (and, for
+#      classify-trace, every layer metric was measured);
 #      SKIPPED with a notice when no python3 is installed.  Delivery
 #      batching needs no CI step: tests/test_batch.cc runs the timing,
 #      classify and remap drivers on one-record batches
@@ -483,6 +485,9 @@ step "reproduction tables (paper benches vs bench/baselines/tables)"
 # the I-cache extension (ext_icache, the one other bench that scores
 # the oracle), and the paper's §5 timing results (Figures 3-7, Table
 # 1), which print the same bytes at every --jobs and run at --jobs 4.
+# The wrong-path ablation, the SMT AMB extension and the
+# buffer-organization ablation (which take no --jobs) hold the core's
+# wrong-path loads, the SMT core and the FIFO assist buffer.
 # Run in a scratch directory: the benches also
 # write their BENCH_*.json.
 mkdir -p "$obs_tmp/tables"
@@ -490,7 +495,8 @@ for b in fig1_accuracy fig2_tag_bits ablation_mct_depth \
          sec54_pseudo_assoc sec56_assoc_bias sec56_multithread \
          sec56_page_remap ext_icache fig3_victim fig4_prefetch \
          fig5_exclusion fig6_amb fig7_amb_hit_components \
-         table1_victim_rates; do
+         table1_victim_rates ablation_wrong_path ext_smt_amb \
+         ablation_buffer_org; do
     args=()
     case $b in
         fig[3-7]_* | table1_*) args=(--jobs 4) ;;
@@ -529,25 +535,32 @@ for e in quickstart classify_workload victim_filter_tuning amb_explorer \
     fi
 done
 
-step "perf smoke (perfbench/run.py classify-trace, per-layer pass)"
-# One short digest-checked run of the benchmark: it builds into
+step "perf smoke (perfbench/run.py classify-trace per-layer, timing-suite)"
+# Short digest-checked runs of the benchmark: it builds into
 # .bench_build/, and its last stdout line is the JSON result.  A
 # document that differs from perfbench/digests.json is a failed
 # operation, and a layer metric that was not measured makes run.py
-# fail outright.
+# fail outright.  classify-trace checks the classify lane's bytes,
+# timing-suite the timing lane's.
 if command -v python3 >/dev/null 2>&1; then
-    python3 perfbench/run.py --workload classify-trace --seconds 2 \
-        --trace 1 > "$obs_tmp/perf.out"
-    grep '^operations:' "$obs_tmp/perf.out"
-    if ! tail -n 1 "$obs_tmp/perf.out" | python3 -c '
+    for lane in classify-trace timing-suite; do
+        layers=0
+        if [ "$lane" = classify-trace ]; then
+            layers=1
+        fi
+        python3 perfbench/run.py --workload "$lane" --seconds 2 \
+            --trace "$layers" > "$obs_tmp/perf.out"
+        grep '^operations:' "$obs_tmp/perf.out"
+        if ! tail -n 1 "$obs_tmp/perf.out" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 '; then
-        echo "FAIL: perfbench result is not correct:" >&2
-        tail -n 1 "$obs_tmp/perf.out" >&2
-        exit 1
-    fi
+            echo "FAIL: perfbench $lane result is not correct:" >&2
+            tail -n 1 "$obs_tmp/perf.out" >&2
+            exit 1
+        fi
+    done
 else
     skip "perf smoke" "python3 not installed"
 fi
